@@ -25,6 +25,7 @@ from .errors import (
     DeadRow,
     EmptyWord,
     InadmissibleWord,
+    LevelOutOfRange,
     LevelTooLow,
     MatrixMismatch,
     MissingDiagonal,
@@ -180,12 +181,19 @@ def nadic_value(word, n):
     return Point(word=tuple(word), value=v)
 
 
+def check_level(k):
+    """Raise LevelOutOfRange unless k is a word level, i.e. k >= 0."""
+    if k < 0:
+        raise LevelOutOfRange("level %d is negative" % k)
+
+
 def word_count(matrix, k):
     """|W_k| as an exact integer (number of admissible level-k words).
 
     Computed with Python ints (no overflow), so it is safe to consult before
     enumerating: counts[i] = number of length-L words starting at digit i.
     """
+    check_level(k)
     if k == 0:
         return 1
     counts = [1] * matrix.n
@@ -211,6 +219,7 @@ def enumerate_words(matrix, k, cap=None):
     With a cap, the exact count is checked first and CapExceeded raised
     before any enumeration work happens.
     """
+    check_level(k)
     if cap is not None and word_count(matrix, k) > cap:
         raise CapExceeded(
             "level %d has %d words, over the cap of %d"

@@ -175,7 +175,7 @@ def parse_coefficients(text, matrix):
     if n != matrix.n:
         raise FileFormatError(
             "coefficients are over N = %d, matrix has N = %d" % (n, matrix.n))
-    scaling = np.zeros(n, dtype=np.complex128)
+    scaling = {}
     mother = {}
     detail = {}
     for line in lines[1:]:
@@ -185,16 +185,18 @@ def parse_coefficients(text, matrix):
             i = _int(parts[1], line)
             if not 0 <= i < n:
                 raise FileFormatError("scaling letter %d out of range" % i)
-            scaling[i] = complex(_float(parts[2], line), _float(parts[3], line))
+            layer, key = scaling, i
         elif kind == "M" and len(parts) == 5:
-            k, l = _int(parts[1], line), _int(parts[2], line)
-            mother[(k, l)] = complex(_float(parts[3], line), _float(parts[4], line))
+            layer, key = mother, (_int(parts[1], line), _int(parts[2], line))
         elif kind == "D" and len(parts) == 6:
-            a = parse_word(parts[1], n)
-            l, r = _int(parts[2], line), _int(parts[3], line)
-            detail[(a, l, r)] = complex(_float(parts[4], line), _float(parts[5], line))
+            layer, key = detail, (parse_word(parts[1], n), _int(parts[2], line),
+                                  _int(parts[3], line))
         else:
             raise FileFormatError("bad coefficient line %r" % line)
+        if key in layer:
+            raise FileFormatError("%s key %r listed twice" % (kind, key))
+        layer[key] = complex(_float(parts[-2], line), _float(parts[-1], line))
+    scaling = np.array([scaling.get(i, 0j) for i in range(n)], dtype=np.complex128)
     scaling.setflags(write=False)
     return (wavelets.WaveletCoefficients(
         scaling=scaling, mother=mother, detail=detail), level)

@@ -183,6 +183,7 @@ def _transpose_words(matrix, k):
 
 
 def transpose_word_count(matrix, k):
+    core.check_level(k)
     if k == 0:
         return 1
     counts = [1] * matrix.n
@@ -193,6 +194,7 @@ def transpose_word_count(matrix, k):
 
 
 def enumerate_transpose_words(matrix, k, cap=None):
+    core.check_level(k)
     if cap is not None and transpose_word_count(matrix, k) > cap:
         raise CapExceeded(
             "level %d has %d transpose words, over the cap of %d"

@@ -14,6 +14,17 @@ mu(R_i)^{-1/2} chi_{R_i}, the mothers, and the translates with |a| <= K-2
 together form an orthonormal basis of the level-K cylinder functions, with
 dimensions telescoping to |W_K| exactly.  On the full 2x2 shift this is the
 classical Haar basis of [0,1].
+
+S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
+the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
+therefore a local change of basis on the children of each word, and analyze /
+synthesize run as Mallat's pyramid on the tree of admissible words: analyze
+sums the masses f*mu up the tree one level at a time and pairs each word's
+children with the fixed (d_r - 1) x d_r matrix of mother values; synthesize
+copies values down the tree and adds the same matrix products back.  Each
+costs O(|W_K| * max d_k) time and O(|W_K|) memory.  basis_function and
+wavelet build single basis vectors at full level; the tests use them as the
+quadratic reference.
 """
 
 import math
@@ -23,7 +34,13 @@ import numpy as np
 
 from . import core, operators, spectral
 from .core import CylinderFunction
-from .errors import IndexOutOfRange, MatrixMismatch, NonPositiveWeight, NotComposable
+from .errors import (
+    IndexOutOfRange,
+    LevelTooLow,
+    MatrixMismatch,
+    NonPositiveWeight,
+    NotComposable,
+)
 
 
 def weighted_complement_basis(weights, support):
@@ -143,13 +160,8 @@ def detail_keys(mw, K):
     digits following a_last, then l ascending.
     """
     mat = mw.matrix
-    out = []
-    for j in range(1, K - 1):
-        for a in core.enumerate_words(mat, j):
-            for r in mat.successors[a[-1]]:
-                for l in range(1, mw.d[r]):
-                    out.append((a, l, r))
-    return out
+    return [(a, l, r) for j in range(1, K - 1) for a in core.enumerate_words(mat, j)
+            for r in mat.successors[a[-1]] for l in range(1, mw.d[r])]
 
 
 def basis_labels(mw, K):
@@ -199,26 +211,78 @@ class WaveletCoefficients:
         return e
 
 
+def _mother_matrices(mw):
+    """F[r]: the (d_r - 1) x d_r values of f^{l,r} on the words (r, s), s following r."""
+    mat = mw.matrix
+    idx2 = core.word_index(mat, 2)
+    out = []
+    for r in range(mat.n):
+        cols = [idx2[(r, s)] for s in mat.successors[r]]
+        rows = [mw.funcs[(r, l)].coeffs[cols] for l in range(1, mw.d[r])]
+        out.append(np.array(rows, dtype=np.complex128).reshape(mw.d[r] - 1, mw.d[r]))
+    return out
+
+
+def _level_blocks(mw, m, fmat):
+    """Layout of the level-m step of the pyramid.
+
+    The children v.s of a level-m word v are contiguous in W_{m+1}, d_{last(v)}
+    of them, and v anchors d_{last(v)} - 1 consecutive coefficients of its
+    level.  Returns the child counts, the child block starts, the number of
+    coefficients, and per letter r the triple (F_r, child positions,
+    coefficient positions) with one row per level-m word ending in r.
+    """
+    last = core.last_digit_array(mw.matrix, m)
+    sizes = np.asarray(mw.d, dtype=np.intp)[last]
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes - 1) - (sizes - 1)
+    blocks = []
+    for r, f_r in enumerate(fmat):
+        rows = np.flatnonzero(last == r)
+        blocks.append((f_r, starts[rows, None] + np.arange(mw.d[r]),
+                       offsets[rows, None] + np.arange(mw.d[r] - 1)))
+    return sizes, starts, int(np.sum(sizes - 1)), blocks
+
+
+def _flat_layer(items, keys, what, K):
+    """The (key, alpha) items as one array in the order of `keys`, which they must come from."""
+    slot = {key: i for i, key in enumerate(keys)}
+    out = np.zeros(len(keys), dtype=np.complex128)
+    for key, alpha in items:
+        if key not in slot:
+            raise IndexOutOfRange("%s key %r invalid at level %d" % (what, key, K))
+        out[slot[key]] = alpha
+    return out
+
+
 def analyze(f, mw):
     """Expand f over the wavelet basis of its own level (at least 1).
 
     Coefficient = <basis function, f> in L2(mu), so synthesize recovers f.
+    Computed as a pyramid: the masses f*mu are summed level by level up the
+    word tree, and at each word v ending in r the wavelets S_a f^{l,r}
+    (v = a r) pair with the masses of v's children through F_r.
     """
     if f.matrix != mw.matrix:
         raise MatrixMismatch("signal and wavelets use different matrices")
     K = max(f.level, 1)
     pd = mw.pd
-    scaling = np.array(
-        [spectral.inner_product(scaling_function(pd, i), f, pd)
-         for i in range(mw.matrix.n)], dtype=np.complex128)
+    fmat = _mother_matrices(mw)
+    mass = core.refine(f, K).coeffs * spectral.measure_array(pd, K)
+    layers = []
+    for m in range(K - 1, 0, -1):
+        _, starts, ncoef, blocks = _level_blocks(mw, m, fmat)
+        out = np.zeros(ncoef, dtype=np.complex128)
+        for f_r, kids, slots in blocks:
+            out[slots] = mass[kids] @ np.conj(f_r).T
+        layers.append(pd.radius ** ((m - 1) / 2.0) * out)
+        mass = np.add.reduceat(mass, starts)
+    scaling = mass / np.sqrt(pd.p)
     scaling.setflags(write=False)
-    mother = {}
-    if K >= 2:
-        for (k, l) in mw.mother_keys():
-            mother[(k, l)] = spectral.inner_product(mw.funcs[(k, l)], f, pd)
-    detail = {}
-    for (a, l, r) in detail_keys(mw, K):
-        detail[(a, l, r)] = spectral.inner_product(wavelet(a, l, r, mw), f, pd)
+    flat = np.concatenate(layers[::-1]).tolist() if layers else []
+    mother_keys = mw.mother_keys() if K >= 2 else []
+    mother = dict(zip(mother_keys, flat))
+    detail = dict(zip(detail_keys(mw, K), flat[len(mother_keys):]))
     return WaveletCoefficients(scaling=scaling, mother=mother, detail=detail)
 
 
@@ -226,31 +290,27 @@ def synthesize(coeffs, mw, K):
     """Rebuild the level-K function with the given wavelet coefficients.
 
     Every coefficient key must denote a basis element of the level-K system:
-    detail words no longer than K-2, letters/indices in range.
+    detail words no longer than K-2, letters/indices in range.  The pyramid
+    runs top down: each level's values are copied onto the children and the
+    wavelets anchored at that level add alpha @ F_r on each child block.
     """
-    mat = mw.matrix
+    mat, pd = mw.matrix, mw.pd
+    if K < 1:
+        raise LevelTooLow("synthesis needs level K >= 1, got %d" % K)
     if len(coeffs.scaling) != mat.n:
         raise IndexOutOfRange(
             "scaling layer has %d entries, need %d" % (len(coeffs.scaling), mat.n))
-    out = np.zeros(len(core.enumerate_words(mat, K)), dtype=np.complex128)
-
-    def add(label, alpha):
-        if alpha == 0:
-            return
-        g = core.refine(basis_function(mw, label), K)
-        np.add(out, alpha * g.coeffs, out=out)
-
-    for i in range(mat.n):
-        add(("S", i), complex(coeffs.scaling[i]))
-    valid_mother = set(mw.mother_keys()) if K >= 2 else set()
-    for (k, l), alpha in coeffs.mother.items():
-        if (k, l) not in valid_mother:
-            raise IndexOutOfRange("mother key %r invalid at level %d" % ((k, l), K))
-        add(("M", k, l), complex(alpha))
-    valid_detail = set(detail_keys(mw, K))
-    for (a, l, r), alpha in coeffs.detail.items():
-        key = (tuple(a), l, r)
-        if key not in valid_detail:
-            raise IndexOutOfRange("detail key %r invalid at level %d" % (key, K))
-        add(("D",) + key, complex(alpha))
-    return CylinderFunction(mat, K, out)
+    rest = np.concatenate([
+        _flat_layer(coeffs.mother.items(),
+                    mw.mother_keys() if K >= 2 else [], "mother", K),
+        _flat_layer(coeffs.detail.items(), detail_keys(mw, K), "detail", K)])
+    fmat = _mother_matrices(mw)
+    h = np.asarray(coeffs.scaling, dtype=np.complex128) / np.sqrt(pd.p)
+    for m in range(1, K):
+        sizes, _, ncoef, blocks = _level_blocks(mw, m, fmat)
+        layer, rest = np.split(rest, [ncoef])
+        layer = pd.radius ** ((m - 1) / 2.0) * layer
+        h = np.repeat(h, sizes)
+        for f_r, kids, slots in blocks:
+            h[kids] += layer[slots] @ f_r
+    return CylinderFunction(mat, K, h)

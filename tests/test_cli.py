@@ -187,6 +187,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_levels_exit_65(capsys):
+    assert run(["words", "--matrix", TRI3, "--level", "-1"]) == 65
+    assert run(["fourier", "--matrix", FULL2, "--signal", SIGNAL2,
+                "--level", "-2", "--tmin", "0", "--tmax", "1",
+                "--tcount", "2"]) == 65
+    assert run(["walk", "--matrix", TRI3, "--x", "1", "--depth", "-1"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("level") == 3
+
+
 def test_lax_flag_for_nonstrict_matrix(tmp_path, capsys):
     cyc = tmp_path / "cycle.txt"
     cyc.write_text("2\n0 1\n1 0\n")

@@ -9,6 +9,7 @@ from cantorkit.errors import (
     DeadRow,
     EmptyWord,
     InadmissibleWord,
+    LevelOutOfRange,
     LevelTooLow,
     MissingDiagonal,
     NonBinaryEntry,
@@ -94,6 +95,16 @@ def test_enumeration_is_lexicographic_and_complete(tri3):
         ws = core.enumerate_words(tri3, k)
         assert len(ws) == core.word_count(tri3, k)
         assert all(core.is_admissible(tri3, w) for w in ws)
+
+
+def test_negative_levels_are_rejected(tri3):
+    for k in (-1, -2):
+        with pytest.raises(LevelOutOfRange):
+            core.word_count(tri3, k)
+        with pytest.raises(LevelOutOfRange):
+            core.enumerate_words(tri3, k)
+        with pytest.raises(LevelOutOfRange):
+            core.enumerate_words(tri3, k, cap=100)
 
 
 def test_enumeration_cap(schottky4):

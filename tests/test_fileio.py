@@ -88,6 +88,16 @@ def test_coefficients_round_trip(tri3_pd):
     assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-10
 
 
+def test_coefficients_reject_repeated_keys(tri3_pd):
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    f = core.CylinderFunction.indicator(tri3_pd.matrix, (1, 2, 1))
+    lines = fileio.format_coefficients(wavelets.analyze(f, mw), mw, 3).splitlines()
+    for kind in "SMD":
+        line = next(ln for ln in lines if ln.startswith(kind + " "))
+        with pytest.raises(FileFormatError):
+            fileio.parse_coefficients("\n".join(lines + [line]), tri3_pd.matrix)
+
+
 def test_graph_round_trip():
     g = graphs.directed_graph(2, ((0, 1), (1, 0), (1, 1)))
     text = fileio.format_graph(g)

@@ -8,6 +8,7 @@ from cantorkit.errors import (
     CapExceeded,
     EmptyWord,
     InadmissibleWord,
+    LevelOutOfRange,
     NegativePotential,
 )
 
@@ -122,6 +123,10 @@ def test_transpose_words_asymmetric():
 def test_transpose_cap(schottky4):
     with pytest.raises(CapExceeded):
         ruelle.enumerate_transpose_words(schottky4, 10, cap=50)
+    with pytest.raises(LevelOutOfRange):
+        ruelle.transpose_word_count(schottky4, -1)
+    with pytest.raises(LevelOutOfRange):
+        ruelle.enumerate_transpose_words(schottky4, -2, cap=50)
 
 
 def test_walk_needs_a_point_with_digits(full2_pd):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from cantorkit import core, spectral, wavelets
-from cantorkit.errors import IndexOutOfRange, NonPositiveWeight, NotComposable
+from cantorkit.errors import (
+    CantorError,
+    IndexOutOfRange,
+    LevelTooLow,
+    NonPositiveWeight,
+    NotComposable,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,11 +155,98 @@ def test_round_trip_and_parseval(tri3_pd):
 
 def test_synthesize_rejects_stray_keys(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
+    zero = np.zeros(3, dtype=np.complex128)
     wc = wavelets.WaveletCoefficients(
-        scaling=np.zeros(3, dtype=np.complex128),
-        mother={}, detail={((0,), 1, 1): 1.0})
+        scaling=zero, mother={}, detail={((0,), 1, 1): 1.0})
     with pytest.raises(IndexOutOfRange):
         wavelets.synthesize(wc, mw, 2)  # details need K >= 3
+    for mother, detail in (({(0, 1): 1.0}, {}),        # mothers need K >= 2
+                           ({}, {((0,), 1, 2): 1.0}),   # A[0,2] = 0
+                           ({}, {((1,), 2, 0): 1.0})):  # d_0 = 2: l = 1 only
+        wc = wavelets.WaveletCoefficients(scaling=zero, mother=mother, detail=detail)
+        with pytest.raises(IndexOutOfRange):
+            wavelets.synthesize(wc, mw, 1 if mother else 4)
+    short = wavelets.WaveletCoefficients(scaling=zero[:2], mother={}, detail={})
+    with pytest.raises(IndexOutOfRange):
+        wavelets.synthesize(short, mw, 3)
+
+
+def test_synthesize_rejects_low_level(tri3_pd):
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    wc = wavelets.WaveletCoefficients(
+        scaling=np.zeros(3, dtype=np.complex128), mother={}, detail={})
+    for K in (0, -1):
+        with pytest.raises(LevelTooLow):
+            wavelets.synthesize(wc, mw, K)
+
+
+def test_level_zero_signal_analyzes_at_level_one(tri3_pd):
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    wc = wavelets.analyze(core.CylinderFunction.constant(tri3_pd.matrix, 2.0), mw)
+    np.testing.assert_allclose(wc.scaling, 2.0 * np.sqrt(tri3_pd.p), atol=1e-14)
+    assert wc.mother == {} and wc.detail == {}
+    assert wavelets.synthesize(wc, mw, 1).level == 1
+
+
+def seeded_strict_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = (rng.random((n, n)) < 0.4) | np.eye(n, dtype=bool)
+        try:
+            return core.validate_matrix(rows.astype(int).tolist())
+        except CantorError:
+            continue
+
+
+def flat_coefficients(wc, mw, K):
+    """analyze() output in basis_labels order."""
+    out = list(wc.scaling)
+    if K >= 2:
+        out += [wc.mother[key] for key in mw.mother_keys()]
+    out += [wc.detail[key] for key in wavelets.detail_keys(mw, K)]
+    return np.array(out, dtype=np.complex128)
+
+
+def test_pyramid_matches_quadratic_oracle(full2_pd, tri3_pd, schottky4_pd):
+    # the oracle pairs f with every basis function refined to level K
+    pds = (full2_pd, tri3_pd, schottky4_pd,
+           spectral.perron_data(seeded_strict_matrix(5, 2026)))
+    rng = np.random.default_rng(5)
+    for pd in pds:
+        mw = wavelets.build_mother_wavelets(pd)
+        for K in range(1, 6):
+            labels = wavelets.basis_labels(mw, K)
+            basis = np.array([core.refine(wavelets.basis_function(mw, lab), K).coeffs
+                              for lab in labels])
+            nw = core.word_count(pd.matrix, K)
+            f = core.CylinderFunction(
+                pd.matrix, K, rng.normal(size=nw) + 1j * rng.normal(size=nw))
+            mu = spectral.measure_array(pd, K)
+            oracle = np.conj(basis) @ (f.coeffs * mu)
+            wc = wavelets.analyze(f, mw)
+            got = flat_coefficients(wc, mw, K)
+            assert float(np.max(np.abs(got - oracle))) <= 1e-12
+            back = wavelets.synthesize(wc, mw, K)
+            assert float(np.max(np.abs(back.coeffs - got @ basis))) <= 1e-12
+            # the round trip also carries the basis' own Gram defect
+            assert float(np.max(np.abs(back.coeffs - f.coeffs))) <= 1e-10
+
+
+def test_round_trip_and_parseval_at_large_level(tri3_pd):
+    pd = tri3_pd
+    mw = wavelets.build_mother_wavelets(pd)
+    K = 11
+    nw = core.word_count(pd.matrix, K)
+    assert nw == 19601
+    rng = np.random.default_rng(11)
+    f = core.CylinderFunction(
+        pd.matrix, K, rng.normal(size=nw) + 1j * rng.normal(size=nw))
+    wc = wavelets.analyze(f, mw)
+    assert len(wc.detail) + len(wc.mother) + pd.matrix.n == nw
+    g = wavelets.synthesize(wc, mw, K)
+    assert float(np.max(np.abs(g.coeffs - f.coeffs))) <= 1e-10
+    assert wc.energy() == pytest.approx(
+        spectral.inner_product(f, f, pd).real, abs=1e-10)
 
 
 def test_detail_keys_order(tri3_pd):

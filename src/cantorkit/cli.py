@@ -159,6 +159,8 @@ def cmd_op_fixed_point(args):
 
 def cmd_op_ck(args):
     matrix = _load_matrix(args)
+    # S_i raises level K to K + 1; a level below 2 is refused by the check itself
+    core.check_cap(matrix, max(args.level, 1) + 1, args.cap)
     pd = _pd(args, matrix)
     _kv("residual", _fmt(operators.ck_relations_residual(pd, args.level)))
     return 0
@@ -261,6 +263,7 @@ def cmd_ruelle_keane(args):
 
 def cmd_ruelle_trig(args):
     matrix = _load_matrix(args)
+    core.check_cap(matrix, args.level, args.cap)
     pd = _pd(args, matrix)
     cyl, pointwise = ruelle.trig_potential(pd, args.level)
     if args.out:
@@ -463,6 +466,7 @@ def build_parser():
     q = opsub.add_parser("ck", help="Cuntz-Krieger relation residual")
     _add_matrix_arg(q)
     _add_spectral_flags(q)
+    _add_cap(q)
     q.add_argument("--level", type=int, required=True)
     q.set_defaults(func=cmd_op_ck)
 
@@ -526,6 +530,7 @@ def build_parser():
     q = rsub.add_parser("trig", help="the trigonometric Keane potential")
     _add_matrix_arg(q)
     _add_spectral_flags(q)
+    _add_cap(q)
     q.add_argument("--level", type=int, required=True,
                    help="cylinder sampling level")
     q.add_argument("--out")

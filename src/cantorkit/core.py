@@ -13,6 +13,14 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 
 All objects here are immutable; per-matrix combinatorial tables (word lists,
 index maps) are memoised on the matrix value.
+
+The index arrays (first and last digits, shift, prefix and prepend positions,
+N-adic values) are built level by level from the arrays of the level below,
+with numpy gathers over the lexicographic block structure of W_k: the words
+starting with digit i are the words of W_{k-1} starting with a successor of i,
+in order.  Building the level-k tables costs O(|W_k|) time and memory and
+never touches the word tuples of `enumerate_words`, which stay the public
+tuple API.
 """
 
 from dataclasses import dataclass
@@ -187,20 +195,34 @@ def check_level(k):
         raise LevelOutOfRange("level %d is negative" % k)
 
 
+@lru_cache(maxsize=None)
+def _first_digit_counts(matrix, k):
+    """counts[i] = number of level-k words (k >= 1) that start with digit i."""
+    counts = (1,) * matrix.n
+    for _ in range(k - 1):
+        counts = tuple(sum(counts[j] for j in matrix.successors[i])
+                       for i in range(matrix.n))
+    return counts
+
+
 def word_count(matrix, k):
     """|W_k| as an exact integer (number of admissible level-k words).
 
     Computed with Python ints (no overflow), so it is safe to consult before
-    enumerating: counts[i] = number of length-L words starting at digit i.
+    enumerating or building any table.
     """
     check_level(k)
     if k == 0:
         return 1
-    counts = [1] * matrix.n
-    for _ in range(k - 1):
-        counts = [sum(counts[j] for j in matrix.successors[i])
-                  for i in range(matrix.n)]
-    return sum(counts)
+    return sum(_first_digit_counts(matrix, k))
+
+
+def check_cap(matrix, k, cap):
+    """Raise CapExceeded when |W_k| is over `cap`; a cap of None admits any level."""
+    if cap is not None and word_count(matrix, k) > cap:
+        raise CapExceeded(
+            "level %d has %d words, over the cap of %d"
+            % (k, word_count(matrix, k), cap))
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +242,7 @@ def enumerate_words(matrix, k, cap=None):
     before any enumeration work happens.
     """
     check_level(k)
-    if cap is not None and word_count(matrix, k) > cap:
-        raise CapExceeded(
-            "level %d has %d words, over the cap of %d"
-            % (k, word_count(matrix, k), cap))
+    check_cap(matrix, k, cap)
     return _enumerate_words_cached(matrix, k)
 
 
@@ -238,51 +257,91 @@ def _frozen(a):
     return a
 
 
+def _check_digit_level(k):
+    if k < 1:
+        raise LevelOutOfRange("level %d has no digits to index" % k)
+
+
 @lru_cache(maxsize=None)
 def first_digit_array(matrix, k):
-    return _frozen(np.array([w[0] for w in enumerate_words(matrix, k)], dtype=np.intp))
+    """w_1 for every level-k word w (k >= 1): digit i repeated |{w : w_1 = i}| times."""
+    _check_digit_level(k)
+    return _frozen(np.repeat(np.arange(matrix.n, dtype=np.intp),
+                             _first_digit_counts(matrix, k)))
 
 
 @lru_cache(maxsize=None)
 def last_digit_array(matrix, k):
-    return _frozen(np.array([w[-1] for w in enumerate_words(matrix, k)], dtype=np.intp))
+    """w_k for every level-k word w (k >= 1); the last digit of shift(w) for k >= 2."""
+    _check_digit_level(k)
+    if k == 1:
+        return _frozen(np.arange(matrix.n, dtype=np.intp))
+    return _frozen(last_digit_array(matrix, k - 1)[shift_index_array(matrix, k)])
 
 
 @lru_cache(maxsize=None)
 def prefix_index_array(matrix, k, k0):
-    """For each level-k word, the position of its level-k0 prefix in W_k0."""
-    idx = word_index(matrix, k0)
-    return _frozen(np.array(
-        [idx[w[:k0]] for w in enumerate_words(matrix, k)], dtype=np.intp))
+    """For each level-k word, the position of its level-k0 prefix in W_k0.
+
+    The extensions of a level-k0 word v to level k are contiguous in W_k and
+    number as many as the level-(k - k0 + 1) words starting with v's last digit.
+    """
+    check_level(k0)
+    if k0 > k:
+        raise LevelOutOfRange("level %d has no level-%d prefixes" % (k, k0))
+    if k0 == 0:
+        return _frozen(np.zeros(word_count(matrix, k), dtype=np.intp))
+    extensions = np.array(_first_digit_counts(matrix, k - k0 + 1), dtype=np.intp)
+    return _frozen(np.repeat(np.arange(word_count(matrix, k0), dtype=np.intp),
+                             extensions[last_digit_array(matrix, k0)]))
 
 
 @lru_cache(maxsize=None)
 def shift_index_array(matrix, k):
-    """For each level-k word w (k >= 1), the position of shift(w) in W_{k-1}."""
-    idx = word_index(matrix, k - 1)
-    return _frozen(np.array(
-        [idx[w[1:]] for w in enumerate_words(matrix, k)], dtype=np.intp))
+    """For each level-k word w (k >= 1), the position of shift(w) in W_{k-1}.
+
+    The words starting with i shift onto the blocks of W_{k-1} that start with
+    a successor of i, taken in order.
+    """
+    _check_digit_level(k)
+    if k == 1:
+        return _frozen(np.zeros(matrix.n, dtype=np.intp))
+    counts = _first_digit_counts(matrix, k - 1)
+    starts = np.cumsum((0,) + counts)
+    return _frozen(np.concatenate([
+        np.arange(starts[j], starts[j + 1], dtype=np.intp)
+        for i in range(matrix.n) for j in matrix.successors[i]]))
 
 
 @lru_cache(maxsize=None)
 def prepend_index_array(matrix, k, i):
-    """Positions of i.w in W_{k+1} for each w in W_k; -1 where A[i, w_1] = 0."""
-    idx = word_index(matrix, k + 1)
-    out = np.empty(len(enumerate_words(matrix, k)), dtype=np.intp)
-    for m, w in enumerate(enumerate_words(matrix, k)):
-        if k == 0 or matrix.rows[i][w[0]]:
-            out[m] = idx[(i,) + w]
-        else:
-            out[m] = -1
+    """Positions of i.w in W_{k+1} for each w in W_k; -1 where A[i, w_1] = 0.
+
+    The inverse of the shift on the block of W_{k+1} that starts with i.
+    """
+    check_level(k)
+    if not 0 <= i < matrix.n:
+        raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
+    counts = _first_digit_counts(matrix, k + 1)
+    start = sum(counts[:i])
+    block = np.arange(start, start + counts[i], dtype=np.intp)
+    out = np.full(word_count(matrix, k), -1, dtype=np.intp)
+    out[shift_index_array(matrix, k + 1)[block]] = block
     return _frozen(out)
 
 
 @lru_cache(maxsize=None)
 def value_array(matrix, k):
-    """x(a) for every level-k word a, in lexicographic order."""
-    n = matrix.n
-    return _frozen(np.array(
-        [nadic_value(w, n).value for w in enumerate_words(matrix, k)], dtype=float))
+    """x(a) for every level-k word a, in lexicographic order.
+
+    x(a) = (a_1 + x(shift a)) / N, the same float operations as nadic_value.
+    """
+    check_level(k)
+    if k == 0:
+        return _frozen(np.zeros(1))
+    return _frozen((first_digit_array(matrix, k)
+                    + value_array(matrix, k - 1)[shift_index_array(matrix, k)])
+                   / matrix.n)
 
 
 # --- cylinder functions ---------------------------------------------------------
@@ -300,7 +359,7 @@ class CylinderFunction:
 
     def __init__(self, matrix, level, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        expected = len(enumerate_words(matrix, level))
+        expected = word_count(matrix, level)
         if coeffs.shape != (expected,):
             raise LevelTooLow(
                 "level %d needs %d coefficients, got %r"
@@ -323,7 +382,7 @@ class CylinderFunction:
         """chi of the cylinder Lambda(word), at level len(word)."""
         word = check_word(matrix, word)
         k = len(word)
-        c = np.zeros(len(enumerate_words(matrix, k)), dtype=np.complex128)
+        c = np.zeros(word_count(matrix, k), dtype=np.complex128)
         c[word_index(matrix, k)[word]] = 1.0
         return cls(matrix, k, c)
 

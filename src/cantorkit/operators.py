@@ -17,6 +17,12 @@ projections P(a) = S_a S_a*, a projection-valued measure on the cylinder
 algebra; diagonal matrix elements of that measure produce the spectral measure
 mu_f and its Fourier-type transform, and the sum N^{-delta/2} sum_i S_i* is the
 transfer (Perron-Frobenius) operator of the shift.
+
+The generators, the transfer operator, the Fourier sweep and the
+Cuntz-Krieger residual are gathers over the core index arrays, so their cost
+is O(|W_k|) in the number of level-k words.  The residual pushes each basis
+vector through the generators as one (row, value) pair instead of a dense
+identity matrix.
 """
 
 import math
@@ -108,35 +114,76 @@ def apply_S_word(a, f, pd, adjoint=False):
     return out
 
 
+def _push_s(i, rows, vals, k, pd):
+    """S_i on basis images at level k: the entry at row b moves to i.b in W_{k+1}.
+
+    An image is one entry per column, vals[c] at row rows[c], or the zero
+    vector where rows[c] < 0.  S_i gathers from shift(w) on the words w
+    starting with i, so it pushes row b forward through prepend.
+    """
+    pia = core.prepend_index_array(pd.matrix, k, i)
+    return (np.where(rows >= 0, pia[rows], -1),
+            math.sqrt(pd.radius) * vals)
+
+
+def _push_sstar(i, rows, vals, k, pd):
+    """S_i* on basis images at level k: the entry at row w moves to shift(w) when w_1 = i."""
+    fd = core.first_digit_array(pd.matrix, k)
+    si = core.shift_index_array(pd.matrix, k)
+    return (np.where((rows >= 0) & (fd[rows] == i), si[rows], -1),
+            vals / math.sqrt(pd.radius))
+
+
+def _worst_defect(plus, minus, mu):
+    """Largest L2(mu) column norm of sum(plus) - sum(minus), over basis images.
+
+    Entries on the diagonal row are summed in the order a dense column sum
+    would take; an entry anywhere else adds |value|^2 mu(row) of its own.
+    """
+    cols = np.arange(len(mu))
+
+    def side(images):
+        diag = 0
+        stray = np.zeros(len(mu))
+        for rows, vals in images:
+            diag = diag + np.where(rows == cols, vals, 0)
+            off = (rows >= 0) & (rows != cols)
+            stray[off] += np.abs(vals[off]) ** 2 * mu[rows[off]]
+        return diag, stray
+
+    (dp, sp), (dm, sm) = side(plus), side(minus)
+    norms_sq = np.abs(dp - dm) ** 2 * mu + (sp + sm)
+    return math.sqrt(float(norms_sq.max()))
+
+
 def ck_relations_residual(pd, K):
     """Worst L2 defect of the Cuntz-Krieger relations over the level-K basis.
 
-    Pushes the whole identity matrix through the generators at once and
-    measures both relations against every basis vector chi_{Lambda(w)},
-    w in W_K, in the L2(mu) norm.
+    S_i and S_i* send a cylinder indicator chi_{Lambda(w)} to one scaled
+    indicator or to 0, so each basis vector w in W_K is pushed through the
+    generators as one (row, value) pair, gathered from the index arrays, and
+    both relations are measured against every basis vector in the L2(mu)
+    norm.  Time and memory grow linearly in |W_K| (the level-(K+1) tables
+    plus O(n) arrays of |W_K| entries); the values are bit for bit those of
+    applying the generators to the whole |W_K| x |W_K| identity matrix.
     """
     if K < 2:
         raise LevelOutOfRange("relation check needs K >= 2")
     mat = pd.matrix
-    nwords = len(core.enumerate_words(mat, K))
-    eye = np.eye(nwords, dtype=np.complex128)
+    nwords = core.word_count(mat, K)
+    basis = (np.arange(nwords, dtype=np.intp), np.ones(nwords, dtype=np.complex128))
     mu = spectral.measure_array(pd, K)
-
-    def worst(diff):
-        # L2(mu) norm per column (each column = image of one basis vector)
-        norms_sq = (np.abs(diff) ** 2 * mu[:, None]).sum(axis=0)
-        return math.sqrt(float(norms_sq.max()))
 
     range_proj = []  # S_i S_i* applied to the basis
     for i in range(mat.n):
-        down = _sstar_arr(i, eye, K, pd)
-        range_proj.append(_s_arr(i, down, K - 1, pd))
-    res = worst(sum(range_proj) - eye)
+        down = _push_sstar(i, *basis, K, pd)
+        range_proj.append(_push_s(i, *down, K - 1, pd))
+    res = _worst_defect(range_proj, [basis], mu)
     for i in range(mat.n):
-        up = _s_arr(i, eye, K, pd)
-        lhs = _sstar_arr(i, up, K + 1, pd)
-        rhs = sum(range_proj[j] for j in mat.successors[i])
-        res = max(res, worst(lhs - rhs))
+        up = _push_s(i, *basis, K, pd)
+        lhs = _push_sstar(i, *up, K + 1, pd)
+        res = max(res, _worst_defect(
+            [lhs], [range_proj[j] for j in mat.successors[i]], mu))
     return res
 
 
@@ -233,7 +280,7 @@ def measure_mu_f(f, borel, pd):
     weights = np.abs(fr.coeffs) ** 2 * spectral.measure_array(pd, m)
     prefix = core.prefix_index_array(pd.matrix, m, borel.level)
     widx = core.word_index(pd.matrix, borel.level)
-    wanted = np.zeros(len(core.enumerate_words(pd.matrix, borel.level)), dtype=bool)
+    wanted = np.zeros(core.word_count(pd.matrix, borel.level), dtype=bool)
     for w in borel.words:
         wanted[widx[w]] = True
     return float(weights[wanted[prefix]].sum())
@@ -252,7 +299,7 @@ def fourier_approx(f, t, k, pd):
     weights = (np.abs(fr.coeffs) ** 2 * spectral.measure_array(pd, m)).real
     masses = np.bincount(
         core.prefix_index_array(pd.matrix, m, k), weights=weights,
-        minlength=len(core.enumerate_words(pd.matrix, k)))
+        minlength=core.word_count(pd.matrix, k))
     phases = np.exp(1j * t * core.value_array(pd.matrix, k))
     return complex(np.sum(phases * masses))
 

@@ -27,6 +27,11 @@ Lambda_{k,A^t}(a) carries probability
 
 Each layer then has total mass 1, and the layer sums assemble the truncated
 harmonic series exposed at the end of the module.
+
+R_W, the Keane residual and the cylinder sampling of the trigonometric
+potential are gathers over the core index arrays, O(|W_k|); the pointwise
+forms (the exact preimage Keane defect, the walk) call the potential once per
+word and preimage.
 """
 
 import math
@@ -94,7 +99,7 @@ def ruelle_apply(w_fn, f, pd):
     m = max(w_fn.level, f.level, 2)
     wc = core.refine(w_fn, m).coeffs.real
     fc = core.refine(f, m).coeffs
-    nb = len(core.enumerate_words(mat, m - 1))
+    nb = core.word_count(mat, m - 1)
     out = np.zeros(nb, dtype=np.complex128)
     for i in range(mat.n):
         pia = core.prepend_index_array(mat, m - 1, i)
@@ -111,7 +116,7 @@ def keane_residual(w_fn, pd):
     mat = pd.matrix
     m = max(w_fn.level, 2)
     wc = core.refine(w_fn, m).coeffs.real
-    total = np.zeros(len(core.enumerate_words(mat, m - 1)))
+    total = np.zeros(core.word_count(mat, m - 1))
     for i in range(mat.n):
         pia = core.prepend_index_array(mat, m - 1, i)
         valid = pia >= 0
@@ -128,7 +133,10 @@ def trig_potential(pd, sample_level):
     count is what makes the preimage sum at any x run through N_1-th roots of
     unity.  The cylinder form samples W at the left endpoint x(a) of every
     level-`sample_level` cylinder; it inherits a discretization-size Keane
-    residual, the pointwise form is the exact object.
+    residual, the pointwise form is the exact object.  The sampling is one
+    numpy expression over `core.value_array`, O(|W_k|), with the float
+    operations of the pointwise form (a level-1 word's missing second digit
+    is 0, as in the endpoint's expansion).
     """
     if sample_level < 1:
         raise LevelOutOfRange("sample_level must be >= 1")
@@ -142,10 +150,14 @@ def trig_potential(pd, sample_level):
         return (1.0 - math.cos(2.0 * math.pi * n * value / n1)) / n1
 
     pointwise = PointwisePotential(evaluator=evaluator)
-    words = core.enumerate_words(mat, sample_level)
+    if sample_level == 1:
+        second = np.zeros(n, dtype=np.intp)
+    else:
+        second = core.first_digit_array(mat, sample_level - 1)[
+            core.shift_index_array(mat, sample_level)]
+    n1 = np.array(col, dtype=np.intp)[second]
     vals = core.value_array(mat, sample_level)
-    coeffs = np.array(
-        [pointwise(w, v) for w, v in zip(words, vals)], dtype=np.complex128)
+    coeffs = (1.0 - np.cos(2.0 * math.pi * n * vals / n1)) / n1
     return CylinderFunction(mat, sample_level, coeffs), pointwise
 
 
@@ -157,9 +169,10 @@ def preimage_keane_residual(potential, pd, level):
     """
     mat = pd.matrix
     n = mat.n
+    level = max(level, 1)
     worst = 0.0
-    for a in core.enumerate_words(mat, max(level, 1)):
-        v = core.nadic_value(a, n).value
+    for a, v in zip(core.enumerate_words(mat, level),
+                    core.value_array(mat, level).tolist()):
         s = 0.0
         for j in mat.predecessors[a[0]]:
             s += potential((j,) + a, (v + j) / n)

@@ -1,10 +1,22 @@
+import numpy as np
 import pytest
 
 from cantorkit import core, spectral
+from cantorkit.errors import CantorError
 
 FULL2 = ((1, 1), (1, 1))
 TRI3 = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
 SCHOTTKY4 = ((1, 1, 0, 1), (1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1))
+
+
+def seeded_strict_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = (rng.random((n, n)) < 0.4) | np.eye(n, dtype=bool)
+        try:
+            return core.validate_matrix(rows.astype(int).tolist())
+        except CantorError:
+            continue
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +35,11 @@ def schottky4():
 
 
 @pytest.fixture(scope="session")
+def strict5():
+    return seeded_strict_matrix(5, 2026)
+
+
+@pytest.fixture(scope="session")
 def full2_pd(full2):
     return spectral.perron_data(full2)
 
@@ -35,3 +52,8 @@ def tri3_pd(tri3):
 @pytest.fixture(scope="session")
 def schottky4_pd(schottky4):
     return spectral.perron_data(schottky4)
+
+
+@pytest.fixture(scope="session")
+def strict5_pd(strict5):
+    return spectral.perron_data(strict5)

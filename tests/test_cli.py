@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cantorkit import core
 from cantorkit.cli import run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -184,6 +185,21 @@ def test_exit_codes(tmp_path, capsys):
                 "--cap", "100"]) == 66
     assert run(["perron", "--matrix", TRI3, "--max-iter", "2"]) == 70
     assert run(["measure", "--matrix", TRI3, "--word", "02"]) == 65
+    capsys.readouterr()
+
+
+def test_ck_and_trig_are_capped(capsys):
+    tables = [core._enumerate_words_cached, core.word_index, core.first_digit_array,
+              core.last_digit_array, core.prefix_index_array, core.shift_index_array,
+              core.prepend_index_array, core.value_array]
+    before = [t.cache_info().currsize for t in tables]
+    assert run(["op", "ck", "--matrix", TRI3, "--level", "40"]) == 66
+    assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "40"]) == 66
+    assert [t.cache_info().currsize for t in tables] == before
+    assert capsys.readouterr().err.count("over the cap") == 2
+    # K = 4 builds the level-5 tables, 99 words
+    assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "98"]) == 66
+    assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "99"]) == 0
     capsys.readouterr()
 
 

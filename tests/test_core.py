@@ -118,27 +118,62 @@ def test_word_index_round_trip(tri3):
         assert core.enumerate_words(tri3, 3)[idx[w]] == w
 
 
-def test_prefix_shift_prepend_arrays(tri3):
-    words3 = core.enumerate_words(tri3, 3)
-    words2 = core.enumerate_words(tri3, 2)
-    pia = core.prefix_index_array(tri3, 3, 2)
-    sia = core.shift_index_array(tri3, 3)
-    for w, pi, si in zip(words3, pia, sia):
-        assert words2[pi] == w[:2]
-        assert words2[si] == w[1:]
-    # prepend: index of i.b at level 3 for each level-2 word b, -1 if i.b invalid
-    arr = core.prepend_index_array(tri3, 2, 0)
-    for b, j in zip(words2, arr):
-        if tri3.rows[0][b[0]]:
-            assert words3[j] == (0,) + b
-        else:
-            assert j == -1
+TABLE_LEVELS = range(8)
 
 
-def test_value_array_matches_scalar(tri3):
-    va = core.value_array(tri3, 3)
-    for w, v in zip(core.enumerate_words(tri3, 3), va):
-        assert v == core.nadic_value(w, 3).value
+def test_prefix_shift_prepend_arrays(full2, tri3, schottky4, strict5):
+    # each array-built table against its definition on the word tuples
+    for m in (full2, tri3, schottky4, strict5):
+        for k in TABLE_LEVELS:
+            words = core.enumerate_words(m, k)
+            if k >= 1:
+                shorter = core.word_index(m, k - 1)
+                assert core.first_digit_array(m, k).tolist() == [w[0] for w in words]
+                assert core.last_digit_array(m, k).tolist() == [w[-1] for w in words]
+                assert core.shift_index_array(m, k).tolist() == [
+                    shorter[w[1:]] for w in words]
+            for k0 in range(k + 1):
+                idx = core.word_index(m, k0)
+                assert core.prefix_index_array(m, k, k0).tolist() == [
+                    idx[w[:k0]] for w in words]
+            # prepend: index of i.b at level k + 1 for each level-k word b, -1 if i.b invalid
+            longer = core.word_index(m, k + 1)
+            for i in range(m.n):
+                assert core.prepend_index_array(m, k, i).tolist() == [
+                    longer.get((i,) + w, -1) for w in words]
+
+
+def test_value_array_matches_scalar(full2, tri3, schottky4, strict5):
+    for m in (full2, tri3, schottky4, strict5):
+        for k in TABLE_LEVELS:
+            scalar = np.array([core.nadic_value(w, m.n).value
+                               for w in core.enumerate_words(m, k)])
+            assert core.value_array(m, k).tobytes() == scalar.tobytes()
+
+
+def test_tables_never_touch_word_tuples(tri3, monkeypatch):
+    for obj in vars(core).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+    def refuse(matrix, k):
+        raise AssertionError("word tuples enumerated at level %d" % k)
+
+    monkeypatch.setattr(core, "_enumerate_words_cached", refuse)
+    assert len(core.prepend_index_array(tri3, 12, 1)) == core.word_count(tri3, 12)
+    assert len(core.value_array(tri3, 12)) == core.word_count(tri3, 12)
+
+
+def test_table_levels_are_checked(tri3):
+    for table in (core.first_digit_array, core.last_digit_array, core.shift_index_array):
+        with pytest.raises(LevelOutOfRange):
+            table(tri3, 0)
+    with pytest.raises(LevelOutOfRange):
+        core.prefix_index_array(tri3, 2, 3)
+    with pytest.raises(LevelOutOfRange):
+        core.value_array(tri3, -1)
+    with pytest.raises(NotInDomain):
+        core.prepend_index_array(tri3, 2, 3)
 
 
 def test_indicator_and_refine(full2):

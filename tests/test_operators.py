@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,47 @@ def test_projection_nesting(tri3_pd):
 def test_ck_relations(fixture, K, request):
     pd = request.getfixturevalue(fixture)
     assert operators.ck_relations_residual(pd, K) <= 1e-11
+
+
+def dense_ck_residual(pd, K):
+    """The CK residual with the whole level-K identity pushed through the generators."""
+    mat = pd.matrix
+    eye = np.eye(core.word_count(mat, K), dtype=np.complex128)
+    mu = spectral.measure_array(pd, K)
+
+    def worst(diff):
+        norms_sq = (np.abs(diff) ** 2 * mu[:, None]).sum(axis=0)
+        return math.sqrt(float(norms_sq.max()))
+
+    range_proj = []
+    for i in range(mat.n):
+        down = operators._sstar_arr(i, eye, K, pd)
+        range_proj.append(operators._s_arr(i, down, K - 1, pd))
+    res = worst(sum(range_proj) - eye)
+    for i in range(mat.n):
+        up = operators._s_arr(i, eye, K, pd)
+        lhs = operators._sstar_arr(i, up, K + 1, pd)
+        rhs = sum(range_proj[j] for j in mat.successors[i])
+        res = max(res, worst(lhs - rhs))
+    return res
+
+
+def test_ck_relations_match_dense_oracle(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for K in range(2, 6):
+            assert operators.ck_relations_residual(pd, K) == dense_ck_residual(pd, K)
+
+
+def test_ck_relations_memory_is_linear(schottky4_pd):
+    # the dense identity alone would take 8748^2 * 16 bytes, about 1.1 GiB
+    tracemalloc.start()
+    try:
+        res = operators.ck_relations_residual(schottky4_pd, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-11
+    assert peak < 20e6
 
 
 def test_ck_relations_level_check(full2_pd):

@@ -92,13 +92,16 @@ def test_trig_potential_values(full2_pd):
     assert (pointwise((0,), 0.0) + pointwise((1,), 0.5)) == pytest.approx(1.0)
 
 
-def test_trig_cylinder_matches_pointwise_samples(tri3_pd):
-    cyl, pointwise = ruelle.trig_potential(tri3_pd, 3)
-    assert cyl.level == 3
-    for a in core.enumerate_words(tri3_pd.matrix, 3):
-        x = core.nadic_value(a, 3)
-        assert cyl.coeff(a).real == pytest.approx(
-            pointwise(a, x.value), abs=1e-15)
+def test_trig_cylinder_matches_pointwise_samples(full2_pd, tri3_pd, schottky4_pd,
+                                                 strict5_pd):
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for k in range(1, 7):
+            cyl, pointwise = ruelle.trig_potential(pd, k)
+            assert cyl.level == k
+            samples = np.array(
+                [pointwise(a, core.nadic_value(a, pd.matrix.n).value)
+                 for a in core.enumerate_words(pd.matrix, k)], dtype=np.complex128)
+            assert cyl.coeffs.tobytes() == samples.tobytes()
 
 
 # --- transpose words and the walk ------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from cantorkit import core, spectral, wavelets
 from cantorkit.errors import (
-    CantorError,
     IndexOutOfRange,
     LevelTooLow,
     NonPositiveWeight,
@@ -188,16 +187,6 @@ def test_level_zero_signal_analyzes_at_level_one(tri3_pd):
     assert wavelets.synthesize(wc, mw, 1).level == 1
 
 
-def seeded_strict_matrix(n, seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        rows = (rng.random((n, n)) < 0.4) | np.eye(n, dtype=bool)
-        try:
-            return core.validate_matrix(rows.astype(int).tolist())
-        except CantorError:
-            continue
-
-
 def flat_coefficients(wc, mw, K):
     """analyze() output in basis_labels order."""
     out = list(wc.scaling)
@@ -207,10 +196,9 @@ def flat_coefficients(wc, mw, K):
     return np.array(out, dtype=np.complex128)
 
 
-def test_pyramid_matches_quadratic_oracle(full2_pd, tri3_pd, schottky4_pd):
+def test_pyramid_matches_quadratic_oracle(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
     # the oracle pairs f with every basis function refined to level K
-    pds = (full2_pd, tri3_pd, schottky4_pd,
-           spectral.perron_data(seeded_strict_matrix(5, 2026)))
+    pds = (full2_pd, tri3_pd, schottky4_pd, strict5_pd)
     rng = np.random.default_rng(5)
     for pd in pds:
         mw = wavelets.build_mother_wavelets(pd)

@@ -63,12 +63,10 @@ from .operators import (
 from .ruelle import (
     PointwisePotential,
     constant_potential,
-    enumerate_transpose_words,
     harmonic_truncated,
     keane_residual,
     preimage_keane_residual,
     ruelle_apply,
-    transpose_word_count,
     trig_potential,
     walk_layer_mass,
     walk_measure,

@@ -5,16 +5,22 @@ bulk data uses the text formats of fileio (signals, matrices, PGM) or plain
 line records (words, cells, walk probabilities, CSV for fourier).  Output is
 byte-identical across runs for identical inputs and flags.
 
+Every verb is one row of VERBS.  The dispatcher loads the row's matrix or
+graph, refuses a level over `--cap` before any table or Perron data is
+built, computes Perron data when the row needs it, and calls the handler.
+
 Exit codes: 0 success, 64 usage, 65 bad data, 66 cap exceeded,
 70 no convergence.
 """
 
 import argparse
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import core, fileio, graphs, operators, ruelle, sierpinski, spectral, wavelets
+from .core import DEFAULT_CAP
 from .errors import (
     CantorError,
     CapExceeded,
@@ -23,8 +29,6 @@ from .errors import (
     NoConvergence,
     UsageError,
 )
-
-DEFAULT_CAP = 200000
 
 
 def _fmt(x):
@@ -56,37 +60,56 @@ def _write(path, text):
         raise FileFormatError("cannot write %s: %s" % (path, exc))
 
 
-def _load_matrix(args):
-    rows = fileio.parse_matrix_rows(_read(args.matrix))
-    return core.validate_matrix(rows, strict=not getattr(args, "lax", False))
-
-
-def _pd(args, matrix):
-    return spectral.perron_data(matrix, tol=args.tol, max_iter=args.max_iter)
-
-
-def _load_signal(path, matrix):
-    return fileio.parse_signal(_read(path), matrix)
-
-
-def _emit_signal(args, f):
-    text = fileio.format_signal(f)
+def _emit(args, text):
+    """Write `text` to the file named by --out, or to stdout without one."""
     if getattr(args, "out", None):
         _write(args.out, text)
     else:
         sys.stdout.write(text)
 
 
+def _emit_signal(args, f):
+    _emit(args, fileio.format_signal(f))
+
+
+def _load_signal(path, matrix):
+    return fileio.parse_signal(_read(path), matrix)
+
+
 def _parse_cli_word(s, matrix):
     return core.check_word(matrix, fileio.parse_word(s, matrix.n))
 
 
-# --- command handlers -----------------------------------------------------------
+def _header_level(path):
+    """The level k >= 0 in the 'N k' header of a signal or coefficient file.
+
+    None when the file is unreadable or its header malformed; the handler's
+    full parse reports those later, in their usual order.
+    """
+    try:
+        with open(path, "r") as fh:
+            head = next(filter(None, (ln.split("#", 1)[0].split() for ln in fh)), ())
+        k = int(head[1]) if len(head) == 2 else -1
+    except (OSError, ValueError):
+        return None
+    return k if k >= 0 else None
 
 
-def cmd_perron(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def _count(text):
+    """argparse type of a count: an int that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
+
+
+# --- command handlers: (args, matrix or graph, Perron data or None) -----------
+
+
+def cmd_perron(args, matrix, pd):
     _kv("n", matrix.n)
     _kv("radius", _fmt(pd.radius))
     _kv("delta", _fmt(pd.delta))
@@ -96,93 +119,70 @@ def cmd_perron(args):
         _kv("p_%d" % i, _fmt(pd.p[i]))
     for i in range(matrix.n):
         _kv("omega_%d" % i, _fmt(pd.omega[i]))
-    return 0
 
 
-def cmd_words(args):
-    matrix = _load_matrix(args)
-    for w in core.enumerate_words(matrix, args.level, cap=args.cap):
+def cmd_words(args, matrix, pd):
+    for w in core.enumerate_words(matrix, args.level):
         print(fileio.format_word(w, matrix.n))
-    return 0
 
 
-def cmd_measure(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_measure(args, matrix, pd):
     w = _parse_cli_word(args.word, matrix)
     _kv("measure", _fmt(spectral.cylinder_measure(pd, w)))
-    return 0
 
 
-def cmd_op_s(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
-    f = _load_signal(args.signal, matrix)
-    _emit_signal(args, operators.apply_S(args.i, f, pd))
-    return 0
+def cmd_op_s(args, matrix, pd):
+    _emit_signal(args, operators.apply_S(args.i, _load_signal(args.signal, matrix), pd))
 
 
-def cmd_op_sstar(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
-    f = _load_signal(args.signal, matrix)
-    _emit_signal(args, operators.apply_S_star(args.i, f, pd))
-    return 0
+def cmd_op_sstar(args, matrix, pd):
+    _emit_signal(args, operators.apply_S_star(args.i, _load_signal(args.signal, matrix), pd))
 
 
-def cmd_op_word(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_op_word(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
     a = _parse_cli_word(args.word, matrix)
     _emit_signal(args, operators.apply_S_word(a, f, pd, adjoint=args.adjoint))
-    return 0
 
 
-def cmd_op_pf(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
-    f = _load_signal(args.signal, matrix)
-    _emit_signal(args, operators.pf_operator(f, pd))
-    return 0
+def _op_word_level(args, matrix):
+    """S_a raises the signal's level by |a|; S_a* never goes above level 2."""
+    k = _header_level(args.signal)
+    if args.adjoint or k is None:
+        return None
+    try:
+        return k + len(fileio.parse_word(args.word, matrix.n))
+    except DataError:
+        return None
 
 
-def cmd_op_fixed_point(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_op_pf(args, matrix, pd):
+    _emit_signal(args, operators.pf_operator(_load_signal(args.signal, matrix), pd))
+
+
+def cmd_op_fixed_point(args, matrix, pd):
     f = operators.pf_fixed_point(pd)
     residual = spectral.norm(operators.pf_operator(f, pd) - f, pd)
     _emit_signal(args, f)
     _kv("pf_residual", _fmt(residual))
-    return 0
 
 
-def cmd_op_ck(args):
-    matrix = _load_matrix(args)
-    # S_i raises level K to K + 1; a level below 2 is refused by the check itself
-    core.check_cap(matrix, max(args.level, 1) + 1, args.cap)
-    pd = _pd(args, matrix)
+def cmd_op_ck(args, matrix, pd):
     _kv("residual", _fmt(operators.ck_relations_residual(pd, args.level)))
-    return 0
 
 
-def cmd_fourier(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_fourier(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
     for t in np.linspace(args.tmin, args.tmax, args.tcount):
         v = operators.fourier_approx(f, float(t), args.level, pd)
         print("%s, %s, %s" % (_fmt(t), _fmt(v.real), _fmt(v.imag)))
-    return 0
 
 
-def cmd_kms(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_kms(args, matrix, pd):
     if args.letter is not None:
         _kv("ratio", _fmt(operators.kms_letter_ratio(args.letter, pd)))
         _kv("radius", _fmt(pd.radius))
-        return 0
+        return
     if args.a is None or args.b is None:
         raise UsageError("kms needs either --letter or both --a and --b")
     a = _parse_cli_word(args.a, matrix)
@@ -190,46 +190,29 @@ def cmd_kms(args):
     sv = operators.kms_state(a, b, pd)
     _kv("value_re", _fmt(sv.value.real))
     _kv("value_im", _fmt(sv.value.imag))
-    return 0
 
 
-def cmd_wavelets_build(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_wavelets_build(args, matrix, pd):
     mw = wavelets.build_mother_wavelets(pd)
-    total = 0
     for k in range(matrix.n):
         _kv("d_%d" % k, mw.d[k])
-        total += mw.d[k] - 1
     for (k, l) in mw.mother_keys():
-        vec = mw.c[k][l - 1]
-        _kv("c_%d_%d" % (k, l), " ".join(_fmt(v) for v in vec))
-    _kv("total_mothers", total)
-    return 0
+        _kv("c_%d_%d" % (k, l), " ".join(_fmt(v) for v in mw.c[k][l - 1]))
+    _kv("total_mothers", len(mw.mother_keys()))
 
 
-def cmd_wavelets_analyze(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_wavelets_analyze(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
     if args.level is not None:
         f = core.refine(f, args.level)
     mw = wavelets.build_mother_wavelets(pd)
     wc = wavelets.analyze(f, mw)
-    level = max(f.level, 1)
-    text = fileio.format_coefficients(wc, mw, level)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, fileio.format_coefficients(wc, mw, max(f.level, 1)))
     parseval = abs(wc.energy() - spectral.inner_product(f, f, pd).real)
     _kv("parseval_residual", _fmt(parseval))
-    return 0
 
 
-def cmd_wavelets_synthesize(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_wavelets_synthesize(args, matrix, pd):
     mw = wavelets.build_mother_wavelets(pd)
     wc, level = fileio.parse_coefficients(_read(args.coeffs), matrix)
     if args.level is not None:
@@ -241,122 +224,83 @@ def cmd_wavelets_synthesize(args):
         m = max(f.level, g.level)
         diff = core.refine(f, m).coeffs - core.refine(g, m).coeffs
         _kv("max_error", _fmt(float(np.max(np.abs(diff)))))
-    return 0
 
 
-def cmd_ruelle_apply(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_ruelle_apply(args, matrix, pd):
     w_fn = _load_signal(args.potential, matrix)
     f = _load_signal(args.signal, matrix)
     _emit_signal(args, ruelle.ruelle_apply(w_fn, f, pd))
-    return 0
 
 
-def cmd_ruelle_keane(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
+def cmd_ruelle_keane(args, matrix, pd):
     w_fn = _load_signal(args.potential, matrix)
     _kv("residual", _fmt(ruelle.keane_residual(w_fn, pd)))
-    return 0
 
 
-def cmd_ruelle_trig(args):
-    matrix = _load_matrix(args)
-    core.check_cap(matrix, args.level, args.cap)
-    pd = _pd(args, matrix)
+def cmd_ruelle_trig(args, matrix, pd):
     cyl, pointwise = ruelle.trig_potential(pd, args.level)
+    _emit_signal(args, cyl)
     if args.out:
-        _write(args.out, fileio.format_signal(cyl))
         _kv("pointwise_keane_residual",
             _fmt(ruelle.preimage_keane_residual(pointwise, pd, args.level)))
         _kv("cylinder_keane_residual", _fmt(ruelle.keane_residual(cyl, pd)))
-    else:
-        sys.stdout.write(fileio.format_signal(cyl))
-    return 0
 
 
-def _walk_potential(args, pd):
+def cmd_walk(args, matrix, pd):
+    x = core.nadic_value(_parse_cli_word(args.x, matrix), matrix.n)
     if args.constant is not None:
-        return ruelle.constant_potential(args.constant)
-    _, pointwise = ruelle.trig_potential(pd, 1)
-    return pointwise
-
-
-def cmd_walk(args):
-    matrix = _load_matrix(args)
-    pd = _pd(args, matrix)
-    x_word = _parse_cli_word(args.x, matrix)
-    x = core.nadic_value(x_word, matrix.n)
-    potential = _walk_potential(args, pd)
+        potential = ruelle.constant_potential(args.constant)
+    else:
+        potential = ruelle.trig_potential(pd, 1)[1]
     total = 0.0
-    for a in ruelle.enumerate_transpose_words(matrix, args.depth, cap=args.cap):
+    for a in core.enumerate_words(matrix.transpose, args.depth, cap=args.cap):
         v = ruelle.walk_measure(x, potential, a, matrix)
         total += v
         print("%s %s" % (fileio.format_word(a, matrix.n), _fmt(v)))
     print("# layer_mass = %s" % _fmt(total))
-    return 0
 
 
-def cmd_sierpinski_info(args):
-    matrix = _load_matrix(args)
+def cmd_sierpinski_info(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
     _kv("n", matrix.n)
     _kv("D", spec.D)
     _kv("pair_dimension", _fmt(spec.pair_dimension))
     _kv("similarity_dimension", _fmt(spec.similarity_dimension))
-    return 0
 
 
-def cmd_sierpinski_cells(args):
-    matrix = _load_matrix(args)
+def cmd_sierpinski_cells(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
     for cell in sierpinski.cells(spec, args.depth, cap=args.cap):
         print("%s %s" % (fileio.format_word(cell.xword, matrix.n),
                          fileio.format_word(cell.yword, matrix.n)))
-    return 0
 
 
-def cmd_sierpinski_render(args):
-    matrix = _load_matrix(args)
+def cmd_sierpinski_render(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
     img = sierpinski.render_pgm(spec, args.depth, args.res, cap=args.cap)
-    text = fileio.format_pgm(img)
+    _emit(args, fileio.format_pgm(img))
     if args.out:
-        _write(args.out, text)
         dark = int((img == 0).sum())
         _kv("dark_pixels", dark)
         _kv("total_pixels", img.size)
         _kv("dark_fraction", _fmt(dark / img.size))
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
-def cmd_sierpinski_induced(args):
-    matrix = _load_matrix(args)
+def cmd_sierpinski_induced(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
-    text = fileio.format_matrix(sierpinski.induced_matrix(spec))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    _emit(args, fileio.format_matrix(sierpinski.induced_matrix(spec)))
 
 
-def cmd_graph_perron(args):
-    g = fileio.parse_graph(_read(args.graph))
+def cmd_graph_perron(args, g, pd):
     pd = graphs.graph_perron(g, tol=args.tol, max_iter=args.max_iter)
     _kv("edges", len(g.edges))
     _kv("radius", _fmt(pd.radius))
     _kv("residual", _fmt(pd.tol))
     for e in range(len(g.edges)):
         _kv("p_%d" % e, _fmt(pd.p[e]))
-    return 0
 
 
-def cmd_graph_wavelets(args):
-    g = fileio.parse_graph(_read(args.graph))
+def cmd_graph_wavelets(args, g, pd):
     gw = graphs.build_graph_wavelets(g, args.v0, args.e0,
                                      tol=args.tol, max_iter=args.max_iter)
     for pth in graphs.paths_from(gw, args.depth, cap=args.cap):
@@ -370,222 +314,161 @@ def cmd_graph_wavelets(args):
     _kv("n_tuples", rep.n_tuples)
     _kv("max_mean_residual", _fmt(rep.max_mean_residual))
     _kv("max_gram_residual", _fmt(rep.max_gram_residual))
-    return 0
 
 
-# --- parser wiring -----------------------------------------------------------
+# --- the command table ------------------------------------------------------------
+
+# One row per verb: its path, help and handler, then its own flags in order.
+# reads: "matrix", "lax" (a matrix, with --lax) or "graph".  spectral: takes
+# --tol/--max-iter, and a matrix verb gets Perron data.  cap: takes --cap.
+# level(args, matrix): the deepest word level the verb builds, checked
+# against --cap before Perron; None leaves the cap to the library call.
+Verb = namedtuple("Verb", "path help handler flags reads spectral cap level alias",
+                  defaults=("matrix", True, False, None, None))
+
+_OUT = ("--out", {})
+_SIGNAL = ("--signal", {"required": True})
 
 
-def _add_spectral_flags(p):
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
-                   help="eigen-residual tolerance")
-    p.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER,
-                   help="power iteration cap")
+def _req(flag, type=None, **kw):
+    return (flag, dict(kw, type=type, required=True))
 
 
-def _add_matrix_arg(p, lax_option=False):
-    p.add_argument("--matrix", required=True, help="matrix file")
-    if lax_option:
+def _opt(flag, type=None, help=None):
+    return (flag, {"type": type, "help": help})
+
+
+VERBS = (
+    Verb(("perron",), "Perron eigendata and dimension", cmd_perron, (), reads="lax"),
+    Verb(("words",), "enumerate admissible words", cmd_words, (_req("--level", int),),
+         reads="lax", spectral=False, cap=True, level=lambda a, m: a.level),
+    Verb(("measure",), "cylinder measure of a word", cmd_measure, (_req("--word"),),
+         reads="lax"),
+    Verb(("op", "s"), "apply S_i", cmd_op_s, (_req("--i", int), _SIGNAL, _OUT)),
+    Verb(("op", "sstar"), "apply S_i*", cmd_op_sstar, (_req("--i", int), _SIGNAL, _OUT)),
+    Verb(("op", "word"), "apply S_a or S_a*", cmd_op_word,
+         (_req("--word"), ("--adjoint", {"action": "store_true"}), _SIGNAL, _OUT),
+         cap=True, level=_op_word_level),
+    Verb(("op", "pf"), "apply the transfer operator", cmd_op_pf, (_SIGNAL, _OUT)),
+    Verb(("op", "fixed-point"), "the transfer operator's fixed function",
+         cmd_op_fixed_point, (_OUT,)),
+    # S_i raises level K to K + 1; a level below 2 is refused by the residual itself
+    Verb(("op", "ck"), "Cuntz-Krieger relation residual", cmd_op_ck, (_req("--level", int),),
+         cap=True, level=lambda a, m: max(a.level, 1) + 1),
+    Verb(("fourier",), "transform of the spectral measure, CSV", cmd_fourier,
+         (_SIGNAL, _req("--level", int), _req("--tmin", float), _req("--tmax", float),
+          _req("--tcount", _count)), cap=True, level=lambda a, m: max(a.level, 0)),
+    Verb(("kms",), "the canonical state on monomials", cmd_kms,
+         (_opt("--a"), _opt("--b"),
+          _opt("--letter", int, "print the state ratio for one letter instead"))),
+    Verb(("wavelets", "build"), "construct the mother wavelets", cmd_wavelets_build, ()),
+    Verb(("wavelets", "analyze"), "wavelet coefficients of a signal", cmd_wavelets_analyze,
+         (_SIGNAL, _opt("--level", int, "refine the signal to this level first"), _OUT),
+         cap=True, level=lambda a, m: None if a.level is None else max(a.level, 0)),
+    Verb(("wavelets", "synthesize"), "rebuild a signal from coefficients",
+         cmd_wavelets_synthesize,
+         (_req("--coeffs"), _opt("--level", int, "override the level recorded in the file"),
+          _OUT, _opt("--compare", help="signal file to diff against")),
+         cap=True,
+         level=lambda a, m: _header_level(a.coeffs) if a.level is None else max(a.level, 0)),
+    Verb(("ruelle", "apply"), "apply the weighted transfer operator", cmd_ruelle_apply,
+         (_req("--potential", help="potential signal file"), _SIGNAL, _OUT)),
+    Verb(("ruelle", "keane"), "Keane-condition residual of a potential", cmd_ruelle_keane,
+         (_req("--potential"),)),
+    Verb(("ruelle", "trig"), "the trigonometric Keane potential", cmd_ruelle_trig,
+         (_req("--level", int, help="cylinder sampling level"), _OUT),
+         cap=True, level=lambda a, m: a.level),
+    Verb(("ruelle", "walk"), "walk-measure probabilities per cylinder", cmd_walk,
+         (_req("--x", help="digits of the starting point"),
+          _req("--depth", int, help="walk depth k"),
+          _opt("--constant", float,
+               "use a constant potential instead of the trigonometric one")),
+         cap=True, alias=("walk", "alias of `ruelle walk`")),
+    Verb(("sierpinski", "info"), "D and both dimension exponents", cmd_sierpinski_info, (),
+         reads="lax", spectral=False),
+    Verb(("sierpinski", "cells"), "enumerate depth-k cells", cmd_sierpinski_cells,
+         (_req("--depth", int),), reads="lax", spectral=False, cap=True),
+    Verb(("sierpinski", "render"), "rasterize to PGM", cmd_sierpinski_render,
+         (_req("--depth", int), _req("--res", int), _OUT), reads="lax", spectral=False,
+         cap=True),
+    Verb(("sierpinski", "induced"), "the pair-shift matrix", cmd_sierpinski_induced, (_OUT,),
+         reads="lax", spectral=False),
+    Verb(("graph", "perron"), "edge-matrix Perron data", cmd_graph_perron, (), reads="graph"),
+    Verb(("graph", "wavelets"), "path wavelets and their integrals", cmd_graph_wavelets,
+         (_req("--v0", int, help="base vertex"), _req("--e0", int, help="base edge into v0"),
+          _req("--depth", int)), reads="graph", cap=True),
+)
+
+# verb groups: help text and the dest naming the chosen subcommand
+GROUPS = {
+    "op": ("apply generators and related operators", "opverb"),
+    "wavelets": ("mother wavelets, analyze, synthesize", "wverb"),
+    "ruelle": ("transfer operator with potentials", "rverb"),
+    "sierpinski": ("planar fractal data and rendering", "sverb"),
+    "graph": ("edge-shift data and graph wavelets", "gverb"),
+}
+
+
+def _add_verb(sub, name, text, verb):
+    p = sub.add_parser(name, help=text)
+    if verb.reads == "graph":
+        p.add_argument("--graph", required=True, help="graph file")
+    else:
+        p.add_argument("--matrix", required=True, help="matrix file")
+    if verb.reads == "lax":
         p.add_argument("--lax", action="store_true",
                        help="accept non-strict matrices (no unit diagonal)")
-
-
-def _add_cap(p):
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration cap (default %d)" % DEFAULT_CAP)
-
-
-def _add_walk_flags(p):
-    _add_matrix_arg(p)
-    _add_spectral_flags(p)
-    _add_cap(p)
-    p.add_argument("--x", required=True, help="digits of the starting point")
-    p.add_argument("--depth", type=int, required=True, help="walk depth k")
-    p.add_argument("--constant", type=float, default=None,
-                   help="use a constant potential instead of the trigonometric one")
-    p.set_defaults(func=cmd_walk)
+    if verb.spectral:
+        p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
+                       help="eigen-residual tolerance")
+        p.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER,
+                       help="power iteration cap")
+    if verb.cap:
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="enumeration cap (default %d)" % DEFAULT_CAP)
+    for flag, kw in verb.flags:
+        p.add_argument(flag, **kw)
+    p.set_defaults(verb_row=verb)
 
 
 def build_parser():
     parser = _Parser(prog="cantorkit",
                      description="Harmonic analysis on matrix-defined Cantor sets.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("perron", help="Perron eigendata and dimension")
-    _add_matrix_arg(p, lax_option=True)
-    _add_spectral_flags(p)
-    p.set_defaults(func=cmd_perron)
-
-    p = sub.add_parser("words", help="enumerate admissible words")
-    _add_matrix_arg(p, lax_option=True)
-    _add_cap(p)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_words)
-
-    p = sub.add_parser("measure", help="cylinder measure of a word")
-    _add_matrix_arg(p, lax_option=True)
-    _add_spectral_flags(p)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("op", help="apply generators and related operators")
-    opsub = p.add_subparsers(dest="opverb", required=True)
-    q = opsub.add_parser("s", help="apply S_i")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--signal", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_op_s)
-    q = opsub.add_parser("sstar", help="apply S_i*")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--signal", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_op_sstar)
-    q = opsub.add_parser("word", help="apply S_a or S_a*")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--word", required=True)
-    q.add_argument("--adjoint", action="store_true")
-    q.add_argument("--signal", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_op_word)
-    q = opsub.add_parser("pf", help="apply the transfer operator")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--signal", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_op_pf)
-    q = opsub.add_parser("fixed-point", help="the transfer operator's fixed function")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_op_fixed_point)
-    q = opsub.add_parser("ck", help="Cuntz-Krieger relation residual")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    _add_cap(q)
-    q.add_argument("--level", type=int, required=True)
-    q.set_defaults(func=cmd_op_ck)
-
-    p = sub.add_parser("fourier", help="transform of the spectral measure, CSV")
-    _add_matrix_arg(p)
-    _add_spectral_flags(p)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--tcount", type=int, required=True)
-    p.set_defaults(func=cmd_fourier)
-
-    p = sub.add_parser("kms", help="the canonical state on monomials")
-    _add_matrix_arg(p)
-    _add_spectral_flags(p)
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--letter", type=int, default=None,
-                   help="print the state ratio for one letter instead")
-    p.set_defaults(func=cmd_kms)
-
-    p = sub.add_parser("wavelets", help="mother wavelets, analyze, synthesize")
-    wsub = p.add_subparsers(dest="wverb", required=True)
-    q = wsub.add_parser("build", help="construct the mother wavelets")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.set_defaults(func=cmd_wavelets_build)
-    q = wsub.add_parser("analyze", help="wavelet coefficients of a signal")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--signal", required=True)
-    q.add_argument("--level", type=int, default=None,
-                   help="refine the signal to this level first")
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_wavelets_analyze)
-    q = wsub.add_parser("synthesize", help="rebuild a signal from coefficients")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--coeffs", required=True)
-    q.add_argument("--level", type=int, default=None,
-                   help="override the level recorded in the file")
-    q.add_argument("--out")
-    q.add_argument("--compare", help="signal file to diff against")
-    q.set_defaults(func=cmd_wavelets_synthesize)
-
-    p = sub.add_parser("ruelle", help="transfer operator with potentials")
-    rsub = p.add_subparsers(dest="rverb", required=True)
-    q = rsub.add_parser("apply", help="apply the weighted transfer operator")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--potential", required=True, help="potential signal file")
-    q.add_argument("--signal", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_ruelle_apply)
-    q = rsub.add_parser("keane", help="Keane-condition residual of a potential")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    q.add_argument("--potential", required=True)
-    q.set_defaults(func=cmd_ruelle_keane)
-    q = rsub.add_parser("trig", help="the trigonometric Keane potential")
-    _add_matrix_arg(q)
-    _add_spectral_flags(q)
-    _add_cap(q)
-    q.add_argument("--level", type=int, required=True,
-                   help="cylinder sampling level")
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_ruelle_trig)
-    q = rsub.add_parser("walk", help="walk-measure probabilities per cylinder")
-    _add_walk_flags(q)
-
-    p = sub.add_parser("walk", help="alias of `ruelle walk`")
-    _add_walk_flags(p)
-
-    p = sub.add_parser("sierpinski", help="planar fractal data and rendering")
-    ssub = p.add_subparsers(dest="sverb", required=True)
-    q = ssub.add_parser("info", help="D and both dimension exponents")
-    _add_matrix_arg(q, lax_option=True)
-    q.set_defaults(func=cmd_sierpinski_info)
-    q = ssub.add_parser("cells", help="enumerate depth-k cells")
-    _add_matrix_arg(q, lax_option=True)
-    _add_cap(q)
-    q.add_argument("--depth", type=int, required=True)
-    q.set_defaults(func=cmd_sierpinski_cells)
-    q = ssub.add_parser("render", help="rasterize to PGM")
-    _add_matrix_arg(q, lax_option=True)
-    _add_cap(q)
-    q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--res", type=int, required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_sierpinski_render)
-    q = ssub.add_parser("induced", help="the pair-shift matrix")
-    _add_matrix_arg(q, lax_option=True)
-    q.add_argument("--out")
-    q.set_defaults(func=cmd_sierpinski_induced)
-
-    p = sub.add_parser("graph", help="edge-shift data and graph wavelets")
-    gsub = p.add_subparsers(dest="gverb", required=True)
-    q = gsub.add_parser("perron", help="edge-matrix Perron data")
-    q.add_argument("--graph", required=True, help="graph file")
-    _add_spectral_flags(q)
-    q.set_defaults(func=cmd_graph_perron)
-    q = gsub.add_parser("wavelets", help="path wavelets and their integrals")
-    q.add_argument("--graph", required=True, help="graph file")
-    _add_spectral_flags(q)
-    _add_cap(q)
-    q.add_argument("--v0", type=int, required=True, help="base vertex")
-    q.add_argument("--e0", type=int, required=True, help="base edge into v0")
-    q.add_argument("--depth", type=int, required=True)
-    q.set_defaults(func=cmd_graph_wavelets)
-
+    top = parser.add_subparsers(dest="verb", required=True)
+    groups = {}
+    for verb in VERBS:
+        if len(verb.path) == 1:
+            _add_verb(top, verb.path[0], verb.help, verb)
+            continue
+        group = verb.path[0]
+        if group not in groups:
+            text, dest = GROUPS[group]
+            p = top.add_parser(group, help=text)
+            groups[group] = p.add_subparsers(dest=dest, required=True)
+        _add_verb(groups[group], verb.path[1], verb.help, verb)
+        if verb.alias:
+            _add_verb(top, *verb.alias, verb)
     return parser
+
+
+def _dispatch(args):
+    verb = args.verb_row
+    if verb.reads == "graph":
+        return verb.handler(args, fileio.parse_graph(_read(args.graph)), None)
+    rows = fileio.parse_matrix_rows(_read(args.matrix))
+    matrix = core.validate_matrix(rows, strict=not getattr(args, "lax", False))
+    level = verb.level(args, matrix) if verb.level else None
+    if level is not None:
+        core.check_cap(matrix, level, args.cap)
+    pd = (spectral.perron_data(matrix, tol=args.tol, max_iter=args.max_iter)
+          if verb.spectral else None)
+    return verb.handler(args, matrix, pd)
 
 
 def run(argv):
     """Parse and dispatch; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args) or 0
+        return _dispatch(build_parser().parse_args(argv)) or 0
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 64

@@ -84,6 +84,11 @@ class AdmissibilityMatrix:
     def col_sums(self):
         return tuple(len(p) for p in self.predecessors)
 
+    @cached_property
+    def transpose(self):
+        """A^t; it keeps a unit diagonal and irreducibility, so needs no validation."""
+        return AdmissibilityMatrix(rows=tuple(zip(*self.rows)), strict=self.strict)
+
     def __repr__(self):
         return "AdmissibilityMatrix(n=%d, strict=%s)" % (self.n, self.strict)
 
@@ -133,6 +138,9 @@ def validate_matrix(rows, strict=True):
             raise Reducible("matrix is reducible")
     frozen = tuple(tuple(int(v) for v in r) for r in grid)
     return AdmissibilityMatrix(rows=frozen, strict=strict)
+
+
+DEFAULT_CAP = 200000  # words, cells or paths a command builds unless told otherwise
 
 
 # --- words --------------------------------------------------------------------
@@ -328,6 +336,16 @@ def prepend_index_array(matrix, k, i):
     out = np.full(word_count(matrix, k), -1, dtype=np.intp)
     out[shift_index_array(matrix, k + 1)[block]] = block
     return _frozen(out)
+
+
+def preimage_sum(matrix, k, values):
+    """sum_{i: A[i, b_1] = 1} values[i.b] for every level-k word b; values is level k+1."""
+    out = np.zeros(word_count(matrix, k), dtype=values.dtype)
+    for i in range(matrix.n):
+        pia = prepend_index_array(matrix, k, i)
+        valid = pia >= 0
+        out[valid] += values[pia[valid]]
+    return out
 
 
 @lru_cache(maxsize=None)

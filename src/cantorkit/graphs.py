@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spectral, wavelets
-from .core import validate_matrix
+from . import core, spectral, wavelets
+from .core import DEFAULT_CAP, validate_matrix
 from .errors import (
     BaseEdgeMismatch,
     CapExceeded,
@@ -38,8 +38,6 @@ from .errors import (
     NotComposable,
     SinkFound,
 )
-
-DEFAULT_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -162,27 +160,20 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
     return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=c, d=em.row_sums)
 
 
-def _count_paths(g, v0, k):
-    counts = {v0: 1}
-    total = 0
-    for _ in range(k):
-        nxt = {}
-        for u, cnt in counts.items():
-            for e in g.out_edges[u]:
-                v = g.range(e)
-                nxt[v] = nxt.get(v, 0) + cnt
-        counts = nxt
-        total = sum(counts.values())
-    return total
+def _count_paths(gw, k):
+    """Length-k paths leaving v0: the edge-shift words starting on its out-edges."""
+    if k <= 0:
+        return 1
+    counts = core._first_digit_counts(gw.pd.matrix, k)
+    return sum(counts[e] for e in gw.graph.out_edges[gw.v0])
 
 
 def paths_from(gw, k, cap=DEFAULT_CAP):
     """All length-k edge paths leaving the base vertex, lexicographic."""
     g = gw.graph
-    if cap is not None and _count_paths(g, gw.v0, k) > cap:
+    if cap is not None and _count_paths(gw, k) > cap:
         raise CapExceeded(
-            "%d paths of length %d, over the cap of %d"
-            % (_count_paths(g, gw.v0, k), k, cap))
+            "%d paths of length %d, over the cap of %d" % (_count_paths(gw, k), k, cap))
     paths = [()]
     for _ in range(k):
         paths = [pth + (e,)

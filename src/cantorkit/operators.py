@@ -20,7 +20,8 @@ transfer (Perron-Frobenius) operator of the shift.
 
 The generators, the transfer operator, the Fourier sweep and the
 Cuntz-Krieger residual are gathers over the core index arrays, so their cost
-is O(|W_k|) in the number of level-k words.  The residual pushes each basis
+is O(|W_k|) in the number of level-k words; the transfer operator is the
+preimage sum core.preimage_sum scaled by 1/r.  The residual pushes each basis
 vector through the generators as one (row, value) pair instead of a dense
 identity matrix.
 """
@@ -35,31 +36,6 @@ from . import core, spectral
 from .core import CylinderFunction
 from .errors import IndexOutOfRange, LevelOutOfRange, MatrixMismatch
 
-# ---------------------------------------------------------------------------
-# batched kernels: act on arrays whose axis 0 runs over level-k words, so a
-# whole operator matrix can be pushed through in one call.
-
-
-def _s_arr(i, arr, k, pd):
-    """S_i on coefficients at level k -> level k+1."""
-    mat = pd.matrix
-    fd = core.first_digit_array(mat, k + 1)
-    si = core.shift_index_array(mat, k + 1)
-    out = np.zeros((len(fd),) + arr.shape[1:], dtype=np.complex128)
-    mask = fd == i
-    out[mask] = math.sqrt(pd.radius) * arr[si[mask]]
-    return out
-
-
-def _sstar_arr(i, arr, k, pd):
-    """S_i* on coefficients at level k >= 1 -> level k-1."""
-    mat = pd.matrix
-    pia = core.prepend_index_array(mat, k - 1, i)
-    out = np.zeros((len(pia),) + arr.shape[1:], dtype=np.complex128)
-    valid = pia >= 0
-    out[valid] = arr[pia[valid]] / math.sqrt(pd.radius)
-    return out
-
 
 def _check(f, pd):
     if f.matrix != pd.matrix:
@@ -71,16 +47,15 @@ def _check_digit(i, pd):
         raise IndexOutOfRange("digit %r out of range for N = %d" % (i, pd.matrix.n))
 
 
-# ---------------------------------------------------------------------------
-# public operators
-
-
 def apply_S(i, f, pd):
     """S_i f at one level finer: sqrt(r) * f(shifted word) on words starting with i."""
     _check(f, pd)
     _check_digit(i, pd)
-    return CylinderFunction(
-        f.matrix, f.level + 1, _s_arr(i, f.coeffs, f.level, pd))
+    k = f.level + 1
+    mask = core.first_digit_array(f.matrix, k) == i
+    out = np.zeros(len(mask), dtype=np.complex128)
+    out[mask] = math.sqrt(pd.radius) * f.coeffs[core.shift_index_array(f.matrix, k)[mask]]
+    return CylinderFunction(f.matrix, k, out)
 
 
 def apply_S_star(i, f, pd):
@@ -92,8 +67,11 @@ def apply_S_star(i, f, pd):
     _check(f, pd)
     _check_digit(i, pd)
     g = core.refine(f, 2) if f.level <= 1 else f
-    return CylinderFunction(
-        f.matrix, g.level - 1, _sstar_arr(i, g.coeffs, g.level, pd))
+    pia = core.prepend_index_array(f.matrix, g.level - 1, i)
+    out = np.zeros(len(pia), dtype=np.complex128)
+    valid = pia >= 0
+    out[valid] = g.coeffs[pia[valid]] / math.sqrt(pd.radius)
+    return CylinderFunction(f.matrix, g.level - 1, out)
 
 
 def apply_S_word(a, f, pd, adjoint=False):
@@ -196,12 +174,9 @@ def pf_operator(f, pd):
     """
     _check(f, pd)
     g = core.refine(f, 2) if f.level <= 1 else f
-    acc = None
-    for i in range(pd.matrix.n):
-        term = _sstar_arr(i, g.coeffs, g.level, pd)
-        acc = term if acc is None else acc + term
-    return CylinderFunction(
-        f.matrix, g.level - 1, acc / math.sqrt(pd.radius))
+    root = math.sqrt(pd.radius)
+    return CylinderFunction(f.matrix, g.level - 1,
+                            core.preimage_sum(f.matrix, g.level - 1, g.coeffs / root) / root)
 
 
 def pf_fixed_point(pd):
@@ -275,15 +250,17 @@ def measure_mu_f(f, borel, pd):
     nrm = spectral.norm(f, pd)
     if abs(nrm - 1.0) > 1e-9:
         warnings.warn("measure_mu_f: ||f|| = %.12g, not a unit vector" % nrm)
-    m = max(f.level, borel.level)
-    fr = core.refine(f, m)
-    weights = np.abs(fr.coeffs) ** 2 * spectral.measure_array(pd, m)
-    prefix = core.prefix_index_array(pd.matrix, m, borel.level)
     widx = core.word_index(pd.matrix, borel.level)
-    wanted = np.zeros(core.word_count(pd.matrix, borel.level), dtype=bool)
-    for w in borel.words:
-        wanted[widx[w]] = True
-    return float(weights[wanted[prefix]].sum())
+    masses = _cylinder_masses(f, borel.level, pd)
+    return float(masses[[widx[w] for w in borel.words]].sum())
+
+
+def _cylinder_masses(f, k, pd):
+    """mu_f of every level-k cylinder: |f|^2 mu binned by level-k prefix."""
+    m = max(k, f.level)
+    weights = np.abs(core.refine(f, m).coeffs) ** 2 * spectral.measure_array(pd, m)
+    return np.bincount(core.prefix_index_array(pd.matrix, m, k), weights=weights,
+                       minlength=core.word_count(pd.matrix, k))
 
 
 def fourier_approx(f, t, k, pd):
@@ -294,14 +271,8 @@ def fourier_approx(f, t, k, pd):
     to composing the operators, without the exponential blow-up.
     """
     _check(f, pd)
-    m = max(k, f.level)
-    fr = core.refine(f, m)
-    weights = (np.abs(fr.coeffs) ** 2 * spectral.measure_array(pd, m)).real
-    masses = np.bincount(
-        core.prefix_index_array(pd.matrix, m, k), weights=weights,
-        minlength=core.word_count(pd.matrix, k))
     phases = np.exp(1j * t * core.value_array(pd.matrix, k))
-    return complex(np.sum(phases * masses))
+    return complex(np.sum(phases * _cylinder_masses(f, k, pd)))
 
 
 def fourier_tail_bound(t, k, n):

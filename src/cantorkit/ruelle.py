@@ -28,28 +28,22 @@ Lambda_{k,A^t}(a) carries probability
 Each layer then has total mass 1, and the layer sums assemble the truncated
 harmonic series exposed at the end of the module.
 
-R_W, the Keane residual and the cylinder sampling of the trigonometric
-potential are gathers over the core index arrays, O(|W_k|); the pointwise
-forms (the exact preimage Keane defect, the walk) call the potential once per
-word and preimage.
+R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum,
+and the cylinder sampling of the trigonometric potential is a gather over
+the core index arrays, all O(|W_k|); the pointwise forms (the exact preimage
+Keane defect, the walk) call the potential once per word and preimage.  The
+walk enumerates and checks the words of A^t through core, on
+AdmissibilityMatrix.transpose.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import core, spectral
-from .core import CylinderFunction, Point
-from .errors import (
-    CapExceeded,
-    EmptyWord,
-    InadmissibleWord,
-    LevelOutOfRange,
-    MatrixMismatch,
-    NegativePotential,
-)
+from . import core
+from .core import CylinderFunction
+from .errors import EmptyWord, LevelOutOfRange, MatrixMismatch, NegativePotential
 
 _REAL_TOL = 1e-15
 
@@ -95,17 +89,10 @@ def ruelle_apply(w_fn, f, pd):
     if w_fn.matrix != f.matrix or f.matrix != pd.matrix:
         raise MatrixMismatch("potential, signal and PerronData must share a matrix")
     _check_cylinder_potential(w_fn)
-    mat = pd.matrix
     m = max(w_fn.level, f.level, 2)
     wc = core.refine(w_fn, m).coeffs.real
     fc = core.refine(f, m).coeffs
-    nb = core.word_count(mat, m - 1)
-    out = np.zeros(nb, dtype=np.complex128)
-    for i in range(mat.n):
-        pia = core.prepend_index_array(mat, m - 1, i)
-        valid = pia >= 0
-        out[valid] += wc[pia[valid]] * fc[pia[valid]]
-    return CylinderFunction(mat, m - 1, out)
+    return CylinderFunction(pd.matrix, m - 1, core.preimage_sum(pd.matrix, m - 1, wc * fc))
 
 
 def keane_residual(w_fn, pd):
@@ -113,15 +100,9 @@ def keane_residual(w_fn, pd):
     if w_fn.matrix != pd.matrix:
         raise MatrixMismatch("potential and PerronData must share a matrix")
     _check_cylinder_potential(w_fn)
-    mat = pd.matrix
     m = max(w_fn.level, 2)
     wc = core.refine(w_fn, m).coeffs.real
-    total = np.zeros(core.word_count(mat, m - 1))
-    for i in range(mat.n):
-        pia = core.prepend_index_array(mat, m - 1, i)
-        valid = pia >= 0
-        total[valid] += wc[pia[valid]]
-    return float(np.max(np.abs(total - 1.0)))
+    return float(np.max(np.abs(core.preimage_sum(pd.matrix, m - 1, wc) - 1.0)))
 
 
 def trig_potential(pd, sample_level):
@@ -183,51 +164,6 @@ def preimage_keane_residual(potential, pd, level):
 # --- the walk on transposed-admissibility cylinders ---------------------------
 
 
-@lru_cache(maxsize=None)
-def _transpose_words(matrix, k):
-    """Level-k words admissible for A^t, lexicographic; columns walked directly."""
-    if k == 0:
-        return ((),)
-    words = [(i,) for i in range(matrix.n)]
-    for _ in range(k - 1):
-        # successors of digit i in A^t are the predecessors of i in A
-        words = [w + (j,) for w in words for j in matrix.predecessors[w[-1]]]
-    return tuple(words)
-
-
-def transpose_word_count(matrix, k):
-    core.check_level(k)
-    if k == 0:
-        return 1
-    counts = [1] * matrix.n
-    for _ in range(k - 1):
-        counts = [sum(counts[j] for j in matrix.predecessors[i])
-                  for i in range(matrix.n)]
-    return sum(counts)
-
-
-def enumerate_transpose_words(matrix, k, cap=None):
-    core.check_level(k)
-    if cap is not None and transpose_word_count(matrix, k) > cap:
-        raise CapExceeded(
-            "level %d has %d transpose words, over the cap of %d"
-            % (k, transpose_word_count(matrix, k), cap))
-    return _transpose_words(matrix, k)
-
-
-def check_transpose_word(matrix, word):
-    word = tuple(int(d) for d in word)
-    n = matrix.n
-    for d in word:
-        if not 0 <= d < n:
-            raise InadmissibleWord("digit %d out of range" % d)
-    for m in range(len(word) - 1):
-        if not matrix.rows[word[m + 1]][word[m]]:
-            raise InadmissibleWord(
-                "word %r is not admissible for the transpose" % (word,))
-    return word
-
-
 def walk_measure(x, potential, a, matrix):
     """P_x(Lambda_{k,A^t}(a)): the W-weight of walking x upward along a.
 
@@ -237,7 +173,7 @@ def walk_measure(x, potential, a, matrix):
     if len(x.word) == 0:
         raise EmptyWord("walk needs a starting point with at least one digit")
     core.check_word(matrix, x.word)
-    a = check_transpose_word(matrix, a)
+    a = core.check_word(matrix.transpose, a)
     if len(a) == 0:
         return 1.0
     if not matrix.rows[a[0]][x.word[0]]:
@@ -256,7 +192,7 @@ def walk_measure(x, potential, a, matrix):
 def walk_layer_mass(x, potential, matrix, k, cap=None):
     """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
     return sum(walk_measure(x, potential, a, matrix)
-               for a in enumerate_transpose_words(matrix, k, cap))
+               for a in core.enumerate_words(matrix.transpose, k, cap))
 
 
 def harmonic_truncated(x, potential, matrix, kmax):

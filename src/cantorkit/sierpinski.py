@@ -20,10 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AdmissibilityMatrix, validate_matrix
+from .core import DEFAULT_CAP, AdmissibilityMatrix, validate_matrix
 from .errors import CapExceeded, WordTooShort
-
-DEFAULT_CAP = 200000
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import MatrixMismatch, NoConvergence, Reducible
+from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100000
@@ -142,7 +142,7 @@ def self_similarity_residual(pd, k):
     the max absolute defect, which vanishes up to eigen-residual.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise LevelOutOfRange("k must be >= 1")
     r = pd.radius
     if k == 1:
         pulled = pd.matrix.array.astype(float) @ pd.p  # mass of D_i, per letter

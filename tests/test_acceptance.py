@@ -193,7 +193,7 @@ def test_07_keane_suite(full2_pd, tri3_pd, schottky4_pd):
                 mass = ruelle.walk_layer_mass(x, potential, mat, k)
                 assert abs(mass - 1.0) <= 1e-12
             for klen in range(1, 4):
-                for a in ruelle.enumerate_transpose_words(mat, klen):
+                for a in core.enumerate_words(mat.transpose, klen):
                     whole = ruelle.walk_measure(x, potential, a, mat)
                     split = sum(
                         ruelle.walk_measure(x, potential, a + (d,), mat)

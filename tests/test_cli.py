@@ -185,21 +185,48 @@ def test_exit_codes(tmp_path, capsys):
                 "--cap", "100"]) == 66
     assert run(["perron", "--matrix", TRI3, "--max-iter", "2"]) == 70
     assert run(["measure", "--matrix", TRI3, "--word", "02"]) == 65
-    capsys.readouterr()
+    fourier = ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+               "--tmin", "0", "--tmax", "1", "--tcount"]
+    assert run(fourier + ["-1"]) == 64
+    assert run(fourier + ["x"]) == 64
+    err = capsys.readouterr().err
+    assert "--tcount: -1 is negative" in err
+    assert "--tcount: invalid int value: 'x'" in err
 
 
-def test_ck_and_trig_are_capped(capsys):
+def test_ck_and_trig_are_capped(tmp_path, capsys):
     tables = [core._enumerate_words_cached, core.word_index, core.first_digit_array,
               core.last_digit_array, core.prefix_index_array, core.shift_index_array,
               core.prepend_index_array, core.value_array]
+    header_only = tmp_path / "header14.txt"
+    header_only.write_text("3 14\nS 0 1.0 0.0\n")
     before = [t.cache_info().currsize for t in tables]
     assert run(["op", "ck", "--matrix", TRI3, "--level", "40"]) == 66
     assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "40"]) == 66
+    assert run(["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "40",
+                "--tmin", "0", "--tmax", "1", "--tcount", "2"]) == 66
+    assert run(["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3,
+                "--level", "40"]) == 66
+    # S_a raises the level-2 signal by |a| = 25
+    assert run(["op", "word", "--matrix", TRI3, "--word", "1" * 25,
+                "--signal", SIGNAL3]) == 66
+    # the file header asks for level 14, 275,807 words
+    assert run(["wavelets", "synthesize", "--matrix", TRI3,
+                "--coeffs", str(header_only)]) == 66
     assert [t.cache_info().currsize for t in tables] == before
-    assert capsys.readouterr().err.count("over the cap") == 2
+    assert capsys.readouterr().err.count("over the cap") == 6
     # K = 4 builds the level-5 tables, 99 words
     assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "98"]) == 66
     assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "99"]) == 0
+    fourier5 = ["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "5",
+                "--tmin", "0", "--tmax", "1", "--tcount", "2", "--cap"]
+    assert run(fourier5 + ["98"]) == 66
+    assert run(fourier5 + ["99"]) == 0
+    # a forward word of length 1 takes the level-2 signal to level 3, 17 words
+    word1 = ["op", "word", "--matrix", TRI3, "--word", "1", "--signal", SIGNAL3, "--cap"]
+    assert run(word1 + ["16"]) == 66
+    assert run(word1 + ["17"]) == 0
+    assert run(word1 + ["16", "--adjoint"]) == 0
     capsys.readouterr()
 
 

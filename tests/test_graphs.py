@@ -1,11 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cantorkit import core, graphs, spectral, wavelets
+from cantorkit import core, fileio, graphs, spectral, wavelets
 from cantorkit.errors import (
     BaseEdgeMismatch,
+    CapExceeded,
     IndexOutOfRange,
     LevelOutOfRange,
     MultiplePaths,
@@ -120,6 +122,23 @@ def test_paths_from_enumeration():
     paths = graphs.paths_from(gw, 2)
     assert paths == [(0, 0), (0, 1), (1, 2), (1, 3)]
     assert len(graphs.paths_from(gw, 3)) == 8
+
+
+def test_path_count_matches_enumeration():
+    inputs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "inputs")
+    for name in ("graph3.txt", "loops3.txt"):
+        with open(os.path.join(inputs, name)) as fh:
+            g = fileio.parse_graph(fh.read())
+        for v0 in range(g.vertex_count):
+            e0 = next(e for e in range(len(g.edges)) if g.range(e) == v0)
+            gw = graphs.build_graph_wavelets(g, v0, e0)
+            for k in range(7):
+                n_paths = len(graphs.paths_from(gw, k, cap=None))
+                assert graphs._count_paths(gw, k) == n_paths
+                assert len(graphs.paths_from(gw, k, cap=n_paths)) == n_paths
+                with pytest.raises(CapExceeded):
+                    graphs.paths_from(gw, k, cap=n_paths - 1)
 
 
 def test_psi_path_values_on_loops():

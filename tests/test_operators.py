@@ -114,6 +114,25 @@ def test_ck_relations(fixture, K, request):
     assert operators.ck_relations_residual(pd, K) <= 1e-11
 
 
+def batched_s(i, arr, k, pd):
+    """S_i on an array whose axis 0 runs over level-k words -> level k+1."""
+    fd = core.first_digit_array(pd.matrix, k + 1)
+    si = core.shift_index_array(pd.matrix, k + 1)
+    out = np.zeros((len(fd),) + arr.shape[1:], dtype=np.complex128)
+    mask = fd == i
+    out[mask] = math.sqrt(pd.radius) * arr[si[mask]]
+    return out
+
+
+def batched_sstar(i, arr, k, pd):
+    """S_i* on an array whose axis 0 runs over level-k words (k >= 1) -> level k-1."""
+    pia = core.prepend_index_array(pd.matrix, k - 1, i)
+    out = np.zeros((len(pia),) + arr.shape[1:], dtype=np.complex128)
+    valid = pia >= 0
+    out[valid] = arr[pia[valid]] / math.sqrt(pd.radius)
+    return out
+
+
 def dense_ck_residual(pd, K):
     """The CK residual with the whole level-K identity pushed through the generators."""
     mat = pd.matrix
@@ -126,12 +145,12 @@ def dense_ck_residual(pd, K):
 
     range_proj = []
     for i in range(mat.n):
-        down = operators._sstar_arr(i, eye, K, pd)
-        range_proj.append(operators._s_arr(i, down, K - 1, pd))
+        down = batched_sstar(i, eye, K, pd)
+        range_proj.append(batched_s(i, down, K - 1, pd))
     res = worst(sum(range_proj) - eye)
     for i in range(mat.n):
-        up = operators._s_arr(i, eye, K, pd)
-        lhs = operators._sstar_arr(i, up, K + 1, pd)
+        up = batched_s(i, eye, K, pd)
+        lhs = batched_sstar(i, up, K + 1, pd)
         rhs = sum(range_proj[j] for j in mat.successors[i])
         res = max(res, worst(lhs - rhs))
     return res
@@ -180,6 +199,43 @@ def test_pf_fixed_point_residual(full2_pd, tri3_pd, schottky4_pd):
         h = operators.pf_fixed_point(pd)
         res = spectral.norm(operators.pf_operator(h, pd) - h, pd)
         assert res <= 1e-10
+
+
+def reference_pf(f, pd):
+    """(1/sqrt(r)) sum_i S_i* f as one batched S_i* per letter, summed."""
+    g = core.refine(f, 2) if f.level <= 1 else f
+    acc = None
+    for i in range(pd.matrix.n):
+        term = batched_sstar(i, g.coeffs, g.level, pd)
+        acc = term if acc is None else acc + term
+    return acc / math.sqrt(pd.radius)
+
+
+def test_generators_and_pf_match_batched_loops(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    rng = np.random.default_rng(11)
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for K in range(1, 8):
+            size = core.word_count(pd.matrix, K)
+            f = core.CylinderFunction(pd.matrix, K, rng.normal(size=size)
+                                      + 1j * rng.normal(size=size))
+            assert (operators.pf_operator(f, pd).coeffs.tobytes()
+                    == reference_pf(f, pd).tobytes())
+            g = core.refine(f, 2) if K == 1 else f
+            for i in range(pd.matrix.n):
+                assert (operators.apply_S(i, f, pd).coeffs.tobytes()
+                        == batched_s(i, f.coeffs, K, pd).tobytes())
+                assert (operators.apply_S_star(i, f, pd).coeffs.tobytes()
+                        == batched_sstar(i, g.coeffs, g.level, pd).tobytes())
+
+
+def test_pf_zero_sign_on_full_columns(full2_pd):
+    # a preimage sum starts from +0.0, so a -0.0 on every preimage of a word
+    # gives +0.0 there, where the letter-by-letter sum kept -0.0
+    f = core.CylinderFunction(full2_pd.matrix, 2, np.full(4, complex(0.0, -0.0)))
+    out = operators.pf_operator(f, full2_pd).coeffs
+    assert not np.signbit(out.real).any() and not np.signbit(out.imag).any()
+    assert np.signbit(reference_pf(f, full2_pd).imag).all()
+    assert np.array_equal(out, reference_pf(f, full2_pd))
 
 
 def test_pf_fixes_constants_on_full_shift(full2_pd):

@@ -107,29 +107,94 @@ def test_trig_cylinder_matches_pointwise_samples(full2_pd, tri3_pd, schottky4_pd
 # --- transpose words and the walk ------------------------------------------------
 
 
+def reference_transpose_words(matrix, k):
+    """Level-k words admissible for A^t, walking the columns of A directly."""
+    if k == 0:
+        return ((),)
+    words = [(i,) for i in range(matrix.n)]
+    for _ in range(k - 1):
+        # successors of digit i in A^t are the predecessors of i in A
+        words = [w + (j,) for w in words for j in matrix.predecessors[w[-1]]]
+    return tuple(words)
+
+
 def test_transpose_words_tridiagonal(tri3):
     # A is symmetric, so transpose words and words agree
+    assert tri3.transpose == tri3
     for k in range(5):
-        assert (ruelle.enumerate_transpose_words(tri3, k)
+        assert (core.enumerate_words(tri3.transpose, k)
                 == core.enumerate_words(tri3, k))
 
 
 def test_transpose_words_asymmetric():
     m = core.validate_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], strict=False)
-    words = ruelle.enumerate_transpose_words(m, 2)
+    words = core.enumerate_words(m.transpose, 2)
     assert words == ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2))
-    assert ruelle.transpose_word_count(m, 2) == 6
+    assert core.word_count(m.transpose, 2) == 6
     with pytest.raises(InadmissibleWord):
-        ruelle.check_transpose_word(m, (0, 1))
+        core.check_word(m.transpose, (0, 1))
+    with pytest.raises(InadmissibleWord):
+        core.check_word(m.transpose, (0, 3))
 
 
 def test_transpose_cap(schottky4):
     with pytest.raises(CapExceeded):
-        ruelle.enumerate_transpose_words(schottky4, 10, cap=50)
+        core.enumerate_words(schottky4.transpose, 10, cap=50)
     with pytest.raises(LevelOutOfRange):
-        ruelle.transpose_word_count(schottky4, -1)
+        core.word_count(schottky4.transpose, -1)
     with pytest.raises(LevelOutOfRange):
-        ruelle.enumerate_transpose_words(schottky4, -2, cap=50)
+        core.enumerate_words(schottky4.transpose, -2, cap=50)
+
+
+def test_transpose_matches_column_walk(full2, tri3, schottky4, strict5):
+    asymmetric = core.validate_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], strict=False)
+    for m in (full2, tri3, schottky4, strict5, asymmetric):
+        t = m.transpose
+        assert t == core.validate_matrix(m.array.T.tolist(), strict=m.strict)
+        assert t.transpose == m
+        for k in range(8):
+            words = reference_transpose_words(m, k)
+            assert core.enumerate_words(t, k) == words
+            assert core.word_count(t, k) == len(words)
+
+
+def reference_ruelle_apply(w_fn, f, pd):
+    """R_W f as one prepend loop of its own, the form core.preimage_sum replaced."""
+    mat = pd.matrix
+    m = max(w_fn.level, f.level, 2)
+    wc = core.refine(w_fn, m).coeffs.real
+    fc = core.refine(f, m).coeffs
+    out = np.zeros(core.word_count(mat, m - 1), dtype=np.complex128)
+    for i in range(mat.n):
+        pia = core.prepend_index_array(mat, m - 1, i)
+        valid = pia >= 0
+        out[valid] += wc[pia[valid]] * fc[pia[valid]]
+    return out
+
+
+def reference_keane_residual(w_fn, pd):
+    mat = pd.matrix
+    m = max(w_fn.level, 2)
+    wc = core.refine(w_fn, m).coeffs.real
+    total = np.zeros(core.word_count(mat, m - 1))
+    for i in range(mat.n):
+        pia = core.prepend_index_array(mat, m - 1, i)
+        valid = pia >= 0
+        total[valid] += wc[pia[valid]]
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def test_preimage_sums_match_prepend_loops(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    rng = np.random.default_rng(7)
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for K in range(1, 8):
+            size = core.word_count(pd.matrix, K)
+            w_fn = core.CylinderFunction(pd.matrix, K, rng.random(size) / pd.matrix.n)
+            f = core.CylinderFunction(pd.matrix, K, rng.normal(size=size)
+                                      + 1j * rng.normal(size=size))
+            applied = ruelle.ruelle_apply(w_fn, f, pd)
+            assert applied.coeffs.tobytes() == reference_ruelle_apply(w_fn, f, pd).tobytes()
+            assert ruelle.keane_residual(w_fn, pd) == reference_keane_residual(w_fn, pd)
 
 
 def test_walk_needs_a_point_with_digits(full2_pd):
@@ -165,7 +230,7 @@ def test_walk_additivity(tri3_pd):
     _, pot = ruelle.trig_potential(tri3_pd, 1)
     x = core.nadic_value((1, 2), 3)
     m = tri3_pd.matrix
-    for a in ruelle.enumerate_transpose_words(m, 2):
+    for a in core.enumerate_words(m.transpose, 2):
         parent = ruelle.walk_measure(x, pot, a, m)
         kids = sum(ruelle.walk_measure(x, pot, a + (j,), m)
                    for j in m.predecessors[a[-1]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cantorkit import core, spectral
-from cantorkit.errors import NoConvergence, Reducible
+from cantorkit.errors import LevelOutOfRange, NoConvergence, Reducible
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,6 +130,11 @@ def test_self_similarity_residual_small(full2_pd, tri3_pd, schottky4_pd):
     for pd in (full2_pd, tri3_pd, schottky4_pd):
         for k in (1, 2, 3, 4):
             assert spectral.self_similarity_residual(pd, k) <= 1e-10
+
+
+def test_self_similarity_level_check(tri3_pd):
+    with pytest.raises(LevelOutOfRange):
+        spectral.self_similarity_residual(tri3_pd, 0)
 
 
 # --- inner products ----------------------------------------------------------

@@ -196,9 +196,10 @@ def cmd_wavelets_build(args, matrix, pd):
     mw = wavelets.build_mother_wavelets(pd)
     for k in range(matrix.n):
         _kv("d_%d" % k, mw.d[k])
-    for (k, l) in mw.mother_keys():
+    keys = wavelets.detail_keys(mw, 2)
+    for (_, l, k) in keys:
         _kv("c_%d_%d" % (k, l), " ".join(_fmt(v) for v in mw.c[k][l - 1]))
-    _kv("total_mothers", len(mw.mother_keys()))
+    _kv("total_mothers", len(keys))
 
 
 def cmd_wavelets_analyze(args, matrix, pd):

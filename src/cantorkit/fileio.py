@@ -5,9 +5,12 @@ on input.  Floats are written with repr() so files round-trip exactly.
 
 matrix:        line 1: N; then N rows of space-separated 0/1.
 signal:        line 1: "N k"; then one line per level-k word, "word re im",
-               lexicographic; the empty word is written "-".
-coefficients:  line 1: "N K"; then "S i re im" (scaling), "M k l re im"
-               (mothers), "D word l r re im" (details), canonical order.
+               lexicographic; the empty word is written "-".  The line
+               count is checked against |W_k| before any word table is built.
+coefficients:  line 1: "N K"; then "S i re im" (scaling) and one line per
+               wavelet key (a, l, r) in detail_keys order: "M r l re im" for
+               a mother (a = (), written only when K >= 2), "D word l r re im"
+               otherwise.  Both kinds parse into the one detail dict.
 graph:         line 1: "V E"; then E lines "source range" (0-based).
 word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
                ("11.3.0") when N > 10 (pair alphabets can exceed 10 letters);
@@ -122,6 +125,11 @@ def parse_signal(text, matrix):
     if n != matrix.n:
         raise FileFormatError(
             "signal is over N = %d, matrix has N = %d" % (n, matrix.n))
+    nwords = core.word_count(matrix, k)
+    if len(lines) - 1 < nwords:
+        raise FileFormatError("signal lists %d of the %d level-%d words"
+                              % (len(lines) - 1, nwords, k))
+    # with at least one line per word, a missing word forces a repeat or a misspelling
     idx = core.word_index(matrix, k)
     coeffs = np.zeros(len(idx), dtype=np.complex128)
     seen = set()
@@ -136,9 +144,6 @@ def parse_signal(text, matrix):
             raise FileFormatError("word %r listed twice" % (parts[0],))
         seen.add(w)
         coeffs[idx[w]] = complex(_float(parts[1], line), _float(parts[2], line))
-    if len(seen) != len(idx):
-        raise FileFormatError(
-            "signal lists %d of the %d level-%d words" % (len(seen), len(idx), k))
     return CylinderFunction(matrix, k, coeffs)
 
 
@@ -152,14 +157,10 @@ def format_coefficients(wc, mw, level):
     for i in range(n):
         c = complex(wc.scaling[i])
         lines.append("S %d %s %s" % (i, repr(c.real), repr(c.imag)))
-    for (k, l) in mw.mother_keys():
-        c = wc.mother.get((k, l), 0j)
-        lines.append("M %d %d %s %s" % (k, l, repr(complex(c).real), repr(complex(c).imag)))
     for (a, l, r) in wavelets.detail_keys(mw, level):
-        c = wc.detail.get((a, l, r), 0j)
-        lines.append("D %s %d %d %s %s"
-                     % (format_word(a, n), l, r,
-                        repr(complex(c).real), repr(complex(c).imag)))
+        c = complex(wc.detail.get((a, l, r), 0j))
+        key = "D %s %d %d" % (format_word(a, n), l, r) if a else "M %d %d" % (r, l)
+        lines.append("%s %s %s" % (key, repr(c.real), repr(c.imag)))
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +177,6 @@ def parse_coefficients(text, matrix):
         raise FileFormatError(
             "coefficients are over N = %d, matrix has N = %d" % (n, matrix.n))
     scaling = {}
-    mother = {}
     detail = {}
     for line in lines[1:]:
         parts = line.split()
@@ -187,7 +187,7 @@ def parse_coefficients(text, matrix):
                 raise FileFormatError("scaling letter %d out of range" % i)
             layer, key = scaling, i
         elif kind == "M" and len(parts) == 5:
-            layer, key = mother, (_int(parts[1], line), _int(parts[2], line))
+            layer, key = detail, ((), _int(parts[2], line), _int(parts[1], line))
         elif kind == "D" and len(parts) == 6:
             layer, key = detail, (parse_word(parts[1], n), _int(parts[2], line),
                                   _int(parts[3], line))
@@ -198,8 +198,7 @@ def parse_coefficients(text, matrix):
         layer[key] = complex(_float(parts[-2], line), _float(parts[-1], line))
     scaling = np.array([scaling.get(i, 0j) for i in range(n)], dtype=np.complex128)
     scaling.setflags(write=False)
-    return (wavelets.WaveletCoefficients(
-        scaling=scaling, mother=mother, detail=detail), level)
+    return wavelets.WaveletCoefficients(scaling=scaling, detail=detail), level
 
 
 # --- graph -------------------------------------------------------------------------

@@ -9,20 +9,24 @@ supplies d_k - 1 coefficient vectors c^{l,k}; each becomes a *mother wavelet*
 
 a mean-zero level-2 function supported in R_k, renormalized here to unit
 L2(mu) norm.  Moving mothers around with the generators, psi = S_a f^{l,r}
-(needs A[a_last, r] = 1), fills in finer and finer detail: the scaling family
-mu(R_i)^{-1/2} chi_{R_i}, the mothers, and the translates with |a| <= K-2
-together form an orthonormal basis of the level-K cylinder functions, with
-dimensions telescoping to |W_K| exactly.  On the full 2x2 shift this is the
-classical Haar basis of [0,1].
+(needs A[a_last, r] = 1), fills in finer and finer detail; a mother is the
+translate with a = ().  The scaling family mu(R_i)^{-1/2} chi_{R_i} and the
+wavelets with |a| <= K-2 together form an orthonormal basis of the level-K
+cylinder functions, with dimensions telescoping to |W_K| exactly.  On the full
+2x2 shift this is the classical Haar basis of [0,1].
+
+One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
+`detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
+coefficient files, which write a = () as an `M` line.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
 therefore a local change of basis on the children of each word, and analyze /
 synthesize run as Mallat's pyramid on the tree of admissible words: analyze
 sums the masses f*mu up the tree one level at a time and pairs each word's
-children with the fixed (d_r - 1) x d_r matrix of mother values; synthesize
-copies values down the tree and adds the same matrix products back.  Each
-costs O(|W_K| * max d_k) time and O(|W_K|) memory.  basis_function and
+children with the fixed (d_r - 1) x d_r matrix F_r of mother values;
+synthesize copies values down the tree and adds the same matrix products back.
+Each costs O(|W_K| * max d_k) time and O(|W_K|) memory.  basis_function and
 wavelet build single basis vectors at full level; the tests use them as the
 quadratic reference.
 """
@@ -90,45 +94,45 @@ def weighted_complement_basis(weights, support):
 @dataclass(frozen=True)
 class MotherWaveletSet:
     """Everything needed to span the detail spaces: per-letter coefficient
-    vectors c^{l,k} and unit-norm level-2 mother functions f^{l,k}.
+    vectors c^{l,k}, unit-norm level-2 mother functions f^{l,k}, and their
+    values on the children of each letter.
 
     `c[k]` is the tuple of vectors for letter k (length d_k - 1, l = 1-based
-    when indexing `funcs[(k, l)]`); `d[k]` is the row sum.
+    when indexing `funcs[(k, l)]`); `d[k]` is the row sum; `fmat[k]` is the
+    (d_k - 1) x d_k matrix F_k with F_k[l-1, j] = f^{l,k} on the word
+    (k, s_j), s_j the j-th successor of k.
     """
 
     pd: spectral.PerronData
     d: tuple
     c: tuple
     funcs: dict
+    fmat: tuple
 
     @property
     def matrix(self):
         return self.pd.matrix
 
-    def mother_keys(self):
-        """(k, l) pairs in canonical order: letters ascending, l ascending."""
-        return [(k, l) for k in range(self.matrix.n)
-                for l in range(1, self.d[k])]
-
 
 def build_mother_wavelets(pd):
     """Run the weighted complement construction for every letter of A."""
     mat = pd.matrix
-    c_all = []
-    funcs = {}
+    idx2 = core.word_index(mat, 2)
+    c_all, funcs, fmat = [], {}, []
     for k in range(mat.n):
-        vecs = weighted_complement_basis(pd.p, mat.successors[k])
+        succ = list(mat.successors[k])
+        cols = [idx2[(k, j)] for j in succ]
+        vecs = weighted_complement_basis(pd.p, succ)
         c_all.append(tuple(vecs))
-        idx2 = core.word_index(mat, 2)
         for l, v in enumerate(vecs, start=1):
-            coeffs = np.zeros(len(core.enumerate_words(mat, 2)),
-                              dtype=np.complex128)
-            for j in mat.successors[k]:
-                coeffs[idx2[(k, j)]] = v[j]
+            coeffs = np.zeros(len(idx2), dtype=np.complex128)
+            coeffs[cols] = v[succ]
             f = CylinderFunction(mat, 2, coeffs)
-            f = f * (1.0 / spectral.norm(f, pd))
-            funcs[(k, l)] = f
-    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=tuple(c_all), funcs=funcs)
+            funcs[(k, l)] = f * (1.0 / spectral.norm(f, pd))
+        fmat.append(np.array([funcs[(k, l)].coeffs[cols] for l in range(1, len(succ))],
+                             dtype=np.complex128).reshape(len(succ) - 1, len(succ)))
+    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=tuple(c_all), funcs=funcs,
+                            fmat=tuple(fmat))
 
 
 def scaling_function(pd, i):
@@ -154,76 +158,51 @@ def wavelet(a, l, r, mw):
 
 
 def detail_keys(mw, K):
-    """(a, l, r) triples for levels |a| = 1 .. K-2, canonical order.
+    """(a, l, r) triples of the wavelets S_a f^{l,r} with |a| = 0 .. K-2.
 
     Order: |a| ascending, then a lexicographic, then r ascending over the
-    digits following a_last, then l ascending.
+    digits following a_last (any letter when a = ()), then l ascending.  The
+    mothers a = () come first; this is the pyramid's flat order.
     """
     mat = mw.matrix
-    return [(a, l, r) for j in range(1, K - 1) for a in core.enumerate_words(mat, j)
-            for r in mat.successors[a[-1]] for l in range(1, mw.d[r])]
+    return [(a, l, r) for j in range(K - 1) for a in core.enumerate_words(mat, j)
+            for r in (mat.successors[a[-1]] if a else range(mat.n))
+            for l in range(1, mw.d[r])]
 
 
 def basis_labels(mw, K):
     """Canonical labels of the orthonormal basis of level-K functions.
 
-    ("S", i) scaling, ("M", k, l) mothers, ("D", a, l, r) details.
+    ("S", i) scaling, ("D", a, l, r) the wavelet S_a f^{l,r}.
     """
-    labels = [("S", i) for i in range(mw.matrix.n)]
-    if K >= 2:
-        labels += [("M", k, l) for (k, l) in mw.mother_keys()]
-    labels += [("D", a, l, r) for (a, l, r) in detail_keys(mw, K)]
-    return labels
+    return ([("S", i) for i in range(mw.matrix.n)]
+            + [("D", a, l, r) for (a, l, r) in detail_keys(mw, K)])
 
 
 def basis_function(mw, label):
-    kind = label[0]
-    if kind == "S":
+    if label[0] == "S":
         return scaling_function(mw.pd, label[1])
-    if kind == "M":
-        k, l = label[1], label[2]
-        if (k, l) not in mw.funcs:
-            raise IndexOutOfRange("no mother wavelet %r" % (label,))
-        return mw.funcs[(k, l)]
-    if kind == "D":
-        a, l, r = label[1], label[2], label[3]
-        return wavelet(a, l, r, mw)
+    if label[0] == "D":
+        return wavelet(label[1], label[2], label[3], mw)
     raise IndexOutOfRange("unknown basis label %r" % (label,))
 
 
 @dataclass(frozen=True)
 class WaveletCoefficients:
-    """Transform output: scaling layer, mother layer, detail layers.
-
-    scaling[i] pairs with mu(R_i)^{-1/2} chi_{R_i}; mother[(k, l)] with
-    f^{l,k}; detail[(a, l, r)] with S_a f^{l,r}.
-    """
+    """Transform output: scaling[i] pairs with mu(R_i)^{-1/2} chi_{R_i},
+    detail[(a, l, r)] with S_a f^{l,r} (the mother f^{l,r} when a = ())."""
 
     scaling: np.ndarray
-    mother: dict
     detail: dict
 
     def energy(self):
-        """Sum of |coefficient|^2 over every layer (Parseval mass)."""
+        """Sum of |coefficient|^2 over both layers (Parseval mass)."""
         e = float(np.sum(np.abs(self.scaling) ** 2))
-        e += sum(abs(v) ** 2 for v in self.mother.values())
         e += sum(abs(v) ** 2 for v in self.detail.values())
         return e
 
 
-def _mother_matrices(mw):
-    """F[r]: the (d_r - 1) x d_r values of f^{l,r} on the words (r, s), s following r."""
-    mat = mw.matrix
-    idx2 = core.word_index(mat, 2)
-    out = []
-    for r in range(mat.n):
-        cols = [idx2[(r, s)] for s in mat.successors[r]]
-        rows = [mw.funcs[(r, l)].coeffs[cols] for l in range(1, mw.d[r])]
-        out.append(np.array(rows, dtype=np.complex128).reshape(mw.d[r] - 1, mw.d[r]))
-    return out
-
-
-def _level_blocks(mw, m, fmat):
+def _level_blocks(mw, m):
     """Layout of the level-m step of the pyramid.
 
     The children v.s of a level-m word v are contiguous in W_{m+1}, d_{last(v)}
@@ -237,22 +216,11 @@ def _level_blocks(mw, m, fmat):
     starts = np.cumsum(sizes) - sizes
     offsets = np.cumsum(sizes - 1) - (sizes - 1)
     blocks = []
-    for r, f_r in enumerate(fmat):
+    for r, f_r in enumerate(mw.fmat):
         rows = np.flatnonzero(last == r)
         blocks.append((f_r, starts[rows, None] + np.arange(mw.d[r]),
                        offsets[rows, None] + np.arange(mw.d[r] - 1)))
     return sizes, starts, int(np.sum(sizes - 1)), blocks
-
-
-def _flat_layer(items, keys, what, K):
-    """The (key, alpha) items as one array in the order of `keys`, which they must come from."""
-    slot = {key: i for i, key in enumerate(keys)}
-    out = np.zeros(len(keys), dtype=np.complex128)
-    for key, alpha in items:
-        if key not in slot:
-            raise IndexOutOfRange("%s key %r invalid at level %d" % (what, key, K))
-        out[slot[key]] = alpha
-    return out
 
 
 def analyze(f, mw):
@@ -267,11 +235,10 @@ def analyze(f, mw):
         raise MatrixMismatch("signal and wavelets use different matrices")
     K = max(f.level, 1)
     pd = mw.pd
-    fmat = _mother_matrices(mw)
     mass = core.refine(f, K).coeffs * spectral.measure_array(pd, K)
     layers = []
     for m in range(K - 1, 0, -1):
-        _, starts, ncoef, blocks = _level_blocks(mw, m, fmat)
+        _, starts, ncoef, blocks = _level_blocks(mw, m)
         out = np.zeros(ncoef, dtype=np.complex128)
         for f_r, kids, slots in blocks:
             out[slots] = mass[kids] @ np.conj(f_r).T
@@ -280,18 +247,15 @@ def analyze(f, mw):
     scaling = mass / np.sqrt(pd.p)
     scaling.setflags(write=False)
     flat = np.concatenate(layers[::-1]).tolist() if layers else []
-    mother_keys = mw.mother_keys() if K >= 2 else []
-    mother = dict(zip(mother_keys, flat))
-    detail = dict(zip(detail_keys(mw, K), flat[len(mother_keys):]))
-    return WaveletCoefficients(scaling=scaling, mother=mother, detail=detail)
+    return WaveletCoefficients(scaling=scaling, detail=dict(zip(detail_keys(mw, K), flat)))
 
 
 def synthesize(coeffs, mw, K):
     """Rebuild the level-K function with the given wavelet coefficients.
 
     Every coefficient key must denote a basis element of the level-K system:
-    detail words no longer than K-2, letters/indices in range.  The pyramid
-    runs top down: each level's values are copied onto the children and the
+    words a no longer than K-2, letters/indices in range.  The pyramid runs
+    top down: each level's values are copied onto the children and the
     wavelets anchored at that level add alpha @ F_r on each child block.
     """
     mat, pd = mw.matrix, mw.pd
@@ -300,14 +264,15 @@ def synthesize(coeffs, mw, K):
     if len(coeffs.scaling) != mat.n:
         raise IndexOutOfRange(
             "scaling layer has %d entries, need %d" % (len(coeffs.scaling), mat.n))
-    rest = np.concatenate([
-        _flat_layer(coeffs.mother.items(),
-                    mw.mother_keys() if K >= 2 else [], "mother", K),
-        _flat_layer(coeffs.detail.items(), detail_keys(mw, K), "detail", K)])
-    fmat = _mother_matrices(mw)
+    slot = {key: i for i, key in enumerate(detail_keys(mw, K))}
+    rest = np.zeros(len(slot), dtype=np.complex128)
+    for key, alpha in coeffs.detail.items():
+        if key not in slot:
+            raise IndexOutOfRange("detail key %r invalid at level %d" % (key, K))
+        rest[slot[key]] = alpha
     h = np.asarray(coeffs.scaling, dtype=np.complex128) / np.sqrt(pd.p)
     for m in range(1, K):
-        sizes, _, ncoef, blocks = _level_blocks(mw, m, fmat)
+        sizes, _, ncoef, blocks = _level_blocks(mw, m)
         layer, rest = np.split(rest, [ncoef])
         layer = pd.radius ** ((m - 1) / 2.0) * layer
         h = np.repeat(h, sizes)

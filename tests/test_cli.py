@@ -114,6 +114,20 @@ def test_wavelet_pipeline(tmp_path, capsys):
     assert float(d["max_error"]) < 1e-9
 
 
+def test_level_one_wavelet_pipeline(tmp_path, capsys):
+    # a level-1 system has no wavelets, so the file holds no M lines
+    signal = tmp_path / "s1.txt"
+    signal.write_text("3 1\n0 1.0 0.0\n1 -2.0 0.5\n2 0.25 0.0\n")
+    coeffs = tmp_path / "c1.txt"
+    assert run(["wavelets", "analyze", "--matrix", TRI3, "--signal", str(signal),
+                "--out", str(coeffs)]) == 0
+    assert [ln.split()[0] for ln in coeffs.read_text().splitlines()[1:]] == ["S"] * 3
+    capsys.readouterr()
+    assert run(["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(coeffs),
+                "--compare", str(signal), "--out", str(tmp_path / "r1.txt")]) == 0
+    assert float(keys(capsys.readouterr().out)["max_error"]) <= 1e-12
+
+
 def test_ruelle_roundtrip(tmp_path, capsys):
     pot = tmp_path / "w.txt"
     assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "3",
@@ -228,6 +242,18 @@ def test_ck_and_trig_are_capped(tmp_path, capsys):
     assert run(word1 + ["17"]) == 0
     assert run(word1 + ["16", "--adjoint"]) == 0
     capsys.readouterr()
+
+
+def test_signal_header_alone_builds_no_tables(tmp_path, capsys):
+    tables = [core._enumerate_words_cached, core.word_index]
+    for table in tables:
+        table.cache_clear()
+    for k in (14, 40):   # level 14 first: a missing guard fails before level 40
+        header_only = tmp_path / ("signal%d.txt" % k)
+        header_only.write_text("3 %d\n" % k)
+        assert run(["op", "pf", "--matrix", TRI3, "--signal", str(header_only)]) == 65
+        assert [t.cache_info().currsize for t in tables] == [0, 0]
+    assert capsys.readouterr().err.count("lists 0 of the") == 2
 
 
 def test_negative_levels_exit_65(capsys):

@@ -66,6 +66,17 @@ def test_signal_requires_every_word(tri3):
         fileio.parse_signal("\n".join(body + [body[-1]]), tri3)  # duplicated
 
 
+def test_signal_line_count_is_checked_before_tables(tri3):
+    # |W_14| = 275,807 and |W_40| is about 10^15: a header alone builds nothing
+    tables = [core._enumerate_words_cached, core.word_index]
+    for table in tables:
+        table.cache_clear()
+    for k in (14, 40):   # level 14 first: a missing guard fails before level 40
+        with pytest.raises(FileFormatError, match="lists 0 of the"):
+            fileio.parse_signal("3 %d\n" % k, tri3)
+        assert [t.cache_info().currsize for t in tables] == [0, 0]
+
+
 def test_signal_checks_alphabet(tri3, full2):
     f = core.CylinderFunction.indicator(full2, (0,))
     with pytest.raises(FileFormatError):
@@ -79,11 +90,14 @@ def test_coefficients_round_trip(tri3_pd):
                               rng.normal(size=17).astype(np.complex128))
     wc = wavelets.analyze(f, mw)
     text = fileio.format_coefficients(wc, mw, 3)
+    # the a = () keys are the M lines, one per mother, right after the S lines
+    kinds = [ln.split()[0] for ln in text.splitlines()[1:]]
+    assert kinds == ["S"] * 3 + ["M"] * 4 + ["D"] * 10
     wc2, level = fileio.parse_coefficients(text, tri3_pd.matrix)
     assert level == 3
     assert np.array_equal(wc2.scaling, wc.scaling)
-    assert wc2.mother == wc.mother
     assert wc2.detail == wc.detail
+    assert list(wc2.detail) == wavelets.detail_keys(mw, 3)
     g = wavelets.synthesize(wc2, mw, 3)
     assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-10
 
@@ -96,6 +110,19 @@ def test_coefficients_reject_repeated_keys(tri3_pd):
         line = next(ln for ln in lines if ln.startswith(kind + " "))
         with pytest.raises(FileFormatError):
             fileio.parse_coefficients("\n".join(lines + [line]), tri3_pd.matrix)
+    # "D - l r" names the same wavelet as the mother line "M r l"
+    with pytest.raises(FileFormatError):
+        fileio.parse_coefficients("\n".join(lines + ["D - 1 0 0.0 0.0"]), tri3_pd.matrix)
+
+
+def test_level_one_coefficients_round_trip(tri3_pd):
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    f = core.CylinderFunction(tri3_pd.matrix, 1, np.array([1.0, -2.0 + 0.5j, 0.25]))
+    text = fileio.format_coefficients(wavelets.analyze(f, mw), mw, 1)
+    assert [ln.split()[0] for ln in text.splitlines()[1:]] == ["S"] * 3
+    wc, level = fileio.parse_coefficients(text, tri3_pd.matrix)
+    g = wavelets.synthesize(wc, mw, level)
+    assert float(np.max(np.abs(g.coeffs - f.coeffs))) <= 1e-12
 
 
 def test_graph_round_trip():

@@ -63,7 +63,10 @@ def test_mother_counts(full2_pd, tri3_pd, schottky4_pd):
         mw = wavelets.build_mother_wavelets(pd)
         assert mw.d == d
         assert [len(c) for c in mw.c] == [x - 1 for x in d]
-        assert len(mw.mother_keys()) == sum(d) - pd.matrix.n
+        assert [f_r.shape for f_r in mw.fmat] == [(x - 1, x) for x in d]
+        mothers = wavelets.detail_keys(mw, 2)
+        assert len(mothers) == sum(d) - pd.matrix.n
+        assert all(a == () for (a, l, r) in mothers)
 
 
 def test_full_shift_mothers_are_haar(full2_pd):
@@ -132,7 +135,7 @@ def test_analyze_constant_hits_scaling_layer_only(tri3_pd):
     wc = wavelets.analyze(one, mw)
     # <mu(R_i)^{-1/2} chi_{R_i}, 1> = sqrt(p_i)
     np.testing.assert_allclose(wc.scaling.real, np.sqrt(pd.p), atol=1e-12)
-    for v in list(wc.mother.values()) + list(wc.detail.values()):
+    for v in wc.detail.values():
         assert abs(v) <= 1e-12
 
 
@@ -155,17 +158,15 @@ def test_round_trip_and_parseval(tri3_pd):
 def test_synthesize_rejects_stray_keys(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
     zero = np.zeros(3, dtype=np.complex128)
-    wc = wavelets.WaveletCoefficients(
-        scaling=zero, mother={}, detail={((0,), 1, 1): 1.0})
-    with pytest.raises(IndexOutOfRange):
-        wavelets.synthesize(wc, mw, 2)  # details need K >= 3
-    for mother, detail in (({(0, 1): 1.0}, {}),        # mothers need K >= 2
-                           ({}, {((0,), 1, 2): 1.0}),   # A[0,2] = 0
-                           ({}, {((1,), 2, 0): 1.0})):  # d_0 = 2: l = 1 only
-        wc = wavelets.WaveletCoefficients(scaling=zero, mother=mother, detail=detail)
+    for key, K in ((((0,), 1, 1), 2),   # |a| = 1 needs K >= 3
+                   (((), 1, 0), 1),     # mothers need K >= 2
+                   (((0,), 1, 2), 4),   # A[0,2] = 0
+                   (((1,), 2, 0), 4),   # d_0 = 2: l = 1 only
+                   (((), 1, 3), 4)):    # no letter 3
+        wc = wavelets.WaveletCoefficients(scaling=zero, detail={key: 1.0})
         with pytest.raises(IndexOutOfRange):
-            wavelets.synthesize(wc, mw, 1 if mother else 4)
-    short = wavelets.WaveletCoefficients(scaling=zero[:2], mother={}, detail={})
+            wavelets.synthesize(wc, mw, K)
+    short = wavelets.WaveletCoefficients(scaling=zero[:2], detail={})
     with pytest.raises(IndexOutOfRange):
         wavelets.synthesize(short, mw, 3)
 
@@ -173,7 +174,7 @@ def test_synthesize_rejects_stray_keys(tri3_pd):
 def test_synthesize_rejects_low_level(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
     wc = wavelets.WaveletCoefficients(
-        scaling=np.zeros(3, dtype=np.complex128), mother={}, detail={})
+        scaling=np.zeros(3, dtype=np.complex128), detail={})
     for K in (0, -1):
         with pytest.raises(LevelTooLow):
             wavelets.synthesize(wc, mw, K)
@@ -183,16 +184,18 @@ def test_level_zero_signal_analyzes_at_level_one(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
     wc = wavelets.analyze(core.CylinderFunction.constant(tri3_pd.matrix, 2.0), mw)
     np.testing.assert_allclose(wc.scaling, 2.0 * np.sqrt(tri3_pd.p), atol=1e-14)
-    assert wc.mother == {} and wc.detail == {}
+    assert wc.detail == {}
     assert wavelets.synthesize(wc, mw, 1).level == 1
+    # a level-1 system is the scaling family alone: no mothers, no keys
+    assert wavelets.detail_keys(mw, 1) == []
+    f = core.CylinderFunction(tri3_pd.matrix, 1, np.array([1.0, -2.0 + 0.5j, 0.25]))
+    back = wavelets.synthesize(wavelets.analyze(f, mw), mw, 1)
+    assert float(np.max(np.abs(back.coeffs - f.coeffs))) <= 1e-12
 
 
 def flat_coefficients(wc, mw, K):
     """analyze() output in basis_labels order."""
-    out = list(wc.scaling)
-    if K >= 2:
-        out += [wc.mother[key] for key in mw.mother_keys()]
-    out += [wc.detail[key] for key in wavelets.detail_keys(mw, K)]
+    out = list(wc.scaling) + [wc.detail[key] for key in wavelets.detail_keys(mw, K)]
     return np.array(out, dtype=np.complex128)
 
 
@@ -230,7 +233,7 @@ def test_round_trip_and_parseval_at_large_level(tri3_pd):
     f = core.CylinderFunction(
         pd.matrix, K, rng.normal(size=nw) + 1j * rng.normal(size=nw))
     wc = wavelets.analyze(f, mw)
-    assert len(wc.detail) + len(wc.mother) + pd.matrix.n == nw
+    assert len(wc.detail) + pd.matrix.n == nw
     g = wavelets.synthesize(wc, mw, K)
     assert float(np.max(np.abs(g.coeffs - f.coeffs))) <= 1e-10
     assert wc.energy() == pytest.approx(
@@ -243,8 +246,14 @@ def test_detail_keys_order(tri3_pd):
     # |a| ascending first, then a lexicographic
     lens = [len(a) for (a, l, r) in keys]
     assert lens == sorted(lens)
+    # the mothers come first, letters ascending, then l ascending
+    assert keys[:4] == [((), 1, 0), ((), 1, 1), ((), 2, 1), ((), 1, 2)]
+    assert lens.count(0) == 4
+    # a coarser system's keys are a prefix of a finer one's
+    coarse = wavelets.detail_keys(mw, 3)
+    assert keys[:len(coarse)] == coarse
     level1 = [k for k in keys if len(k[0]) == 1]
     assert level1[0] == ((0,), 1, 0)
     assert ((0,), 1, 1) in level1 and ((0,), 2, 1) in level1
     # no (a, l, 2) with a ending in 0: A[0,2] = 0
-    assert all(not (a[-1] == 0 and r == 2) for (a, l, r) in keys)
+    assert all(not (a and a[-1] == 0 and r == 2) for (a, l, r) in keys)

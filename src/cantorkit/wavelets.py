@@ -17,7 +17,9 @@ cylinder functions, with dimensions telescoping to |W_K| exactly.  On the full
 
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
-coefficient files, which write a = () as an `M` line.
+coefficient files, which write a = () as an `M` line.  The keys of every
+level come from one cached table per matrix, which analyze, synthesize and
+the coefficient files read.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -33,6 +35,7 @@ quadratic reference.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,17 +160,51 @@ def wavelet(a, l, r, mw):
     return operators.apply_S_word(a, mw.funcs[(r, l)], mw.pd)
 
 
+class _KeyTable:
+    """The detail keys of one matrix, up to the finest level asked for so far.
+
+    The keys of level K are a prefix of the keys of level K + 1, so one list
+    and one key -> slot map serve every level; asking for a finer level
+    extends the list and drops the map until it is used again.
+    """
+
+    def __init__(self, matrix):
+        self.matrix, self.keys = matrix, []
+        self.ends = [0, 0]   # ends[K] = number of level-K keys
+
+    def at(self, K):
+        """The level-K keys, growing the table to level K first."""
+        mat = self.matrix
+        if K >= len(self.ends):
+            for j in range(len(self.ends) - 2, K - 1):   # the keys with |a| = j
+                self.keys += [(a, l, r) for a in core.enumerate_words(mat, j)
+                              for r in (mat.successors[a[-1]] if a else range(mat.n))
+                              for l in range(1, mat.row_sums[r])]
+                self.ends.append(len(self.keys))
+            self.__dict__.pop("slot", None)
+        return self.keys[:self.ends[max(K, 0)]]
+
+    @cached_property
+    def slot(self):
+        """key -> position in `keys`, built on first use: analyze's layout is
+        read without it."""
+        return dict(zip(self.keys, range(len(self.keys))))
+
+
+@lru_cache(maxsize=16)
+def _key_table(matrix):
+    return _KeyTable(matrix)
+
+
 def detail_keys(mw, K):
     """(a, l, r) triples of the wavelets S_a f^{l,r} with |a| = 0 .. K-2.
 
     Order: |a| ascending, then a lexicographic, then r ascending over the
     digits following a_last (any letter when a = ()), then l ascending.  The
-    mothers a = () come first; this is the pyramid's flat order.
+    mothers a = () come first; this is the pyramid's flat order.  Read from
+    one table per matrix that serves every level.
     """
-    mat = mw.matrix
-    return [(a, l, r) for j in range(K - 1) for a in core.enumerate_words(mat, j)
-            for r in (mat.successors[a[-1]] if a else range(mat.n))
-            for l in range(1, mw.d[r])]
+    return _key_table(mw.matrix).at(K)
 
 
 def basis_labels(mw, K):
@@ -250,6 +287,32 @@ def analyze(f, mw):
     return WaveletCoefficients(scaling=scaling, detail=dict(zip(detail_keys(mw, K), flat)))
 
 
+def _flat_layers(coeffs, mw, K):
+    """The scaling layer and the level-K detail layer of coeffs, as arrays.
+
+    The detail array is in detail_keys order, zero where coeffs has no key.
+    Raises IndexOutOfRange for a scaling layer of the wrong length or a key
+    that is not a level-K wavelet.
+    """
+    n = mw.matrix.n
+    if len(coeffs.scaling) != n:
+        raise IndexOutOfRange(
+            "scaling layer has %d entries, need %d" % (len(coeffs.scaling), n))
+    table = _key_table(mw.matrix)
+    keys = table.at(K)
+    count = len(keys)
+    if list(coeffs.detail) == keys:   # the layout analyze writes
+        flat = np.array(list(coeffs.detail.values()), dtype=np.complex128)
+    else:
+        flat = np.zeros(count, dtype=np.complex128)
+        for key, alpha in coeffs.detail.items():
+            slot = table.slot.get(key, count)
+            if slot >= count:
+                raise IndexOutOfRange("detail key %r invalid at level %d" % (key, K))
+            flat[slot] = alpha
+    return np.asarray(coeffs.scaling, dtype=np.complex128), flat
+
+
 def synthesize(coeffs, mw, K):
     """Rebuild the level-K function with the given wavelet coefficients.
 
@@ -261,16 +324,8 @@ def synthesize(coeffs, mw, K):
     mat, pd = mw.matrix, mw.pd
     if K < 1:
         raise LevelTooLow("synthesis needs level K >= 1, got %d" % K)
-    if len(coeffs.scaling) != mat.n:
-        raise IndexOutOfRange(
-            "scaling layer has %d entries, need %d" % (len(coeffs.scaling), mat.n))
-    slot = {key: i for i, key in enumerate(detail_keys(mw, K))}
-    rest = np.zeros(len(slot), dtype=np.complex128)
-    for key, alpha in coeffs.detail.items():
-        if key not in slot:
-            raise IndexOutOfRange("detail key %r invalid at level %d" % (key, K))
-        rest[slot[key]] = alpha
-    h = np.asarray(coeffs.scaling, dtype=np.complex128) / np.sqrt(pd.p)
+    scaling, rest = _flat_layers(coeffs, mw, K)
+    h = scaling / np.sqrt(pd.p)
     for m in range(1, K):
         sizes, _, ncoef, blocks = _level_blocks(mw, m)
         layer, rest = np.split(rest, [ncoef])

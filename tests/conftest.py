@@ -40,6 +40,12 @@ def strict5():
 
 
 @pytest.fixture(scope="session")
+def strict12():
+    """More than ten letters, so words are written with dots."""
+    return seeded_strict_matrix(12, 2026)
+
+
+@pytest.fixture(scope="session")
 def full2_pd(full2):
     return spectral.perron_data(full2)
 

@@ -256,6 +256,20 @@ def test_signal_header_alone_builds_no_tables(tmp_path, capsys):
     assert capsys.readouterr().err.count("lists 0 of the") == 2
 
 
+def test_non_finite_input_exits_65(tmp_path, capsys):
+    signal = tmp_path / "nan.txt"
+    signal.write_text(open(SIGNAL3).read().replace("2.0 0.0", "nan 0.0", 1))
+    assert run(["op", "pf", "--matrix", TRI3, "--signal", str(signal)]) == 65
+    coeffs = tmp_path / "c.txt"
+    coeffs.write_text("3 2\nS 0 1e400 0.0\n")
+    assert run(["wavelets", "synthesize", "--matrix", TRI3,
+                "--coeffs", str(coeffs)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite number 'nan' in 00 nan 0.0" in captured.err
+    assert "non-finite number '1e400' in S 0 1e400 0.0" in captured.err
+
+
 def test_negative_levels_exit_65(capsys):
     assert run(["words", "--matrix", TRI3, "--level", "-1"]) == 65
     assert run(["fourier", "--matrix", FULL2, "--signal", SIGNAL2,

@@ -171,6 +171,21 @@ def test_synthesize_rejects_stray_keys(tri3_pd):
         wavelets.synthesize(short, mw, 3)
 
 
+def test_synthesize_reads_keys_in_any_order_at_any_level(tri3_pd):
+    # the key table grows from level 3 to 5 after its slot map was used
+    wavelets._key_table.cache_clear()
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    rng = np.random.default_rng(12)
+    for K in (3, 5):
+        n = core.word_count(tri3_pd.matrix, K)
+        f = core.CylinderFunction(tri3_pd.matrix, K, rng.normal(size=n))
+        wc = wavelets.analyze(f, mw)
+        flipped = wavelets.WaveletCoefficients(
+            scaling=wc.scaling, detail=dict(reversed(list(wc.detail.items()))))
+        assert (wavelets.synthesize(flipped, mw, K).coeffs.tobytes()
+                == wavelets.synthesize(wc, mw, K).coeffs.tobytes())
+
+
 def test_synthesize_rejects_low_level(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
     wc = wavelets.WaveletCoefficients(

@@ -53,6 +53,7 @@ from .operators import (
     borel_set,
     ck_relations_residual,
     fourier_approx,
+    fourier_sweep,
     fourier_tail_bound,
     kms_letter_ratio,
     kms_state,
@@ -69,6 +70,7 @@ from .ruelle import (
     ruelle_apply,
     trig_potential,
     walk_layer_mass,
+    walk_layers,
     walk_measure,
 )
 from .sierpinski import (

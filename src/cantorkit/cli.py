@@ -14,6 +14,7 @@ Exit codes: 0 success, 64 usage, 65 bad data, 66 cap exceeded,
 """
 
 import argparse
+import math
 import sys
 from collections import namedtuple
 
@@ -95,15 +96,21 @@ def _header_level(path):
     return k if k >= 0 else None
 
 
-def _count(text):
-    """argparse type of a count: an int that is not negative."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("%d is negative" % n)
-    return n
+def _number(kind, ok, why):
+    """argparse type of a `kind` number x for which ok(x) holds."""
+    def parse(text):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid %s value: %r" % (kind.__name__, text))
+        if not ok(x):
+            raise argparse.ArgumentTypeError("%s %s" % (x, why))
+        return x
+    return parse
+
+
+_count = _number(int, lambda n: n >= 0, "is negative")
+_real = _number(float, math.isfinite, "is not finite")
 
 
 # --- command handlers: (args, matrix or graph, Perron data or None) -----------
@@ -173,8 +180,8 @@ def cmd_op_ck(args, matrix, pd):
 
 def cmd_fourier(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
-    for t in np.linspace(args.tmin, args.tmax, args.tcount):
-        v = operators.fourier_approx(f, float(t), args.level, pd)
+    ts = np.linspace(args.tmin, args.tmax, args.tcount).tolist()
+    for t, v in zip(ts, operators.fourier_sweep(f, ts, args.level, pd)):
         print("%s, %s, %s" % (_fmt(t), _fmt(v.real), _fmt(v.imag)))
 
 
@@ -253,11 +260,11 @@ def cmd_walk(args, matrix, pd):
         potential = ruelle.constant_potential(args.constant)
     else:
         potential = ruelle.trig_potential(pd, 1)[1]
+    layer = ruelle.walk_layers(x, potential, matrix, args.depth, cap=args.cap)[-1]
     total = 0.0
-    for a in core.enumerate_words(matrix.transpose, args.depth, cap=args.cap):
-        v = ruelle.walk_measure(x, potential, a, matrix)
+    for word, v in zip(fileio.word_column(matrix.transpose, args.depth), layer.tolist()):
         total += v
-        print("%s %s" % (fileio.format_word(a, matrix.n), _fmt(v)))
+        print("%s %s" % (word, _fmt(v)))
     print("# layer_mass = %s" % _fmt(total))
 
 
@@ -357,7 +364,7 @@ VERBS = (
     Verb(("op", "ck"), "Cuntz-Krieger relation residual", cmd_op_ck, (_req("--level", int),),
          cap=True, level=lambda a, m: max(a.level, 1) + 1),
     Verb(("fourier",), "transform of the spectral measure, CSV", cmd_fourier,
-         (_SIGNAL, _req("--level", int), _req("--tmin", float), _req("--tmax", float),
+         (_SIGNAL, _req("--level", int), _req("--tmin", _real), _req("--tmax", _real),
           _req("--tcount", _count)), cap=True, level=lambda a, m: max(a.level, 0)),
     Verb(("kms",), "the canonical state on monomials", cmd_kms,
          (_opt("--a"), _opt("--b"),
@@ -378,11 +385,12 @@ VERBS = (
          (_req("--potential"),)),
     Verb(("ruelle", "trig"), "the trigonometric Keane potential", cmd_ruelle_trig,
          (_req("--level", int, help="cylinder sampling level"), _OUT),
-         cap=True, level=lambda a, m: a.level),
+         # with --out, the pointwise Keane residual samples W at level K + 1
+         cap=True, level=lambda a, m: a.level + 1 if a.out else a.level),
     Verb(("ruelle", "walk"), "walk-measure probabilities per cylinder", cmd_walk,
          (_req("--x", help="digits of the starting point"),
           _req("--depth", int, help="walk depth k"),
-          _opt("--constant", float,
+          _opt("--constant", _real,
                "use a constant potential instead of the trigonometric one")),
          cap=True, alias=("walk", "alias of `ruelle walk`")),
     Verb(("sierpinski", "info"), "D and both dimension exponents", cmd_sierpinski_info, (),
@@ -420,8 +428,8 @@ def _add_verb(sub, name, text, verb):
         p.add_argument("--lax", action="store_true",
                        help="accept non-strict matrices (no unit diagonal)")
     if verb.spectral:
-        p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
-                       help="eigen-residual tolerance")
+        p.add_argument("--tol", type=_real, default=spectral.DEFAULT_TOL,
+                       help="eigen-residual tolerance, > 0")
         p.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER,
                        help="power iteration cap")
     if verb.cap:

@@ -14,13 +14,13 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 All objects here are immutable; per-matrix combinatorial tables (word lists,
 index maps) are memoised on the matrix value.
 
-The index arrays (first and last digits, shift, prefix and prepend positions,
-N-adic values) are built level by level from the arrays of the level below,
-with numpy gathers over the lexicographic block structure of W_k: the words
-starting with digit i are the words of W_{k-1} starting with a successor of i,
-in order.  Building the level-k tables costs O(|W_k|) time and memory and
-never touches the word tuples of `enumerate_words`, which stay the public
-tuple API.
+The index arrays (first and last digits, shift, prefix, suffix and prepend
+positions, N-adic values) are built level by level from the arrays of the
+level below, with numpy gathers over the lexicographic block structure of
+W_k: the words starting with digit i are the words of W_{k-1} starting with a
+successor of i, in order.  Building the level-k tables costs O(|W_k|) time
+and memory and never touches the word tuples of `enumerate_words`, which stay
+the public tuple API.
 """
 
 from dataclasses import dataclass
@@ -319,6 +319,18 @@ def shift_index_array(matrix, k):
     return _frozen(np.concatenate([
         np.arange(starts[j], starts[j + 1], dtype=np.intp)
         for i in range(matrix.n) for j in matrix.successors[i]]))
+
+
+@lru_cache(maxsize=None)
+def suffix_index_array(matrix, k, k0):
+    """For each level-k word w, the position of its level-k0 suffix sigma^(k-k0) w in W_k0."""
+    check_level(k0)
+    if k0 > k:
+        raise LevelOutOfRange("level %d has no level-%d suffixes" % (k, k0))
+    idx = np.arange(word_count(matrix, k0), dtype=np.intp)
+    for j in range(k0 + 1, k + 1):   # the level-j suffixes, one gather of |W_j| each
+        idx = idx[shift_index_array(matrix, j)]
+    return _frozen(idx)
 
 
 @lru_cache(maxsize=None)

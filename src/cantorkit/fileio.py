@@ -15,8 +15,9 @@ coefficients:  line 1: "N K"; then "S i re im" (scaling) and one line per
                or a key of another level raises IndexOutOfRange.
 graph:         line 1: "V E"; then E lines "source range" (0-based).
 word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
-               ("11.3.0") when N > 10 (pair alphabets can exceed 10 letters);
-               parsing accepts either form.
+               ("11.3.0") when N > 10 (pair alphabets can exceed 10 letters),
+               where a token without a dot is one letter ("10").  Dotted
+               words parse for any N.
 PGM:           P2 with header "P2\\nW H\\n255", one raster row per line.
 
 Signal and coefficient files are written from arrays: the word and key
@@ -83,6 +84,8 @@ def parse_word(s, n):
         return ()
     if "." in s:
         digits = tuple(_int(t, "word %r" % s) for t in s.split("."))
+    elif n > 10:  # format_word writes a lone letter without a dot
+        digits = (_int(s, "word %r" % s),)
     else:
         digits = tuple(_int(ch, "word %r" % s) for ch in s)
     for d in digits:
@@ -139,7 +142,7 @@ def _word_columns(matrix, k):
             words = [w + e for w, t in zip(words, last) for e in ext[t]]
 
 
-def _word_column(matrix, k):
+def word_column(matrix, k):
     """format_word of every level-k word, lexicographic."""
     column = ["-"]
     for column, _ in _word_columns(matrix, k):
@@ -177,7 +180,7 @@ def _parse_column(lines, column):
 
 def format_signal(f):
     return _value_lines("%d %d" % (f.matrix.n, f.level),
-                        _word_column(f.matrix, f.level), f.coeffs)
+                        word_column(f.matrix, f.level), f.coeffs)
 
 
 def parse_signal(text, matrix):
@@ -197,7 +200,7 @@ def parse_signal(text, matrix):
                               % (len(lines) - 1, nwords, k))
     coeffs = None
     if len(lines) - 1 == nwords:
-        coeffs = _parse_column(lines[1:], _word_column(matrix, k))
+        coeffs = _parse_column(lines[1:], word_column(matrix, k))
     if coeffs is None:
         coeffs = _parse_signal_lines(lines[1:], matrix, k)
     return CylinderFunction(matrix, k, coeffs)

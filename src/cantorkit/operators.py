@@ -23,7 +23,8 @@ Cuntz-Krieger residual are gathers over the core index arrays, so their cost
 is O(|W_k|) in the number of level-k words; the transfer operator is the
 preimage sum core.preimage_sum scaled by 1/r.  The residual pushes each basis
 vector through the generators as one (row, value) pair instead of a dense
-identity matrix.
+identity matrix.  A Fourier phase is the product of two exp tables of about
+sqrt(|W_k|) entries, on the two halves of a word.
 """
 
 import math
@@ -259,8 +260,27 @@ def _cylinder_masses(f, k, pd):
     """mu_f of every level-k cylinder: |f|^2 mu binned by level-k prefix."""
     m = max(k, f.level)
     weights = np.abs(core.refine(f, m).coeffs) ** 2 * spectral.measure_array(pd, m)
+    if m == k:  # each cylinder is its own bin
+        return weights
     return np.bincount(core.prefix_index_array(pd.matrix, m, k), weights=weights,
                        minlength=core.word_count(pd.matrix, k))
+
+
+def fourier_sweep(f, ts, k, pd):
+    """fourier_approx(f, t, k, pd) for every t in ts, binning the masses once.
+
+    x(a) = x(p) + N^-|p| x(s) for a = p.s with |s| = k // 2, so e^{i t x(a)}
+    is P[p] Q[s], with one exp per word of W_|p| and of W_|s|.
+    """
+    _check(f, pd)
+    core.check_level(k)
+    mat, k0 = pd.matrix, k - k // 2
+    masses = _cylinder_masses(f, k, pd)
+    xp, prefix = core.value_array(mat, k0), core.prefix_index_array(mat, k, k0)
+    xs, suffix = core.value_array(mat, k // 2), core.suffix_index_array(mat, k, k // 2)
+    def phases(t):  # e^{i t x(a)} for every level-k word a
+        return np.exp(1j * t * xp)[prefix] * np.exp(1j * (t * float(mat.n) ** -k0) * xs)[suffix]
+    return [complex(np.sum(phases(t) * masses)) for t in ts]
 
 
 def fourier_approx(f, t, k, pd):
@@ -268,11 +288,10 @@ def fourier_approx(f, t, k, pd):
 
     ||S_a* f||^2 = <f, S_a S_a* f> is the mu_f-mass of the cylinder of a, so
     the sum is computed by binning |f|^2 mu over level-k prefixes — identical
-    to composing the operators, without the exponential blow-up.
+    to composing the operators, without the exponential blow-up.  The phases
+    come from two half-word exp tables, as in fourier_sweep.
     """
-    _check(f, pd)
-    phases = np.exp(1j * t * core.value_array(pd.matrix, k))
-    return complex(np.sum(phases * _cylinder_masses(f, k, pd)))
+    return fourier_sweep(f, (t,), k, pd)[0]
 
 
 def fourier_tail_bound(t, k, n):

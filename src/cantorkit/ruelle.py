@@ -28,15 +28,16 @@ Lambda_{k,A^t}(a) carries probability
 Each layer then has total mass 1, and the layer sums assemble the truncated
 harmonic series exposed at the end of the module.
 
-R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum,
-and the cylinder sampling of the trigonometric potential is a gather over
-the core index arrays, all O(|W_k|); the pointwise forms (the exact preimage
-Keane defect, the walk) call the potential once per word and preimage.  The
-walk enumerates and checks the words of A^t through core, on
-AdmissibilityMatrix.transpose.
+R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum.
+A pointwise potential is evaluated on arrays, once per level: at the cylinder
+endpoints of one level for the sampling and the exact Keane defect, and once
+per depth of a prefix recursion on the A^t index arrays for the walk.  All are
+O(|W_k|), with the float operations of the scalar forms, in the same order.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +53,36 @@ _REAL_TOL = 1e-15
 class PointwisePotential:
     """A potential evaluated at exact points rather than on cylinders.
 
-    The evaluator receives (digits, value): the digit word naming the point
-    (missing trailing digits are zero, as they are in the N-adic expansion of
-    a cylinder's left endpoint) and the point's numeric value in [0, 1].
-    Must be re-entrant and non-negative.
+    The evaluator receives arrays of the first digit, the second digit and
+    the value in [0, 1] of each point (a missing digit is zero, as in the
+    N-adic expansion of a cylinder's left endpoint) and returns W at every
+    point, or a scalar for all; every value must be finite and >= 0.
     """
 
     evaluator: object
 
+    def values(self, first, second, value):
+        """W at arrays of points; NegativePotential where it is negative or not finite."""
+        w = np.broadcast_to(np.asarray(self.evaluator(first, second, value), dtype=np.float64),
+                            np.shape(value))
+        bad = np.flatnonzero(~((w >= 0.0) & (w < math.inf)))
+        if len(bad):
+            raise NegativePotential("potential is %.6g at %r, not finite and >= 0"
+                                    % (w[bad[0]], float(value[bad[0]])))
+        return w
+
     def __call__(self, digits, value):
-        v = float(self.evaluator(tuple(digits), float(value)))
-        if v < 0.0:
-            raise NegativePotential(
-                "potential is %.6g < 0 at %r" % (v, tuple(digits)))
-        return v
+        """W at one point named by its digits and value, through `values`."""
+        d = tuple(digits)[:2] + (0, 0)
+        return float(self.values(np.array([d[0]]), np.array([d[1]]),
+                                 np.array([float(value)]))[0])
 
 
 def constant_potential(c):
     c = float(c)
-    if c < 0:
-        raise NegativePotential("constant potential must be >= 0")
-    return PointwisePotential(evaluator=lambda digits, value: c)
+    if not 0.0 <= c < math.inf:
+        raise NegativePotential("constant potential must be finite and >= 0, got %r" % c)
+    return PointwisePotential(evaluator=lambda first, second, value: c)
 
 
 def _check_cylinder_potential(w_fn):
@@ -114,32 +124,32 @@ def trig_potential(pd, sample_level):
     count is what makes the preimage sum at any x run through N_1-th roots of
     unity.  The cylinder form samples W at the left endpoint x(a) of every
     level-`sample_level` cylinder; it inherits a discretization-size Keane
-    residual, the pointwise form is the exact object.  The sampling is one
-    numpy expression over `core.value_array`, O(|W_k|), with the float
-    operations of the pointwise form (a level-1 word's missing second digit
-    is 0, as in the endpoint's expansion).
+    residual, the pointwise form is the exact object.  The sampling is the
+    pointwise form evaluated at every endpoint at once, O(|W_k|).
     """
     if sample_level < 1:
         raise LevelOutOfRange("sample_level must be >= 1")
     mat = pd.matrix
     n = mat.n
-    col = mat.col_sums
+    col = np.array(mat.col_sums, dtype=np.intp)
 
-    def evaluator(digits, value):
-        d2 = digits[1] if len(digits) >= 2 else 0
-        n1 = col[d2]
-        return (1.0 - math.cos(2.0 * math.pi * n * value / n1)) / n1
+    def evaluator(first, second, value):
+        n1 = col[second]
+        return (1.0 - np.cos(2.0 * math.pi * n * value / n1)) / n1
 
     pointwise = PointwisePotential(evaluator=evaluator)
-    if sample_level == 1:
-        second = np.zeros(n, dtype=np.intp)
-    else:
-        second = core.first_digit_array(mat, sample_level - 1)[
-            core.shift_index_array(mat, sample_level)]
-    n1 = np.array(col, dtype=np.intp)[second]
-    vals = core.value_array(mat, sample_level)
-    coeffs = (1.0 - np.cos(2.0 * math.pi * n * vals / n1)) / n1
+    coeffs = _endpoint_values(pointwise, mat, sample_level)
     return CylinderFunction(mat, sample_level, coeffs), pointwise
+
+
+def _endpoint_values(potential, matrix, k):
+    """W at the left endpoint x(a) of every level-k cylinder (k >= 1), lexicographic."""
+    if k == 1:
+        second = np.zeros(matrix.n, dtype=np.intp)
+    else:
+        second = core.first_digit_array(matrix, k - 1)[core.shift_index_array(matrix, k)]
+    return potential.values(core.first_digit_array(matrix, k), second,
+                            core.value_array(matrix, k))
 
 
 def preimage_keane_residual(potential, pd, level):
@@ -147,21 +157,20 @@ def preimage_keane_residual(potential, pd, level):
 
     For each sample x: | sum_j A[j, x_1] W(sigma_j x) - 1 |, where sigma_j x
     has digits j.x and value (x + j)/N — no cylinder averaging involved.
+    W is evaluated at the level-(level+1) endpoints, those of the words j.x,
+    and core.preimage_sum adds each sample's terms in the order of j.
     """
-    mat = pd.matrix
-    n = mat.n
     level = max(level, 1)
-    worst = 0.0
-    for a, v in zip(core.enumerate_words(mat, level),
-                    core.value_array(mat, level).tolist()):
-        s = 0.0
-        for j in mat.predecessors[a[0]]:
-            s += potential((j,) + a, (v + j) / n)
-        worst = max(worst, abs(s - 1.0))
-    return worst
+    w = _endpoint_values(potential, pd.matrix, level + 1)
+    return float(np.max(np.abs(core.preimage_sum(pd.matrix, level, w) - 1.0)))
 
 
 # --- the walk on transposed-admissibility cylinders ---------------------------
+
+
+def _sum_in_order(values):
+    """0.0 + v_1 + v_2 + ... left to right; sum() of floats compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def walk_measure(x, potential, a, matrix):
@@ -178,26 +187,49 @@ def walk_measure(x, potential, a, matrix):
         return 1.0
     if not matrix.rows[a[0]][x.word[0]]:
         return 0.0
-    n = matrix.n
-    digits = tuple(x.word)
-    v = x.value
-    prod = 1.0
+    points = [x.value]
     for d in a:
-        digits = (d,) + digits
-        v = (v + d) / n
-        prod *= potential(digits, v)
-    return prod
+        points.append((points[-1] + d) / matrix.n)
+    return math.prod(potential.values(np.array(a), np.array((x.word[0],) + a[:-1]),
+                                      np.array(points[1:])).tolist())
+
+
+def walk_layers(x, potential, matrix, kmax, cap=None):
+    """P_x of every A^t word at depths 0 .. kmax, one array per depth.
+
+    A depth-d word's point is (v + a_d)/N and its weight W there times its
+    prefix's, with v and the weight gathered from the prefix; W is not
+    evaluated on words whose first letter fails the gate A[a_1, x_1].
+    """
+    core.check_level(kmax)
+    core.check_cap(matrix.transpose, kmax, cap)
+    if len(x.word) == 0:
+        raise EmptyWord("walk needs a starting point with at least one digit")
+    core.check_word(matrix, x.word)
+    mt = matrix.transpose
+    gate = matrix.array[:, x.word[0]] == 1
+    layers = [np.ones(1)]
+    points, last = np.array([x.value]), np.array(x.word[:1])
+    for d in range(1, kmax + 1):
+        parent = core.prefix_index_array(mt, d, d - 1)
+        letter = core.last_digit_array(mt, d)
+        points = (points[parent] + letter) / matrix.n
+        live = gate[core.first_digit_array(mt, d)]
+        w = np.zeros(len(letter))
+        w[live] = potential.values(letter[live], last[parent][live], points[live])
+        layers.append(layers[-1][parent] * w)
+        last = letter
+    return layers
 
 
 def walk_layer_mass(x, potential, matrix, k, cap=None):
     """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
-    return sum(walk_measure(x, potential, a, matrix)
-               for a in core.enumerate_words(matrix.transpose, k, cap))
+    return _sum_in_order(walk_layers(x, potential, matrix, k, cap)[-1].tolist())
 
 
 def harmonic_truncated(x, potential, matrix, kmax):
-    """Partial sum of the layer masses, depths 1..kmax."""
+    """Partial sum of the layer masses, depths 1..kmax, from one walk."""
     if kmax < 1:
         raise LevelOutOfRange("kmax must be >= 1")
-    return float(sum(walk_layer_mass(x, potential, matrix, k)
-                     for k in range(1, kmax + 1)))
+    return _sum_in_order(_sum_in_order(layer.tolist())
+                         for layer in walk_layers(x, potential, matrix, kmax)[1:])

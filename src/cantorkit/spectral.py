@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible
+from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible, UsageError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100000
@@ -76,6 +76,8 @@ def perron_data(matrix, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     matrix of a cycle), so the iteration runs on A + I — primitive whenever A
     is irreducible, same eigenvectors, eigenvalue shifted by exactly 1.
     """
+    if not 0.0 < tol < math.inf:
+        raise UsageError("tolerance must be finite and > 0, got %r" % (tol,))
     a = matrix.array.astype(float)
     if not core._is_irreducible(matrix.rows):
         raise Reducible("matrix is reducible; no Perron data")

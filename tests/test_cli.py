@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantorkit import core
+from cantorkit import core, fileio, ruelle, spectral
 from cantorkit.cli import run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -152,6 +152,23 @@ def test_walk_layer_mass_line(capsys):
     assert sum(float(v) for _, v in data) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_walk_lines_are_the_per_word_loop(capsys):
+    # per-word P_x and a running total in word order; at depth 10 a pairwise
+    # sum of the same values prints 1 instead of 0.999999999999995
+    tri3 = core.validate_matrix(fileio.parse_matrix_rows(open(TRI3).read()))
+    pot = ruelle.trig_potential(spectral.perron_data(tri3), 1)[1]
+    for x, depth in (("1", 10), ("01", 6), ("2", 0)):
+        point = core.nadic_value(fileio.parse_word(x, 3), 3)
+        expect, total = [], 0.0
+        for a in core.enumerate_words(tri3.transpose, depth):
+            v = ruelle.walk_measure(point, pot, a, tri3)
+            total += v
+            expect.append("%s %.15g" % (fileio.format_word(a, 3), v))
+        expect.append("# layer_mass = %.15g" % total)
+        assert run(["walk", "--matrix", TRI3, "--x", x, "--depth", str(depth)]) == 0
+        assert capsys.readouterr().out.splitlines() == expect
+
+
 def test_walk_alias_matches(capsys):
     assert run(["ruelle", "walk", "--matrix", TRI3, "--x", "1",
                 "--depth", "2"]) == 0
@@ -208,10 +225,42 @@ def test_exit_codes(tmp_path, capsys):
     assert "--tcount: invalid int value: 'x'" in err
 
 
+def test_non_finite_numbers_exit_64(capsys):
+    fourier = ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+               "--tcount", "3"]
+    walk = ["walk", "--matrix", TRI3, "--x", "1", "--depth", "2"]
+    bad = [["perron", "--matrix", TRI3, "--tol", tol] for tol in ("nan", "inf", "0")]
+    bad += [["perron", "--matrix", TRI3, "--tol=-1e-3"],
+            fourier + ["--tmin", "nan", "--tmax", "1"],
+            fourier + ["--tmin", "0", "--tmax", "inf"],
+            fourier + ["--tmin", "x", "--tmax", "1"],
+            walk + ["--constant", "nan"], walk + ["--constant=-inf"]]
+    for argv in bad:
+        assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("is not finite") == 6
+    assert captured.err.count("tolerance must be finite and > 0") == 2
+    assert "argument --tmin: invalid float value: 'x'" in captured.err
+    assert run(walk + ["--constant", "-0.5"]) == 65
+    assert "constant potential must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_measure_reads_a_lone_wide_letter(strict12, tmp_path, capsys):
+    path = tmp_path / "strict12.txt"
+    path.write_text(fileio.format_matrix(strict12))
+    assert run(["measure", "--matrix", str(path), "--word", "10"]) == 0
+    measure = float(keys(capsys.readouterr().out)["measure"])
+    pd = spectral.perron_data(strict12)
+    assert measure == float("%.15g" % spectral.cylinder_measure(pd, (10,)))
+    # A[1, 0] = 0, so the digits 1, 0 are no word of strict12
+    assert run(["measure", "--matrix", str(path), "--word", "1.0"]) == 65
+
+
 def test_ck_and_trig_are_capped(tmp_path, capsys):
     tables = [core._enumerate_words_cached, core.word_index, core.first_digit_array,
               core.last_digit_array, core.prefix_index_array, core.shift_index_array,
-              core.prepend_index_array, core.value_array]
+              core.prepend_index_array, core.value_array, core.suffix_index_array]
     header_only = tmp_path / "header14.txt"
     header_only.write_text("3 14\nS 0 1.0 0.0\n")
     before = [t.cache_info().currsize for t in tables]
@@ -232,6 +281,11 @@ def test_ck_and_trig_are_capped(tmp_path, capsys):
     # K = 4 builds the level-5 tables, 99 words
     assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "98"]) == 66
     assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "99"]) == 0
+    # with --out, trig K = 4 also samples W at level 5
+    trig4 = ["ruelle", "trig", "--matrix", TRI3, "--level", "4", "--cap"]
+    assert run(trig4 + ["41"]) == 0
+    assert run(trig4 + ["98", "--out", str(tmp_path / "trig4.txt")]) == 66
+    assert run(trig4 + ["99", "--out", str(tmp_path / "trig4.txt")]) == 0
     fourier5 = ["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "5",
                 "--tmin", "0", "--tmax", "1", "--tcount", "2", "--cap"]
     assert run(fourier5 + ["98"]) == 66

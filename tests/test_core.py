@@ -136,6 +136,8 @@ def test_prefix_shift_prepend_arrays(full2, tri3, schottky4, strict5):
                 idx = core.word_index(m, k0)
                 assert core.prefix_index_array(m, k, k0).tolist() == [
                     idx[w[:k0]] for w in words]
+                assert core.suffix_index_array(m, k, k0).tolist() == [
+                    idx[w[k - k0:]] for w in words]
             # prepend: index of i.b at level k + 1 for each level-k word b, -1 if i.b invalid
             longer = core.word_index(m, k + 1)
             for i in range(m.n):
@@ -162,14 +164,18 @@ def test_tables_never_touch_word_tuples(tri3, monkeypatch):
     monkeypatch.setattr(core, "_enumerate_words_cached", refuse)
     assert len(core.prepend_index_array(tri3, 12, 1)) == core.word_count(tri3, 12)
     assert len(core.value_array(tri3, 12)) == core.word_count(tri3, 12)
+    assert len(core.suffix_index_array(tri3, 12, 6)) == core.word_count(tri3, 12)
 
 
 def test_table_levels_are_checked(tri3):
     for table in (core.first_digit_array, core.last_digit_array, core.shift_index_array):
         with pytest.raises(LevelOutOfRange):
             table(tri3, 0)
-    with pytest.raises(LevelOutOfRange):
-        core.prefix_index_array(tri3, 2, 3)
+    for table in (core.prefix_index_array, core.suffix_index_array):
+        with pytest.raises(LevelOutOfRange):
+            table(tri3, 2, 3)
+        with pytest.raises(LevelOutOfRange):
+            table(tri3, 2, -1)
     with pytest.raises(LevelOutOfRange):
         core.value_array(tri3, -1)
     with pytest.raises(NotInDomain):

@@ -119,6 +119,13 @@ def test_word_format_wide_alphabet():
     assert fileio.parse_word("3.11.0", 12) == (3, 11, 0)
     # dotted form is accepted for small alphabets too
     assert fileio.parse_word("0.1.2", 3) == (0, 1, 2)
+    # over more than ten letters a token without a dot is one letter
+    for d in range(12):
+        assert fileio.parse_word(fileio.format_word((d,), 12), 12) == (d,)
+    assert fileio.parse_word("10", 11) == (10,)
+    assert fileio.parse_word("10", 10) == (1, 0)
+    with pytest.raises(FileFormatError):
+        fileio.parse_word("12", 12)
 
 
 def test_parse_word_rejects_garbage():
@@ -226,8 +233,7 @@ def test_level_one_coefficients_round_trip(tri3_pd):
     assert float(np.max(np.abs(g.coeffs - f.coeffs))) <= 1e-12
 
 
-# strict12 writes a lone letter >= 10 as "10", which parse_word reads as two
-# digits; its files round-trip because their keys are read as written
+# strict12 writes a lone letter >= 10 as "10", which parse_word reads as one letter
 @pytest.mark.parametrize("name, levels", [
     ("full2", (1, 2, 3, 6)), ("tri3", (1, 2, 3, 6, 9)), ("schottky4", (1, 2, 3, 6)),
     ("strict5", (1, 2, 3, 6)), ("strict12", (1, 2, 3))])
@@ -247,6 +253,17 @@ def test_files_match_the_per_line_reference(name, levels, request):
         assert wc2.scaling.tobytes() == wc.scaling.tobytes()
         g = wavelets.synthesize(wc2, mw, level)
         assert g.coeffs.tobytes() == wavelets.synthesize(wc, mw, level).coeffs.tobytes()
+
+
+def test_sparse_file_reads_lone_wide_letters(strict12):
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(strict12))
+    wc = wavelets.analyze(random_signal(strict12, 3, seed=5), mw)
+    head, *body = fileio.format_coefficients(wc, mw, 3).splitlines()
+    kept = [ln for ln in body if ln.startswith("D 10 ")]
+    assert len(kept) == sum(strict12.row_sums[r] - 1 for r in strict12.successors[10])
+    sparse, level = fileio.parse_coefficients("\n".join([head] + kept) + "\n", strict12)
+    assert level == 3
+    assert sparse.detail == {key: v for key, v in wc.detail.items() if key[0] == (10,)}
 
 
 def _edit_lines(text, edit):

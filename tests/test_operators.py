@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorkit import core, operators, spectral
 from cantorkit.errors import IndexOutOfRange, LevelOutOfRange, MatrixMismatch
@@ -370,3 +372,56 @@ def test_fourier_tail_bound(schottky4_pd):
             gap = abs(operators.fourier_approx(f, t, k, pd)
                       - operators.fourier_approx(f, t, k + 4, pd))
             assert gap <= operators.fourier_tail_bound(t, k, 4) + 1e-12
+
+
+def reference_fourier_approx(f, t, k, pd):
+    """The direct form: one exp per level-k word, masses binned by prefix."""
+    m = max(k, f.level)
+    weights = np.abs(core.refine(f, m).coeffs) ** 2 * spectral.measure_array(pd, m)
+    masses = np.bincount(core.prefix_index_array(pd.matrix, m, k), weights=weights,
+                         minlength=core.word_count(pd.matrix, k))
+    return complex(np.sum(np.exp(1j * t * core.value_array(pd.matrix, k)) * masses))
+
+
+def _unit_signal(pd, level, seed):
+    rng = np.random.default_rng(seed)
+    size = core.word_count(pd.matrix, level)
+    f = core.CylinderFunction(pd.matrix, level, rng.normal(size=size)
+                              + 1j * rng.normal(size=size))
+    return f * (1 / spectral.norm(f, pd))
+
+
+FOURIER_TS = (0.0, 2.5, -2.5, 40.0, -40.0, 1e3, -1e3, 1e4, -1e4)
+
+
+def test_fourier_digit_split_matches_direct_exp(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for level in range(1, 7):
+            f = _unit_signal(pd, level, level)
+            for k in range(10):
+                for t in FOURIER_TS:
+                    fast = operators.fourier_approx(f, t, k, pd)
+                    slow = reference_fourier_approx(f, t, k, pd)
+                    if t == 0.0:
+                        assert fast == slow
+                    assert abs(fast - slow) <= 1e-15 * max(1.0, abs(t))
+
+
+@given(t=st.floats(min_value=-1e4, max_value=1e4), k=st.integers(min_value=0, max_value=11),
+       level=st.integers(min_value=0, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_fourier_digit_split_any_t_and_level(tri3_pd, schottky4_pd, t, k, level):
+    for pd in (tri3_pd, schottky4_pd):
+        f = _unit_signal(pd, level, 3)
+        slow = reference_fourier_approx(f, t, k, pd)
+        assert abs(operators.fourier_approx(f, t, k, pd) - slow) <= 1e-15 * max(1.0, abs(t))
+
+
+def test_fourier_sweep_is_fourier_approx_per_t(tri3_pd):
+    f = _unit_signal(tri3_pd, 4, 11)
+    ts = np.linspace(-30, 30, 13).tolist()
+    for k in (0, 3, 4, 7):
+        sweep = operators.fourier_sweep(f, ts, k, tri3_pd)
+        assert sweep == [operators.fourier_approx(f, t, k, tri3_pd) for t in ts]
+    with pytest.raises(LevelOutOfRange):
+        operators.fourier_sweep(f, [], -1, tri3_pd)

@@ -53,7 +53,7 @@ def test_negative_potential_rejected():
     with pytest.raises(NegativePotential):
         ruelle.constant_potential(-0.1)
     # evaluators are only checkable pointwise, at call time
-    pot = ruelle.PointwisePotential(evaluator=lambda digits, value: -1.0)
+    pot = ruelle.PointwisePotential(evaluator=lambda first, second, value: -1.0)
     with pytest.raises(NegativePotential):
         pot((0,), 0.0)
 
@@ -213,8 +213,8 @@ def test_walk_gate(tri3):
 
 def test_walk_is_multiplicative_along_orbit(full2_pd):
     # W(y) = value of y's first digit: the walk multiplies W along the orbit
-    def w(digits, value):
-        return 0.25 if digits[0] == 0 else 0.75
+    def w(first, second, value):
+        return np.where(first == 0, 0.25, 0.75)
 
     pot = ruelle.PointwisePotential(w)
     x = core.nadic_value((1,), 2)
@@ -272,3 +272,149 @@ def test_harmonic_layer_recursion(tri3_pd):
         y = core.Point((j,) + x.word, (x.value + j) / m.n)
         total += pot(y.word, y.value) * ruelle.walk_layer_mass(y, pot, m, k - 1)
     assert total == pytest.approx(direct, abs=1e-12)
+
+
+# --- the array forms against per-point reference loops ----------------------------
+
+
+def reference_preimage_keane_residual(potential, pd, level):
+    """One scalar potential call per word and preimage, in predecessor order."""
+    mat = pd.matrix
+    level = max(level, 1)
+    worst = 0.0
+    for a in core.enumerate_words(mat, level):
+        v = core.nadic_value(a, mat.n).value
+        s = 0.0
+        for j in mat.predecessors[a[0]]:
+            s += potential((j,) + a, (v + j) / mat.n)
+        worst = max(worst, abs(s - 1.0))
+    return worst
+
+
+def reference_walk_layer(x, potential, matrix, k):
+    """P_x of every depth-k A^t word, rebuilding each product along its word."""
+    out = []
+    for a in core.enumerate_words(matrix.transpose, k):
+        if a and not matrix.rows[a[0]][x.word[0]]:
+            out.append(0.0)
+            continue
+        digits, v, prod = tuple(x.word), x.value, 1.0
+        for d in a:
+            digits = (d,) + digits
+            v = (v + d) / matrix.n
+            prod *= potential(digits, v)
+        out.append(prod)
+    return out
+
+
+def running_sum(values):
+    """0.0 + v_1 + v_2 + ... in order, on every Python (sum() compensates from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _three_input_potential(first, second, value):
+    # depends on all three inputs, so a misrouted digit or value shows
+    return 0.1 + 0.2 * (first == 1) + 0.05 * second + 0.25 * value
+
+
+def _potentials(pd):
+    return (ruelle.trig_potential(pd, 1)[1], ruelle.constant_potential(1.0 / pd.radius),
+            ruelle.PointwisePotential(_three_input_potential))
+
+
+def test_keane_defect_matches_the_per_point_loop(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        for pot, top in zip(_potentials(pd), (8, 3, 5)):
+            for level in range(0, top + 1):
+                assert (ruelle.preimage_keane_residual(pot, pd, level)
+                        == reference_preimage_keane_residual(pot, pd, level))
+
+
+def test_walk_layers_match_the_per_word_loop(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+    for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
+        m = pd.matrix
+        # x_1 = 0 gates some first steps off on all but the full shift
+        x = core.nadic_value(core.enumerate_words(m, 2)[1], m.n)
+        for pot in _potentials(pd)[::2]:
+            layers = ruelle.walk_layers(x, pot, m, 6)
+            assert len(layers) == 7
+            masses = []
+            for k in range(7):
+                ref = reference_walk_layer(x, pot, m, k)
+                assert layers[k].tolist() == ref
+                masses.append(running_sum(ref))
+                assert ruelle.walk_layer_mass(x, pot, m, k) == masses[-1]
+            assert ruelle.harmonic_truncated(x, pot, m, 6) == running_sum(masses[1:])
+            for a in core.enumerate_words(m.transpose, 3):
+                idx = core.word_index(m.transpose, 3)[a]
+                assert ruelle.walk_measure(x, pot, a, m) == layers[3][idx]
+
+
+def test_layer_mass_is_the_running_sum_in_word_order(tri3_pd):
+    # at tri3 depth 10 the rounded running sum and the exact sum differ
+    pot = ruelle.trig_potential(tri3_pd, 1)[1]
+    x = core.nadic_value((1,), 3)
+    layers = ruelle.walk_layers(x, pot, tri3_pd.matrix, 10)
+    masses = [running_sum(layer.tolist()) for layer in layers]
+    assert masses[10] != math.fsum(layers[10].tolist())
+    assert ruelle.walk_layer_mass(x, pot, tri3_pd.matrix, 10) == masses[10]
+    assert ruelle.harmonic_truncated(x, pot, tri3_pd.matrix, 10) == running_sum(masses[1:])
+
+
+def test_walk_skips_the_potential_behind_the_gate(tri3):
+    # W < 0 on words starting with 2, which cannot sit in front of x_1 = 0
+    pot = ruelle.PointwisePotential(lambda first, second, value: 1.0 - 2.0 * (first == 2))
+    x = core.nadic_value((0,), 3)
+    layer = ruelle.walk_layers(x, pot, tri3, 1)[1]
+    assert layer.tolist() == [1.0, 1.0, 0.0]
+    with pytest.raises(NegativePotential):
+        ruelle.walk_layers(core.nadic_value((1,), 3), pot, tri3, 1)
+
+
+def test_walk_checks_level_cap_and_start(tri3):
+    pot = ruelle.constant_potential(0.5)
+    x = core.nadic_value((1,), 3)
+    assert [a.tolist() for a in ruelle.walk_layers(x, pot, tri3, 0)] == [[1.0]]
+    with pytest.raises(LevelOutOfRange):
+        ruelle.walk_layer_mass(x, pot, tri3, -1)
+    with pytest.raises(CapExceeded):
+        ruelle.walk_layer_mass(x, pot, tri3, 4, cap=40)
+    assert ruelle.walk_layer_mass(x, pot, tri3, 4, cap=41) == pytest.approx(41 / 16)
+    with pytest.raises(EmptyWord):
+        ruelle.walk_layers(core.Point((), 0.0), pot, tri3, 2)
+    with pytest.raises(InadmissibleWord):
+        ruelle.walk_layers(core.nadic_value((0, 2), 3), pot, tri3, 2)
+
+
+def test_potentials_refuse_non_finite_values(tri3_pd):
+    for c in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(NegativePotential):
+            ruelle.constant_potential(c)
+    for bad in (math.nan, math.inf, -1e-300):
+        pot = ruelle.PointwisePotential(lambda first, second, value, bad=bad: bad)
+        with pytest.raises(NegativePotential):
+            ruelle.preimage_keane_residual(pot, tri3_pd, 2)
+        with pytest.raises(NegativePotential):
+            pot((1, 2), 0.5)
+    # a scalar result is broadcast to one value per point
+    flat = ruelle.PointwisePotential(lambda first, second, value: 0.5)
+    assert ruelle.preimage_keane_residual(flat, tri3_pd, 3) == 0.5
+    assert flat.values(np.zeros(4, dtype=np.intp), np.zeros(4, dtype=np.intp),
+                       np.zeros(4)).tolist() == [0.5] * 4
+
+
+def test_scalar_call_reads_two_digits(full2_pd):
+    seen = []
+
+    def record(first, second, value):
+        seen.append((first.tolist(), second.tolist(), value.tolist()))
+        return np.ones(len(value))
+
+    pot = ruelle.PointwisePotential(record)
+    assert pot((1, 0, 1), 0.625) == 1.0
+    assert pot((1,), 0.5) == 1.0
+    assert pot((), 0.0) == 1.0
+    assert seen == [([1], [0], [0.625]), ([1], [0], [0.5]), ([0], [0], [0.0])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cantorkit import core, spectral
-from cantorkit.errors import LevelOutOfRange, NoConvergence, Reducible
+from cantorkit.errors import LevelOutOfRange, NoConvergence, Reducible, UsageError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,3 +157,9 @@ def test_inner_product_conjugate_linearity(full2_pd):
 def test_norm_of_constant_is_one(schottky4_pd):
     one = core.CylinderFunction.constant(schottky4_pd.matrix, 1.0)
     assert spectral.norm(one, schottky4_pd) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_tolerance_must_be_finite_and_positive(tri3):
+    for tol in (math.nan, math.inf, 0.0, -1e-12):
+        with pytest.raises(UsageError):
+            spectral.perron_data(tri3, tol=tol)

@@ -6,8 +6,8 @@ line records (words, cells, walk probabilities, CSV for fourier).  Output is
 byte-identical across runs for identical inputs and flags.
 
 Every verb is one row of VERBS.  The dispatcher loads the row's matrix or
-graph, refuses a level over `--cap` before any table or Perron data is
-built, computes Perron data when the row needs it, and calls the handler.
+graph, computes Perron data when the row needs it, and calls the handler,
+under a core.budget of `--cap` words per table when the row takes `--cap`.
 
 Exit codes: 0 success, 64 usage, 65 bad data, 66 cap exceeded,
 70 no convergence.
@@ -81,21 +81,6 @@ def _parse_cli_word(s, matrix):
     return core.check_word(matrix, fileio.parse_word(s, matrix.n))
 
 
-def _header_level(path):
-    """The level k >= 0 in the 'N k' header of a signal or coefficient file.
-
-    None when the file is unreadable or its header malformed; the handler's
-    full parse reports those later, in their usual order.
-    """
-    try:
-        with open(path, "r") as fh:
-            head = next(filter(None, (ln.split("#", 1)[0].split() for ln in fh)), ())
-        k = int(head[1]) if len(head) == 2 else -1
-    except (OSError, ValueError):
-        return None
-    return k if k >= 0 else None
-
-
 def _number(kind, ok, why):
     """argparse type of a `kind` number x for which ok(x) holds."""
     def parse(text):
@@ -150,17 +135,6 @@ def cmd_op_word(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
     a = _parse_cli_word(args.word, matrix)
     _emit_signal(args, operators.apply_S_word(a, f, pd, adjoint=args.adjoint))
-
-
-def _op_word_level(args, matrix):
-    """S_a raises the signal's level by |a|; S_a* never goes above level 2."""
-    k = _header_level(args.signal)
-    if args.adjoint or k is None:
-        return None
-    try:
-        return k + len(fileio.parse_word(args.word, matrix.n))
-    except DataError:
-        return None
 
 
 def cmd_op_pf(args, matrix, pd):
@@ -247,10 +221,11 @@ def cmd_ruelle_keane(args, matrix, pd):
 
 def cmd_ruelle_trig(args, matrix, pd):
     cyl, pointwise = ruelle.trig_potential(pd, args.level)
+    if args.out:   # samples W at level K + 1, so it may refuse: before any output
+        pointwise_residual = ruelle.preimage_keane_residual(pointwise, pd, args.level)
     _emit_signal(args, cyl)
     if args.out:
-        _kv("pointwise_keane_residual",
-            _fmt(ruelle.preimage_keane_residual(pointwise, pd, args.level)))
+        _kv("pointwise_keane_residual", _fmt(pointwise_residual))
         _kv("cylinder_keane_residual", _fmt(ruelle.keane_residual(cyl, pd)))
 
 
@@ -260,7 +235,7 @@ def cmd_walk(args, matrix, pd):
         potential = ruelle.constant_potential(args.constant)
     else:
         potential = ruelle.trig_potential(pd, 1)[1]
-    layer = ruelle.walk_layers(x, potential, matrix, args.depth, cap=args.cap)[-1]
+    layer = ruelle.walk_layers(x, potential, matrix, args.depth)[-1]
     total = 0.0
     for word, v in zip(fileio.word_column(matrix.transpose, args.depth), layer.tolist()):
         total += v
@@ -328,11 +303,10 @@ def cmd_graph_wavelets(args, g, pd):
 
 # One row per verb: its path, help and handler, then its own flags in order.
 # reads: "matrix", "lax" (a matrix, with --lax) or "graph".  spectral: takes
-# --tol/--max-iter, and a matrix verb gets Perron data.  cap: takes --cap.
-# level(args, matrix): the deepest word level the verb builds, checked
-# against --cap before Perron; None leaves the cap to the library call.
-Verb = namedtuple("Verb", "path help handler flags reads spectral cap level alias",
-                  defaults=("matrix", True, False, None, None))
+# --tol/--max-iter, and a matrix verb gets Perron data.  cap: takes --cap,
+# which the verb runs under as its word-table budget.
+Verb = namedtuple("Verb", "path help handler flags reads spectral cap alias",
+                  defaults=("matrix", True, False, None))
 
 _OUT = ("--out", {})
 _SIGNAL = ("--signal", {"required": True})
@@ -349,44 +323,40 @@ def _opt(flag, type=None, help=None):
 VERBS = (
     Verb(("perron",), "Perron eigendata and dimension", cmd_perron, (), reads="lax"),
     Verb(("words",), "enumerate admissible words", cmd_words, (_req("--level", int),),
-         reads="lax", spectral=False, cap=True, level=lambda a, m: a.level),
+         reads="lax", spectral=False, cap=True),
     Verb(("measure",), "cylinder measure of a word", cmd_measure, (_req("--word"),),
          reads="lax"),
     Verb(("op", "s"), "apply S_i", cmd_op_s, (_req("--i", int), _SIGNAL, _OUT)),
     Verb(("op", "sstar"), "apply S_i*", cmd_op_sstar, (_req("--i", int), _SIGNAL, _OUT)),
     Verb(("op", "word"), "apply S_a or S_a*", cmd_op_word,
          (_req("--word"), ("--adjoint", {"action": "store_true"}), _SIGNAL, _OUT),
-         cap=True, level=_op_word_level),
+         cap=True),
     Verb(("op", "pf"), "apply the transfer operator", cmd_op_pf, (_SIGNAL, _OUT)),
     Verb(("op", "fixed-point"), "the transfer operator's fixed function",
          cmd_op_fixed_point, (_OUT,)),
-    # S_i raises level K to K + 1; a level below 2 is refused by the residual itself
     Verb(("op", "ck"), "Cuntz-Krieger relation residual", cmd_op_ck, (_req("--level", int),),
-         cap=True, level=lambda a, m: max(a.level, 1) + 1),
+         cap=True),
     Verb(("fourier",), "transform of the spectral measure, CSV", cmd_fourier,
          (_SIGNAL, _req("--level", int), _req("--tmin", _real), _req("--tmax", _real),
-          _req("--tcount", _count)), cap=True, level=lambda a, m: max(a.level, 0)),
+          _req("--tcount", _count)), cap=True),
     Verb(("kms",), "the canonical state on monomials", cmd_kms,
          (_opt("--a"), _opt("--b"),
           _opt("--letter", int, "print the state ratio for one letter instead"))),
     Verb(("wavelets", "build"), "construct the mother wavelets", cmd_wavelets_build, ()),
     Verb(("wavelets", "analyze"), "wavelet coefficients of a signal", cmd_wavelets_analyze,
          (_SIGNAL, _opt("--level", int, "refine the signal to this level first"), _OUT),
-         cap=True, level=lambda a, m: None if a.level is None else max(a.level, 0)),
+         cap=True),
     Verb(("wavelets", "synthesize"), "rebuild a signal from coefficients",
          cmd_wavelets_synthesize,
          (_req("--coeffs"), _opt("--level", int, "override the level recorded in the file"),
           _OUT, _opt("--compare", help="signal file to diff against")),
-         cap=True,
-         level=lambda a, m: _header_level(a.coeffs) if a.level is None else max(a.level, 0)),
+         cap=True),
     Verb(("ruelle", "apply"), "apply the weighted transfer operator", cmd_ruelle_apply,
          (_req("--potential", help="potential signal file"), _SIGNAL, _OUT)),
     Verb(("ruelle", "keane"), "Keane-condition residual of a potential", cmd_ruelle_keane,
          (_req("--potential"),)),
     Verb(("ruelle", "trig"), "the trigonometric Keane potential", cmd_ruelle_trig,
-         (_req("--level", int, help="cylinder sampling level"), _OUT),
-         # with --out, the pointwise Keane residual samples W at level K + 1
-         cap=True, level=lambda a, m: a.level + 1 if a.out else a.level),
+         (_req("--level", int, help="cylinder sampling level"), _OUT), cap=True),
     Verb(("ruelle", "walk"), "walk-measure probabilities per cylinder", cmd_walk,
          (_req("--x", help="digits of the starting point"),
           _req("--depth", int, help="walk depth k"),
@@ -462,37 +432,30 @@ def build_parser():
 
 def _dispatch(args):
     verb = args.verb_row
-    if verb.reads == "graph":
-        return verb.handler(args, fileio.parse_graph(_read(args.graph)), None)
-    rows = fileio.parse_matrix_rows(_read(args.matrix))
-    matrix = core.validate_matrix(rows, strict=not getattr(args, "lax", False))
-    level = verb.level(args, matrix) if verb.level else None
-    if level is not None:
-        core.check_cap(matrix, level, args.cap)
-    pd = (spectral.perron_data(matrix, tol=args.tol, max_iter=args.max_iter)
-          if verb.spectral else None)
-    return verb.handler(args, matrix, pd)
+    with core.budget(args.cap if verb.cap else None):
+        if verb.reads == "graph":
+            return verb.handler(args, fileio.parse_graph(_read(args.graph)), None)
+        rows = fileio.parse_matrix_rows(_read(args.matrix))
+        matrix = core.validate_matrix(rows, strict=not getattr(args, "lax", False))
+        pd = (spectral.perron_data(matrix, tol=args.tol, max_iter=args.max_iter)
+              if verb.spectral else None)
+        return verb.handler(args, matrix, pd)
+
+
+# the exit code and stderr label of an error: the first row whose class it is
+EXITS = ((UsageError, 64, "usage error"), (CapExceeded, 66, "cap exceeded"),
+         (NoConvergence, 70, "no convergence"), (DataError, 65, "data error"),
+         (CantorError, 65, "error"))
 
 
 def run(argv):
     """Parse and dispatch; returns the process exit code."""
     try:
         return _dispatch(build_parser().parse_args(argv)) or 0
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 64
-    except CapExceeded as exc:
-        print("cap exceeded: %s" % exc, file=sys.stderr)
-        return 66
-    except NoConvergence as exc:
-        print("no convergence: %s" % exc, file=sys.stderr)
-        return 70
-    except DataError as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return 65
     except CantorError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 65
+        code, label = next((c, l) for cls, c, l in EXITS if isinstance(exc, cls))
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return code
     except SystemExit as exc:  # argparse -h
         return int(exc.code or 0)
 

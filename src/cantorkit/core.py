@@ -21,10 +21,18 @@ W_k: the words starting with digit i are the words of W_{k-1} starting with a
 successor of i, in order.  Building the level-k tables costs O(|W_k|) time
 and memory and never touches the word tuples of `enumerate_words`, which stay
 the public tuple API.
+
+`with core.budget(cap):` makes any table of more than `cap` words raise
+CapExceeded: each table builder checks its level on every call, hit or miss,
+as do the kernels that allocate |W_k|-sized arrays before they touch a table.
+Outside a budget there is no limit.
 """
 
+import contextlib
+import contextvars
+import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -203,37 +211,79 @@ def check_level(k):
         raise LevelOutOfRange("level %d is negative" % k)
 
 
+def _count_levels(matrix):
+    """The counts of level-k words by first digit, for k = 1, 2, ... in turn."""
+    counts = (1,) * matrix.n
+    while True:
+        yield counts
+        counts = tuple(sum(counts[j] for j in s) for s in matrix.successors)
+
+
 @lru_cache(maxsize=None)
 def _first_digit_counts(matrix, k):
     """counts[i] = number of level-k words (k >= 1) that start with digit i."""
-    counts = (1,) * matrix.n
-    for _ in range(k - 1):
-        counts = tuple(sum(counts[j] for j in matrix.successors[i])
-                       for i in range(matrix.n))
-    return counts
+    return next(itertools.islice(_count_levels(matrix), k - 1, None))
 
 
 def word_count(matrix, k):
-    """|W_k| as an exact integer (number of admissible level-k words).
+    """|W_k|, the number of admissible level-k words, as an exact Python int."""
+    check_level(k)
+    return sum(_first_digit_counts(matrix, k)) if k else 1
 
-    Computed with Python ints (no overflow), so it is safe to consult before
-    enumerating or building any table.
+
+def bounded_word_count(matrix, k, bound, first=None):
+    """min(|W_k|, bound + 1), or the same for the words starting in `first`.
+
+    Counted level by level only until the count passes `bound`: no level has
+    fewer words than the one before, as every digit has a successor.
     """
     check_level(k)
-    if k == 0:
-        return 1
-    return sum(_first_digit_counts(matrix, k))
+    total = 1   # the empty word
+    for _, counts in zip(range(k), _count_levels(matrix)):
+        total = sum(counts) if first is None else sum(counts[i] for i in first)
+        if total > bound:
+            break
+    return min(total, bound + 1)
 
 
-def check_cap(matrix, k, cap):
-    """Raise CapExceeded when |W_k| is over `cap`; a cap of None admits any level."""
-    if cap is not None and word_count(matrix, k) > cap:
-        raise CapExceeded(
-            "level %d has %d words, over the cap of %d"
-            % (k, word_count(matrix, k), cap))
+_BUDGET = contextvars.ContextVar("cantorkit_budget", default=None)
 
 
-@lru_cache(maxsize=None)
+@contextlib.contextmanager
+def budget(cap):
+    """Within the block, a table of more than `cap` words raises CapExceeded; None lifts it."""
+    token = _BUDGET.set(cap)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def check_cap(matrix, k):
+    """Raise CapExceeded when a budget is set and |W_k| is over it."""
+    cap = _BUDGET.get()
+    if cap is not None and bounded_word_count(matrix, k, cap) > cap:
+        raise CapExceeded("level %d is over the cap of %d words" % (k, cap))
+
+
+def _table(least=0, above=0):
+    """Memoise f(matrix, k, ...); each call, hit or miss, checks k >= least and |W_{k+above}|."""
+    def memoise(build):
+        cached = lru_cache(maxsize=None)(build)
+
+        @wraps(build)
+        def table(matrix, k, *args):
+            check_level(k)
+            if k < least:
+                raise LevelOutOfRange("level %d has no digits to index" % k)
+            check_cap(matrix, k + above)
+            return cached(matrix, k, *args)
+        table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+        return table
+    return memoise
+
+
+@_table()
 def _enumerate_words_cached(matrix, k):
     if k == 0:
         return ((),)
@@ -243,18 +293,12 @@ def _enumerate_words_cached(matrix, k):
     return tuple(words)
 
 
-def enumerate_words(matrix, k, cap=None):
-    """All admissible level-k words in lexicographic order, as a tuple.
-
-    With a cap, the exact count is checked first and CapExceeded raised
-    before any enumeration work happens.
-    """
-    check_level(k)
-    check_cap(matrix, k, cap)
+def enumerate_words(matrix, k):
+    """All admissible level-k words in lexicographic order, as a tuple."""
     return _enumerate_words_cached(matrix, k)
 
 
-@lru_cache(maxsize=None)
+@_table()
 def word_index(matrix, k):
     """Map word -> position in the lexicographic enumeration of W_k."""
     return {w: m for m, w in enumerate(enumerate_words(matrix, k))}
@@ -265,29 +309,22 @@ def _frozen(a):
     return a
 
 
-def _check_digit_level(k):
-    if k < 1:
-        raise LevelOutOfRange("level %d has no digits to index" % k)
-
-
-@lru_cache(maxsize=None)
+@_table(least=1)
 def first_digit_array(matrix, k):
     """w_1 for every level-k word w (k >= 1): digit i repeated |{w : w_1 = i}| times."""
-    _check_digit_level(k)
     return _frozen(np.repeat(np.arange(matrix.n, dtype=np.intp),
                              _first_digit_counts(matrix, k)))
 
 
-@lru_cache(maxsize=None)
+@_table(least=1)
 def last_digit_array(matrix, k):
     """w_k for every level-k word w (k >= 1); the last digit of shift(w) for k >= 2."""
-    _check_digit_level(k)
     if k == 1:
         return _frozen(np.arange(matrix.n, dtype=np.intp))
     return _frozen(last_digit_array(matrix, k - 1)[shift_index_array(matrix, k)])
 
 
-@lru_cache(maxsize=None)
+@_table()
 def prefix_index_array(matrix, k, k0):
     """For each level-k word, the position of its level-k0 prefix in W_k0.
 
@@ -304,14 +341,13 @@ def prefix_index_array(matrix, k, k0):
                              extensions[last_digit_array(matrix, k0)]))
 
 
-@lru_cache(maxsize=None)
+@_table(least=1)
 def shift_index_array(matrix, k):
     """For each level-k word w (k >= 1), the position of shift(w) in W_{k-1}.
 
     The words starting with i shift onto the blocks of W_{k-1} that start with
     a successor of i, taken in order.
     """
-    _check_digit_level(k)
     if k == 1:
         return _frozen(np.zeros(matrix.n, dtype=np.intp))
     counts = _first_digit_counts(matrix, k - 1)
@@ -321,7 +357,7 @@ def shift_index_array(matrix, k):
         for i in range(matrix.n) for j in matrix.successors[i]]))
 
 
-@lru_cache(maxsize=None)
+@_table()
 def suffix_index_array(matrix, k, k0):
     """For each level-k word w, the position of its level-k0 suffix sigma^(k-k0) w in W_k0."""
     check_level(k0)
@@ -333,13 +369,12 @@ def suffix_index_array(matrix, k, k0):
     return _frozen(idx)
 
 
-@lru_cache(maxsize=None)
+@_table(above=1)
 def prepend_index_array(matrix, k, i):
     """Positions of i.w in W_{k+1} for each w in W_k; -1 where A[i, w_1] = 0.
 
     The inverse of the shift on the block of W_{k+1} that starts with i.
     """
-    check_level(k)
     if not 0 <= i < matrix.n:
         raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
     counts = _first_digit_counts(matrix, k + 1)
@@ -360,13 +395,12 @@ def preimage_sum(matrix, k, values):
     return out
 
 
-@lru_cache(maxsize=None)
+@_table()
 def value_array(matrix, k):
     """x(a) for every level-k word a, in lexicographic order.
 
     x(a) = (a_1 + x(shift a)) / N, the same float operations as nadic_value.
     """
-    check_level(k)
     if k == 0:
         return _frozen(np.zeros(1))
     return _frozen((first_digit_array(matrix, k)

@@ -194,12 +194,14 @@ def parse_signal(text, matrix):
     if n != matrix.n:
         raise FileFormatError(
             "signal is over N = %d, matrix has N = %d" % (n, matrix.n))
-    nwords = core.word_count(matrix, k)
-    if len(lines) - 1 < nwords:
-        raise FileFormatError("signal lists %d of the %d level-%d words"
-                              % (len(lines) - 1, nwords, k))
+    nlines = len(lines) - 1
+    nwords = core.bounded_word_count(matrix, k, nlines)
+    if nwords > nlines:
+        total = core.bounded_word_count(matrix, k, 10 ** 15)   # more than a file holds
+        raise FileFormatError("signal lists %d of the %s level-%d words" % (
+            nlines, total if total <= 10 ** 15 else "over 10^15", k))
     coeffs = None
-    if len(lines) - 1 == nwords:
+    if nwords == nlines:
         coeffs = _parse_column(lines[1:], word_column(matrix, k))
     if coeffs is None:
         coeffs = _parse_signal_lines(lines[1:], matrix, k)
@@ -270,9 +272,9 @@ def parse_coefficients(text, matrix):
     if n != matrix.n:
         raise FileFormatError(
             "coefficients are over N = %d, matrix has N = %d" % (n, matrix.n))
-    values = None
+    values, nlines = None, len(lines) - 1
     # the scaling letters and the level-K wavelets number |W_K| together
-    if level >= 1 and len(lines) - 1 == core.word_count(matrix, level):
+    if level >= 1 and core.bounded_word_count(matrix, level, nlines) == nlines:
         values = _parse_column(lines[1:], _key_column(matrix, level))
     if values is None:
         scaling, detail = _parse_coefficient_lines(lines[1:], n)

@@ -160,20 +160,17 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
     return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=c, d=em.row_sums)
 
 
-def _count_paths(gw, k):
-    """Length-k paths leaving v0: the edge-shift words starting on its out-edges."""
-    if k <= 0:
-        return 1
-    counts = core._first_digit_counts(gw.pd.matrix, k)
-    return sum(counts[e] for e in gw.graph.out_edges[gw.v0])
+def _count_paths(gw, k, bound=float("inf")):
+    """min(bound + 1, length-k paths leaving v0): edge-shift words from its out-edges."""
+    return core.bounded_word_count(gw.pd.matrix, max(k, 0), bound,
+                                   first=gw.graph.out_edges[gw.v0])
 
 
 def paths_from(gw, k, cap=DEFAULT_CAP):
     """All length-k edge paths leaving the base vertex, lexicographic."""
     g = gw.graph
-    if cap is not None and _count_paths(gw, k) > cap:
-        raise CapExceeded(
-            "%d paths of length %d, over the cap of %d" % (_count_paths(gw, k), k, cap))
+    if cap is not None and _count_paths(gw, k, cap) > cap:
+        raise CapExceeded("paths of length %d are over the cap of %d" % (k, cap))
     paths = [()]
     for _ in range(k):
         paths = [pth + (e,)

@@ -88,6 +88,7 @@ def apply_S_word(a, f, pd, adjoint=False):
         for d in a:
             out = apply_S_star(d, out, pd)
     else:
+        core.check_cap(pd.matrix, f.level + len(a))
         for d in reversed(a):
             out = apply_S(d, out, pd)
     return out
@@ -149,6 +150,7 @@ def ck_relations_residual(pd, K):
     if K < 2:
         raise LevelOutOfRange("relation check needs K >= 2")
     mat = pd.matrix
+    core.check_cap(mat, K + 1)
     nwords = core.word_count(mat, K)
     basis = (np.arange(nwords, dtype=np.intp), np.ones(nwords, dtype=np.complex128))
     mu = spectral.measure_array(pd, K)

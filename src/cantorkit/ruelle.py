@@ -194,7 +194,7 @@ def walk_measure(x, potential, a, matrix):
                                       np.array(points[1:])).tolist())
 
 
-def walk_layers(x, potential, matrix, kmax, cap=None):
+def walk_layers(x, potential, matrix, kmax):
     """P_x of every A^t word at depths 0 .. kmax, one array per depth.
 
     A depth-d word's point is (v + a_d)/N and its weight W there times its
@@ -202,7 +202,7 @@ def walk_layers(x, potential, matrix, kmax, cap=None):
     evaluated on words whose first letter fails the gate A[a_1, x_1].
     """
     core.check_level(kmax)
-    core.check_cap(matrix.transpose, kmax, cap)
+    core.check_cap(matrix.transpose, kmax)
     if len(x.word) == 0:
         raise EmptyWord("walk needs a starting point with at least one digit")
     core.check_word(matrix, x.word)
@@ -222,9 +222,9 @@ def walk_layers(x, potential, matrix, kmax, cap=None):
     return layers
 
 
-def walk_layer_mass(x, potential, matrix, k, cap=None):
+def walk_layer_mass(x, potential, matrix, k):
     """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
-    return _sum_in_order(walk_layers(x, potential, matrix, k, cap)[-1].tolist())
+    return _sum_in_order(walk_layers(x, potential, matrix, k)[-1].tolist())
 
 
 def harmonic_truncated(x, potential, matrix, kmax):

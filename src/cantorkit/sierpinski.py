@@ -76,10 +76,9 @@ def cells(spec, depth, cap=DEFAULT_CAP):
     """
     if depth < 1:
         raise WordTooShort("depth must be >= 1")
-    total = spec.D ** depth
-    if cap is not None and total > cap:
-        raise CapExceeded("D^%d = %d cells, over the cap of %d"
-                          % (depth, total, cap))
+    # D^depth, taken no deeper than cap.bit_length(), where any D >= 2 passes the cap
+    if cap is not None and spec.D ** min(depth, cap.bit_length()) > cap:
+        raise CapExceeded("depth %d is over the cap of %d cells" % (depth, cap))
     out = []
     for combo in itertools.product(spec.letter_map, repeat=depth):
         out.append(SierpinskiCell(
@@ -128,25 +127,25 @@ def render_pgm(spec, depth, resolution, cap=DEFAULT_CAP):
     at their centers, so when resolution is a multiple of N^depth every pixel
     lies strictly inside one cell and the dark-area fraction is exactly
     (D/N^2)^depth.  Work is resolution^2 * depth digit lookups, guarded by
-    the cap.
+    the cap; the centers' digits are exact integers and cycle within
+    2 N resolution levels.
     """
     if depth < 1 or resolution < 1:
         raise WordTooShort("depth and resolution must be >= 1")
     if cap is not None and resolution * resolution * depth > cap:
-        raise CapExceeded(
-            "res^2 * depth = %d, over the cap of %d"
-            % (resolution * resolution * depth, cap))
-    n = spec.matrix.n
+        raise CapExceeded("res^2 * depth is over the cap of %d" % cap)
+    n, den = spec.matrix.n, 2 * resolution
     a = spec.matrix.array.astype(bool)
-    xs = (np.arange(resolution) + 0.5) / resolution          # columns
-    ys = 1.0 - (np.arange(resolution) + 0.5) / resolution    # rows, top first
+    centers = 2 * np.arange(resolution, dtype=np.int64) + 1   # x = c / den, left to right
     alive = np.ones((resolution, resolution), dtype=bool)
-    scale = 1
+    power, seen = 1, set()   # N^m mod den N, and its values so far
     for _ in range(depth):
-        scale *= n
-        dx = (np.floor(xs * scale).astype(np.int64)) % n
-        dy = (np.floor(ys * scale).astype(np.int64)) % n
-        alive &= a[dx[None, :], dy[:, None]]
+        power = power * n % (den * n)
+        if power in seen:   # the digit rows repeat from here on, and so would alive
+            break
+        seen.add(power)
+        digits = centers * power % (den * n) // den   # digit m: floor(c N^m / den) mod N
+        alive &= a[digits[None, :], digits[::-1, None]]   # row i, top first: y = 1 - x
     img = np.where(alive, 0, 255).astype(np.uint8)
     return img
 

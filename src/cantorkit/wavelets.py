@@ -120,15 +120,15 @@ class MotherWaveletSet:
 def build_mother_wavelets(pd):
     """Run the weighted complement construction for every letter of A."""
     mat = pd.matrix
-    idx2 = core.word_index(mat, 2)
     c_all, funcs, fmat = [], {}, []
     for k in range(mat.n):
         succ = list(mat.successors[k])
-        cols = [idx2[(k, j)] for j in succ]
+        start = sum(mat.row_sums[:k])   # the words k.j are contiguous in W_2
+        cols = slice(start, start + len(succ))
         vecs = weighted_complement_basis(pd.p, succ)
         c_all.append(tuple(vecs))
         for l, v in enumerate(vecs, start=1):
-            coeffs = np.zeros(len(idx2), dtype=np.complex128)
+            coeffs = np.zeros(core.word_count(mat, 2), dtype=np.complex128)
             coeffs[cols] = v[succ]
             f = CylinderFunction(mat, 2, coeffs)
             funcs[(k, l)] = f * (1.0 / spectral.norm(f, pd))
@@ -324,6 +324,7 @@ def synthesize(coeffs, mw, K):
     mat, pd = mw.matrix, mw.pd
     if K < 1:
         raise LevelTooLow("synthesis needs level K >= 1, got %d" % K)
+    core.check_cap(mat, K)
     scaling, rest = _flat_layers(coeffs, mw, K)
     h = scaling / np.sqrt(pd.p)
     for m in range(1, K):

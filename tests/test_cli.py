@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -263,6 +264,9 @@ def test_ck_and_trig_are_capped(tmp_path, capsys):
               core.prepend_index_array, core.value_array, core.suffix_index_array]
     header_only = tmp_path / "header14.txt"
     header_only.write_text("3 14\nS 0 1.0 0.0\n")
+    # the verbs read their level-2 signal before they refuse, so parse it first
+    tri3 = core.validate_matrix(fileio.parse_matrix_rows(open(TRI3).read()))
+    fileio.parse_signal(open(SIGNAL3).read(), tri3)
     before = [t.cache_info().currsize for t in tables]
     assert run(["op", "ck", "--matrix", TRI3, "--level", "40"]) == 66
     assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "40"]) == 66
@@ -351,3 +355,56 @@ def test_subprocess_determinism():
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == 0
     assert a.stdout == b.stdout and a.stdout
+
+
+def test_huge_levels_are_refused_at_once(tmp_path, capsys):
+    header_only = tmp_path / "header20000.txt"
+    header_only.write_text("3 20000\n")
+    huge = [["words", "--matrix", TRI3, "--level", "20000"],
+            ["words", "--matrix", TRI3, "--level", "1000000"],
+            ["op", "ck", "--matrix", TRI3, "--level", "20000"],
+            ["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "20000",
+             "--tmin", "0", "--tmax", "1", "--tcount", "2"],
+            ["walk", "--matrix", TRI3, "--x", "1", "--depth", "30000"],
+            ["sierpinski", "cells", "--matrix", TRI3, "--depth", "20000"],
+            ["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0",
+             "--depth", "20000"],
+            ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(header_only)]]
+    for argv in huge:
+        start = time.perf_counter()
+        assert run(argv) == 66
+        assert time.perf_counter() - start < 1.0, argv
+    assert capsys.readouterr().err.count("over the cap") == len(huge)
+    # a signal file holding only such a header fails its line count, counted no further
+    for k in (20000, 1000000):
+        header_only.write_text("3 %d\n" % k)
+        start = time.perf_counter()
+        assert run(["op", "pf", "--matrix", TRI3, "--signal", str(header_only)]) == 65
+        assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.count("lists 0 of the over ") == 2
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_refusals_precede_the_tables_in_a_fresh_process(tmp_path):
+    # a fresh process has no warm tables, so a refusal that came after a build
+    # would run out of the 1 GiB address space and end in a traceback
+    pytest.importorskip("resource")
+    header_only = tmp_path / "header14.txt"
+    header_only.write_text("3 14\nS 0 1.0 0.0\n")
+    over_cap = [["op", "ck", "--matrix", TRI3, "--level", "40"],
+                ["ruelle", "trig", "--matrix", TRI3, "--level", "40"],
+                ["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "40",
+                 "--tmin", "0", "--tmax", "1", "--tcount", "2"],
+                ["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "40"],
+                ["op", "word", "--matrix", TRI3, "--word", "1" * 25, "--signal", SIGNAL3],
+                ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(header_only)]]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(ROOT, "src"))
+    for argv in over_cap:
+        proc = subprocess.run([sys.executable, "-m", "cantorkit"] + argv, capture_output=True,
+                              text=True, env=env, preexec_fn=_limit_address_space, timeout=120)
+        assert proc.returncode == 66, (argv, proc.stderr[-500:])
+        assert "over the cap" in proc.stderr

@@ -103,13 +103,13 @@ def test_negative_levels_are_rejected(tri3):
             core.word_count(tri3, k)
         with pytest.raises(LevelOutOfRange):
             core.enumerate_words(tri3, k)
-        with pytest.raises(LevelOutOfRange):
-            core.enumerate_words(tri3, k, cap=100)
+        with pytest.raises(LevelOutOfRange), core.budget(100):
+            core.enumerate_words(tri3, k)
 
 
 def test_enumeration_cap(schottky4):
-    with pytest.raises(CapExceeded):
-        core.enumerate_words(schottky4, 9, cap=100)
+    with pytest.raises(CapExceeded), core.budget(100):
+        core.enumerate_words(schottky4, 9)
 
 
 def test_word_index_round_trip(tri3):
@@ -180,6 +180,59 @@ def test_table_levels_are_checked(tri3):
         core.value_array(tri3, -1)
     with pytest.raises(NotInDomain):
         core.prepend_index_array(tri3, 2, 3)
+
+
+def test_bounded_word_count(full2, tri3, schottky4):
+    for m in (full2, tri3, schottky4):
+        for k in range(8):
+            n = core.word_count(m, k)
+            for bound in (-1, 0, n - 1, n, n + 1, 10 ** 30):
+                assert core.bounded_word_count(m, k, bound) == min(n, bound + 1)
+    # counting stops at the bound, however deep the level
+    assert core.bounded_word_count(tri3, 10 ** 7, 1000) == 1001
+    starts_02 = int(np.isin(core.first_digit_array(tri3, 6), (0, 2)).sum())
+    assert core.bounded_word_count(tri3, 6, 10 ** 9, first=(0, 2)) == starts_02
+    assert core.bounded_word_count(tri3, 6, starts_02 - 1, first=(0, 2)) == starts_02
+    with pytest.raises(LevelOutOfRange):
+        core.bounded_word_count(tri3, -1, 10)
+
+
+def test_budget_checks_every_table_call(tri3):
+    # |W_4| = 41 and |W_5| = 99 on tri3; tables built outside a budget are
+    # refused inside one all the same
+    tables = (core._enumerate_words_cached, core.word_index, core.first_digit_array,
+              core.last_digit_array, core.shift_index_array, core.value_array)
+    for table in tables:
+        table(tri3, 5)
+    core.prepend_index_array(tri3, 4, 1)
+    with core.budget(98):
+        for table in tables:
+            with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
+                table(tri3, 5)
+        for table in (core.prefix_index_array, core.suffix_index_array):
+            with pytest.raises(CapExceeded):
+                table(tri3, 5, 2)
+        with pytest.raises(CapExceeded):   # the words i.w live at level 5
+            core.prepend_index_array(tri3, 4, 1)
+        with core.budget(None):
+            assert len(core.enumerate_words(tri3, 5)) == 99
+        with core.budget(99):
+            assert len(core.prepend_index_array(tri3, 4, 1)) == 41
+        assert len(core.value_array(tri3, 4)) == 41
+    assert len(core.value_array(tri3, 5)) == 99
+    with pytest.raises(CapExceeded), core.budget(0):
+        core.enumerate_words(tri3, 0)
+    assert core.enumerate_words(tri3, 0) == ((),)
+
+
+def test_budget_refuses_before_building(tri3):
+    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
+    before = [t.cache_info().currsize for t in tables]
+    with core.budget(10 ** 6):
+        for table in (core.value_array, core.last_digit_array, core.word_index):
+            with pytest.raises(CapExceeded):
+                table(tri3, 10 ** 5)
+    assert [t.cache_info().currsize for t in tables] == before
 
 
 def test_indicator_and_refine(full2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorkit import core, operators, spectral
-from cantorkit.errors import IndexOutOfRange, LevelOutOfRange, MatrixMismatch
+from cantorkit.errors import CapExceeded, IndexOutOfRange, LevelOutOfRange, MatrixMismatch
 
 
 def basis(matrix, k):
@@ -425,3 +425,17 @@ def test_fourier_sweep_is_fourier_approx_per_t(tri3_pd):
         assert sweep == [operators.fourier_approx(f, t, k, tri3_pd) for t in ts]
     with pytest.raises(LevelOutOfRange):
         operators.fourier_sweep(f, [], -1, tri3_pd)
+
+
+def test_ck_residual_refuses_level_k_plus_one_before_any_table():
+    # a matrix no other test uses, so its tables start cold
+    ring = core.validate_matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
+    pd = spectral.perron_data(ring)
+    w3, w4 = core.word_count(ring, 3), core.word_count(ring, 4)
+    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
+    before = [t.cache_info().currsize for t in tables]
+    with pytest.raises(CapExceeded, match="level 4 "), core.budget(w3):
+        operators.ck_relations_residual(pd, 3)
+    assert [t.cache_info().currsize for t in tables] == before
+    with core.budget(w4):
+        assert operators.ck_relations_residual(pd, 3) < 1e-12

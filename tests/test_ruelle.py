@@ -138,12 +138,12 @@ def test_transpose_words_asymmetric():
 
 
 def test_transpose_cap(schottky4):
-    with pytest.raises(CapExceeded):
-        core.enumerate_words(schottky4.transpose, 10, cap=50)
+    with pytest.raises(CapExceeded), core.budget(50):
+        core.enumerate_words(schottky4.transpose, 10)
     with pytest.raises(LevelOutOfRange):
         core.word_count(schottky4.transpose, -1)
-    with pytest.raises(LevelOutOfRange):
-        core.enumerate_words(schottky4.transpose, -2, cap=50)
+    with pytest.raises(LevelOutOfRange), core.budget(50):
+        core.enumerate_words(schottky4.transpose, -2)
 
 
 def test_transpose_matches_column_walk(full2, tri3, schottky4, strict5):
@@ -380,9 +380,10 @@ def test_walk_checks_level_cap_and_start(tri3):
     assert [a.tolist() for a in ruelle.walk_layers(x, pot, tri3, 0)] == [[1.0]]
     with pytest.raises(LevelOutOfRange):
         ruelle.walk_layer_mass(x, pot, tri3, -1)
-    with pytest.raises(CapExceeded):
-        ruelle.walk_layer_mass(x, pot, tri3, 4, cap=40)
-    assert ruelle.walk_layer_mass(x, pot, tri3, 4, cap=41) == pytest.approx(41 / 16)
+    with pytest.raises(CapExceeded), core.budget(40):
+        ruelle.walk_layer_mass(x, pot, tri3, 4)
+    with core.budget(41):
+        assert ruelle.walk_layer_mass(x, pot, tri3, 4) == pytest.approx(41 / 16)
     with pytest.raises(EmptyWord):
         ruelle.walk_layers(core.Point((), 0.0), pot, tri3, 2)
     with pytest.raises(InadmissibleWord):
@@ -418,3 +419,13 @@ def test_scalar_call_reads_two_digits(full2_pd):
     assert pot((1,), 0.5) == 1.0
     assert pot((), 0.0) == 1.0
     assert seen == [([1], [0], [0.625]), ([1], [0], [0.5]), ([0], [0], [0.0])]
+
+
+def test_walk_refuses_before_building(tri3):
+    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
+    pot = ruelle.constant_potential(0.5)
+    x = core.nadic_value((1,), 3)
+    before = [t.cache_info().currsize for t in tables]
+    with pytest.raises(CapExceeded), core.budget(10 ** 5):
+        ruelle.walk_layers(x, pot, tri3, 40)
+    assert [t.cache_info().currsize for t in tables] == before

@@ -115,6 +115,17 @@ def test_render_orientation(full2):
     assert (img[2:, 2:] == 0).all()     # bottom-right: pair (1,0) kept
 
 
+def test_cells_cap_boundary_at_every_alphabet_size(full2, tri3, schottky4):
+    cycle = core.validate_matrix([[0, 1], [1, 0]], strict=False)   # D = 2 pairs
+    for m in (cycle, full2, tri3, schottky4):
+        spec = sierpinski.sierpinski_spec(m)
+        for depth in range(1, 6):
+            size = spec.D ** depth
+            assert len(sierpinski.cells(spec, depth, cap=size)) == size
+            with pytest.raises(CapExceeded, match="over the cap of %d cells" % (size - 1)):
+                sierpinski.cells(spec, depth, cap=size - 1)
+
+
 def test_render_cap(tri3):
     spec = sierpinski.sierpinski_spec(tri3)
     with pytest.raises(CapExceeded):
@@ -122,6 +133,16 @@ def test_render_cap(tri3):
     # the documented reference size passes under the default cap
     img = sierpinski.render_pgm(spec, 3, 243)
     assert img.shape == (243, 243)
+
+
+def test_render_reads_exact_digits_at_any_depth(tri3, full2):
+    # 3^646 overflows a float; the pixel centers' digits stay exact integers
+    spec = sierpinski.sierpinski_spec(tri3)
+    deep = sierpinski.render_pgm(spec, 100000, 1)
+    assert deep.tolist() == [[0]]   # 1/2 = 0.111... in base 3, and A[1, 1] = 1
+    assert (sierpinski.render_pgm(spec, 2000, 9) == sierpinski.render_pgm(spec, 60, 9)).all()
+    # the full shift keeps every cell: no depth leaves a pixel light
+    assert (sierpinski.render_pgm(sierpinski.sierpinski_spec(full2), 5000, 6) == 0).all()
 
 
 def test_cuntz_rep_matrix(tri3):

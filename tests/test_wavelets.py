@@ -5,6 +5,7 @@ import pytest
 
 from cantorkit import core, spectral, wavelets
 from cantorkit.errors import (
+    CapExceeded,
     IndexOutOfRange,
     LevelTooLow,
     NonPositiveWeight,
@@ -272,3 +273,25 @@ def test_detail_keys_order(tri3_pd):
     assert ((0,), 1, 1) in level1 and ((0,), 2, 1) in level1
     # no (a, l, 2) with a ending in 0: A[0,2] = 0
     assert all(not (a and a[-1] == 0 and r == 2) for (a, l, r) in keys)
+
+
+def test_synthesize_under_a_budget(tri3_pd):
+    mw = wavelets.build_mother_wavelets(tri3_pd)
+    empty = wavelets.WaveletCoefficients(scaling=np.zeros(3), detail={})
+    keys = wavelets._key_table(tri3_pd.matrix)   # the levels its keys reach
+    ends = list(keys.ends)
+    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
+    tables.append(wavelets._key_table)
+    before = [t.cache_info().currsize for t in tables]
+    with core.budget(1000):
+        for K in (14, 40):
+            with pytest.raises(CapExceeded):
+                wavelets.synthesize(empty, mw, K)
+    assert [t.cache_info().currsize for t in tables] == before
+    assert keys.ends == ends
+    # |W_7| = 577 and |W_8| = 1393: the budget admits the one and refuses the other
+    with core.budget(1000):
+        assert len(wavelets.synthesize(empty, mw, 7).coeffs) == 577
+        with pytest.raises(CapExceeded):
+            wavelets.synthesize(empty, mw, 8)
+    assert len(wavelets.synthesize(empty, mw, 8).coeffs) == 1393

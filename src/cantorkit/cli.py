@@ -154,6 +154,7 @@ def cmd_op_ck(args, matrix, pd):
 
 def cmd_fourier(args, matrix, pd):
     f = _load_signal(args.signal, matrix)
+    core._check_budget(lambda cap: args.tcount, "%d t values are over the cap of %d", args.tcount)
     ts = np.linspace(args.tmin, args.tmax, args.tcount).tolist()
     for t, v in zip(ts, operators.fourier_sweep(f, ts, args.level, pd)):
         print("%s, %s, %s" % (_fmt(t), _fmt(v.real), _fmt(v.imag)))
@@ -253,14 +254,14 @@ def cmd_sierpinski_info(args, matrix, pd):
 
 def cmd_sierpinski_cells(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
-    for cell in sierpinski.cells(spec, args.depth, cap=args.cap):
+    for cell in sierpinski.cells(spec, args.depth):
         print("%s %s" % (fileio.format_word(cell.xword, matrix.n),
                          fileio.format_word(cell.yword, matrix.n)))
 
 
 def cmd_sierpinski_render(args, matrix, pd):
     spec = sierpinski.sierpinski_spec(matrix)
-    img = sierpinski.render_pgm(spec, args.depth, args.res, cap=args.cap)
+    img = sierpinski.render_pgm(spec, args.depth, args.res)
     _emit(args, fileio.format_pgm(img))
     if args.out:
         dark = int((img == 0).sum())
@@ -286,13 +287,12 @@ def cmd_graph_perron(args, g, pd):
 def cmd_graph_wavelets(args, g, pd):
     gw = graphs.build_graph_wavelets(g, args.v0, args.e0,
                                      tol=args.tol, max_iter=args.max_iter)
-    for pth in graphs.paths_from(gw, args.depth, cap=args.cap):
-        for t in graphs.valid_level_tuples(gw, pth):
-            value = graphs.psi_path(gw, pth, t)
-            print("%s %s %s" % (",".join(str(e) for e in pth),
-                                ",".join(str(l) for l in t),
-                                _fmt(value.real)))
-    rep = graphs.path_integrals(gw, args.depth, cap=args.cap)
+    tuples, valid, psi, weights = graphs._psi_levels(gw, args.depth)   # for lines and sums
+    names = [",".join(map(str, t)) for t in tuples.tolist()]
+    paths = [",".join(map(str, pth)) for pth in graphs.paths_from(gw, args.depth)]
+    for j, i in zip(*np.nonzero(valid.T)):   # path by path, each path's tuples in order
+        print("%s %s %s" % (paths[j], names[i], _fmt(psi[i, j])))
+    rep = graphs._integrals(args.depth, psi, weights)
     _kv("n_paths", rep.n_paths)
     _kv("n_tuples", rep.n_tuples)
     _kv("max_mean_residual", _fmt(rep.max_mean_residual))

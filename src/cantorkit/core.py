@@ -25,6 +25,8 @@ the public tuple API.
 `with core.budget(cap):` makes any table of more than `cap` words raise
 CapExceeded: each table builder checks its level on every call, hit or miss,
 as do the kernels that allocate |W_k|-sized arrays before they touch a table.
+`_check_budget` is the one check: graph wavelets, Sierpinski cells and
+renders and the CLI's t grid count what they build against the same cap.
 Outside a budget there is no limit.
 """
 
@@ -32,7 +34,7 @@ import contextlib
 import contextvars
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
@@ -62,6 +64,17 @@ class AdmissibilityMatrix:
 
     rows: tuple
     strict: bool = True
+
+    @cached_property
+    def _hash(self):
+        return hash((self.rows, self.strict))
+
+    def __hash__(self):   # every table lookup hashes the matrix: once per instance
+        return self._hash
+
+    @cached_property
+    def _bounded_counts(self):   # (k, bound, first) -> bounded_word_count
+        return {}
 
     @property
     def n(self):
@@ -148,7 +161,7 @@ def validate_matrix(rows, strict=True):
     return AdmissibilityMatrix(rows=frozen, strict=strict)
 
 
-DEFAULT_CAP = 200000  # words, cells or paths a command builds unless told otherwise
+DEFAULT_CAP = 200000  # the CLI's --cap: the budget a command runs under unless told otherwise
 
 
 # --- words --------------------------------------------------------------------
@@ -235,15 +248,18 @@ def bounded_word_count(matrix, k, bound, first=None):
     """min(|W_k|, bound + 1), or the same for the words starting in `first`.
 
     Counted level by level only until the count passes `bound`: no level has
-    fewer words than the one before, as every digit has a successor.
-    """
+    fewer words than the one before, as every digit has a successor.  Kept
+    per matrix, as the budget asks again on every table call."""
     check_level(k)
-    total = 1   # the empty word
-    for _, counts in zip(range(k), _count_levels(matrix)):
-        total = sum(counts) if first is None else sum(counts[i] for i in first)
-        if total > bound:
-            break
-    return min(total, bound + 1)
+    known = matrix._bounded_counts
+    if (k, bound, first) not in known:
+        total = 1   # the empty word
+        for _, counts in zip(range(k), _count_levels(matrix)):
+            total = sum(counts) if first is None else sum(counts[i] for i in first)
+            if total > bound:
+                break
+        known[k, bound, first] = min(total, bound + 1)
+    return known[k, bound, first]
 
 
 _BUDGET = contextvars.ContextVar("cantorkit_budget", default=None)
@@ -259,11 +275,19 @@ def budget(cap):
         _BUDGET.reset(token)
 
 
+def _check_budget(count, refusal, *args):
+    """Raise CapExceeded(refusal % (*args, cap)) if a budget is set and count(cap) > cap.
+
+    count(cap) sizes what the caller is about to build, and may stop once past cap."""
+    cap = _BUDGET.get()
+    if cap is not None and count(cap) > cap:
+        raise CapExceeded(refusal % (args + (cap,)))
+
+
 def check_cap(matrix, k):
     """Raise CapExceeded when a budget is set and |W_k| is over it."""
-    cap = _BUDGET.get()
-    if cap is not None and bounded_word_count(matrix, k, cap) > cap:
-        raise CapExceeded("level %d is over the cap of %d words" % (k, cap))
+    _check_budget(partial(bounded_word_count, matrix, k),
+                  "level %d is over the cap of %d words", k)
 
 
 def _table(least=0, above=0):

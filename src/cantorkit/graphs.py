@@ -15,12 +15,19 @@ Gram-Schmidt routine as the line wavelets, run with weights p on the
 successor set of e).  Each position m admits levels l_m = 1..d_{e_{m-1}} - 1;
 edges with a single successor contribute no levels at all.  Zero-mean and
 Gram-orthonormality are path-space statements — sums over edge tuples
-weighted by p_{e_1}...p_{e_k} — and path_integrals measures them directly,
-counting the level tuples it actually summed so that an empty index set
-(possible when d_{e0} = 1) is visible rather than silently passing.
+weighted by p_{e_1}...p_{e_k} — and path_integrals measures them directly.
+
+The length-k paths from v0 are the level-k edge-shift words whose first edge
+leaves v0, and Psi on all of them is built one level at a time from each
+path's prefix q (core.prefix_index_array):
+
+    Psi^{t.l}(q.e) = Psi^t(q) c^{l, last q}_e,  valid iff t is valid on q and l < d_{last q}.
+
+Depth m costs O(paths x tuples) time and memory (the Gram matrix: tuples^2),
+which core.budget counts before allocating; the Gram sums take O(tuples^2 x paths).
 """
 
-import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,10 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from . import core, spectral, wavelets
-from .core import DEFAULT_CAP, validate_matrix
+from .core import validate_matrix
 from .errors import (
     BaseEdgeMismatch,
-    CapExceeded,
     IndexOutOfRange,
     LevelOutOfRange,
     MultiplePaths,
@@ -50,10 +56,8 @@ class DirectedGraph:
     @cached_property
     def out_edges(self):
         """Edge ids leaving each vertex, ascending."""
-        out = [[] for _ in range(self.vertex_count)]
-        for eid, (s, _) in enumerate(self.edges):
-            out[s].append(eid)
-        return tuple(tuple(e) for e in out)
+        return tuple(tuple(e for e, (s, _) in enumerate(self.edges) if s == v)
+                     for v in range(self.vertex_count))
 
     def source(self, e):
         return self.edges[e][0]
@@ -79,10 +83,7 @@ def directed_graph(vertex_count, edges):
 
 def edge_matrix(g):
     """The E x E edge-shift matrix: A[e, e'] = 1 iff r(e) = s(e')."""
-    rows = [[1 if g.range(e) == g.source(e2) else 0
-             for e2 in range(len(g.edges))]
-            for e in range(len(g.edges))]
-    return validate_matrix(rows, strict=False)
+    return validate_matrix([[int(r == s) for s, _ in g.edges] for _, r in g.edges], strict=False)
 
 
 def graph_perron(g, tol=spectral.DEFAULT_TOL, max_iter=spectral.DEFAULT_MAX_ITER):
@@ -99,29 +100,17 @@ def vertex_measure(g, v0, p):
     among the shortest.  Not normalized — report of the total is the caller's.
     """
     p = np.asarray(p, dtype=float)
-    best = {v0: ()}
-    queue = [v0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for e in g.out_edges[u]:
-                v = g.range(e)
-                if v not in best:
-                    best[v] = best[u] + (e,)
-                    nxt.append(v)
-        queue = nxt
+    best, queue = {v0: ()}, [v0]
+    for u in queue:   # the queue grows behind the loop: first in, first out
+        for e in g.out_edges[u]:
+            if g.range(e) not in best:
+                best[g.range(e)] = best[u] + (e,)
+                queue.append(g.range(e))
     out = {}
     for v in range(g.vertex_count):
-        if v == v0:
-            out[v] = 0.0
-        elif v in best:
-            val = 1.0
-            for e in best[v]:
-                val *= float(p[e])
-            out[v] = val
-        else:
+        if v not in best:
             warnings.warn("vertex %d unreachable from %d; measure 0" % (v, v0))
-            out[v] = 0.0
+        out[v] = math.prod(float(p[e]) for e in best[v]) if v != v0 and v in best else 0.0
     return out
 
 
@@ -154,29 +143,14 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
             % (e0, g.range(e0), v0))
     em = edge_matrix(g)
     pd = spectral.perron_data(em, tol=tol, max_iter=max_iter)
-    c = tuple(
-        tuple(wavelets.weighted_complement_basis(pd.p, em.successors[e]))
-        for e in range(len(g.edges)))
+    c = tuple(tuple(wavelets.weighted_complement_basis(pd.p, s)) for s in em.successors)
     return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=c, d=em.row_sums)
 
 
-def _count_paths(gw, k, bound=float("inf")):
-    """min(bound + 1, length-k paths leaving v0): edge-shift words from its out-edges."""
-    return core.bounded_word_count(gw.pd.matrix, max(k, 0), bound,
-                                   first=gw.graph.out_edges[gw.v0])
-
-
-def paths_from(gw, k, cap=DEFAULT_CAP):
-    """All length-k edge paths leaving the base vertex, lexicographic."""
-    g = gw.graph
-    if cap is not None and _count_paths(gw, k, cap) > cap:
-        raise CapExceeded("paths of length %d are over the cap of %d" % (k, cap))
-    paths = [()]
-    for _ in range(k):
-        paths = [pth + (e,)
-                 for pth in paths
-                 for e in g.out_edges[g.range(pth[-1]) if pth else gw.v0]]
-    return paths
+def paths_from(gw, k):
+    """All length-k edge paths leaving the base vertex, lexicographic: edge-shift words."""
+    starts = gw.graph.out_edges[gw.v0]
+    return [w for w in core.enumerate_words(gw.pd.matrix, k) if not w or w[0] in starts]
 
 
 def psi_path(gw, path, levels):
@@ -201,8 +175,7 @@ def psi_path(gw, path, levels):
         if g.range(path[m]) != g.source(path[m + 1]):
             raise NotComposable(
                 "edges %d and %d do not compose" % (path[m], path[m + 1]))
-    value = 1.0
-    prev = gw.e0
+    value, prev = 1.0, gw.e0
     for e, l in zip(path, levels):
         if not 1 <= l <= gw.d[prev] - 1:
             raise LevelOutOfRange(
@@ -210,18 +183,6 @@ def psi_path(gw, path, levels):
         value *= float(gw.c[prev][l - 1][e])
         prev = e
     return complex(value)
-
-
-def valid_level_tuples(gw, path):
-    """Level tuples usable on this path; empty when any position has d = 1."""
-    ranges = []
-    prev = gw.e0
-    for e in path:
-        if gw.d[prev] < 2:
-            return []
-        ranges.append(range(1, gw.d[prev]))
-        prev = e
-    return [tuple(t) for t in itertools.product(*ranges)]
 
 
 @dataclass(frozen=True)
@@ -240,37 +201,56 @@ class PathIntegralReport:
     max_gram_residual: float
 
 
-def path_integrals(gw, k, cap=DEFAULT_CAP):
+def _psi_levels(gw, k):
+    """The level tuples (rows, lexicographic), valid and psi (tuples x paths, psi 0
+    where invalid) and the path weights at depth k, built one edge per level."""
+    if k < 1:
+        raise LevelOutOfRange("depth must be >= 1")
+    em, d, starts = gw.pd.matrix, np.array(gw.d), gw.graph.out_edges[gw.v0]
+    coef = np.zeros((len(d), max(d.max() - 1, 1), len(d)))   # coef[e, l - 1] = c^{l,e}
+    for e, vecs in enumerate(gw.c):
+        coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
+    here, last, tuples = np.zeros(1, dtype=np.intp), np.array([gw.e0]), np.zeros((1, 0), int)
+    valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
+    for m in range(1, k + 1):   # here: the positions in W_m of the paths from v0
+        above, here = here, np.flatnonzero(np.isin(core.first_digit_array(em, m), starts))
+        parent = np.searchsorted(above, core.prefix_index_array(em, m, m - 1)[here])
+        edge, prev = core.last_digit_array(em, m)[here], last[parent]
+        # t.l is valid below the paths q on which t is valid, for l < d[last q]
+        top = np.max(np.where(valid, d[last] - 1, 0), axis=1)
+        tparent = np.repeat(np.arange(len(top)), top)
+        level = np.arange(1, len(tparent) + 1) - np.repeat(np.cumsum(top) - top, top)
+        # psi's entries, or the Gram matrix's where the tuples outnumber the paths
+        core._check_budget(lambda cap: len(tparent) * max(len(here), len(tparent)),
+                           "paths of length %d are over the cap of %d", k)
+        pairs = np.ix_(tparent, parent)
+        valid = valid[pairs] & (level[:, None] < d[prev])
+        psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
+        tuples = np.column_stack((tuples[tparent], level))
+        weights, last = weights[parent] * gw.pd.p[edge], edge
+    return tuples, valid, psi, weights
+
+
+def path_integrals(gw, k):
     """Brute-force the zero-mean and orthonormality sums over all depth-k paths.
 
     Level tuples invalid on a particular path contribute zero there (the
     wavelet family simply has no member with that index on that branch);
     the Gram matrix is computed over the union of tuples valid somewhere.
     """
-    if k < 1:
-        raise LevelOutOfRange("depth must be >= 1")
-    paths = paths_from(gw, k, cap=cap)
-    p = gw.pd.p
-    tuple_set = sorted({t for pth in paths for t in valid_level_tuples(gw, pth)})
-    if not tuple_set:
-        return PathIntegralReport(
-            depth=k, n_paths=len(paths), n_tuples=0,
-            max_mean_residual=0.0, max_gram_residual=0.0)
-    tix = {t: i for i, t in enumerate(tuple_set)}
-    psi = np.zeros((len(tuple_set), len(paths)), dtype=np.complex128)
-    weights = np.ones(len(paths))
-    for j, pth in enumerate(paths):
-        for e in pth:
-            weights[j] *= p[e]
-        for t in valid_level_tuples(gw, pth):
-            psi[tix[t], j] = psi_path(gw, pth, t)
+    _, _, psi, weights = _psi_levels(gw, k)
+    return _integrals(k, psi, weights)
+
+
+def _integrals(k, psi, weights):
+    psi = psi.astype(np.complex128)
     means = psi @ weights
     gram = (np.conj(psi) * weights[None, :]) @ psi.T
-    dev = gram - np.eye(len(tuple_set))
-    return PathIntegralReport(
-        depth=k, n_paths=len(paths), n_tuples=len(tuple_set),
-        max_mean_residual=float(np.max(np.abs(means))),
-        max_gram_residual=float(np.max(np.abs(dev))))
+    dev = gram - np.eye(len(psi))
+    return PathIntegralReport(   # no tuples: both sums are empty, and read 0
+        depth=k, n_paths=len(weights), n_tuples=len(psi),
+        max_mean_residual=float(np.max(np.abs(means), initial=0.0)),
+        max_gram_residual=float(np.max(np.abs(dev), initial=0.0)))
 
 
 def psi_on_vertices(gw, levels):
@@ -281,6 +261,8 @@ def psi_on_vertices(gw, levels):
     MultiplePaths reports the offending vertex.
     """
     k = len(levels)
+    if k < 1:
+        raise LevelOutOfRange("need one level per path edge (and k >= 1)")
     ends = {}
     for pth in paths_from(gw, k):
         v = gw.graph.range(pth[-1])

@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_CAP, AdmissibilityMatrix, validate_matrix
-from .errors import CapExceeded, WordTooShort
+from . import core
+from .core import AdmissibilityMatrix, validate_matrix
+from .errors import WordTooShort
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def sierpinski_spec(matrix):
     )
 
 
-def cells(spec, depth, cap=DEFAULT_CAP):
+def cells(spec, depth):
     """All depth-k cells, ordered lexicographically by pair-letter indices.
 
     Across positions the pair letters are unconstrained (the planar
@@ -77,14 +78,10 @@ def cells(spec, depth, cap=DEFAULT_CAP):
     if depth < 1:
         raise WordTooShort("depth must be >= 1")
     # D^depth, taken no deeper than cap.bit_length(), where any D >= 2 passes the cap
-    if cap is not None and spec.D ** min(depth, cap.bit_length()) > cap:
-        raise CapExceeded("depth %d is over the cap of %d cells" % (depth, cap))
-    out = []
-    for combo in itertools.product(spec.letter_map, repeat=depth):
-        out.append(SierpinskiCell(
-            xword=tuple(p[0] for p in combo),
-            yword=tuple(p[1] for p in combo)))
-    return out
+    core._check_budget(lambda cap: spec.D ** min(depth, cap.bit_length()),
+                       "depth %d is over the cap of %d cells", depth)
+    return [SierpinskiCell(*zip(*pairs))   # (x digits, y digits)
+            for pairs in itertools.product(spec.letter_map, repeat=depth)]
 
 
 def cell_is_valid(spec, cell):
@@ -100,11 +97,8 @@ def induced_matrix(spec):
     Row sums equal d_j (the row sum of the second letter); the diagonal is
     generally not all ones, so the result is non-strict.
     """
-    rows = []
-    for (_, j) in spec.letter_map:
-        rows.append([1 if (j == l and spec.matrix.rows[j][k2]) else 0
-                     for (l, k2) in spec.letter_map])
-    return validate_matrix(rows, strict=False)
+    return validate_matrix([[int(j == l and spec.matrix.rows[j][k]) for l, k in spec.letter_map]
+                            for _, j in spec.letter_map], strict=False)
 
 
 def embed_xi(word):
@@ -119,21 +113,21 @@ def embed_xi(word):
     return SierpinskiCell(xword=word[:-1], yword=word[1:])
 
 
-def render_pgm(spec, depth, resolution, cap=DEFAULT_CAP):
+def render_pgm(spec, depth, resolution):
     """Rasterize the depth-k approximation on a resolution^2 grid.
 
     Returns a uint8 array, 0 (dark) on surviving cells and 255 elsewhere;
     row 0 is the top of the square (image convention).  Pixels are sampled
     at their centers, so when resolution is a multiple of N^depth every pixel
     lies strictly inside one cell and the dark-area fraction is exactly
-    (D/N^2)^depth.  Work is resolution^2 * depth digit lookups, guarded by
-    the cap; the centers' digits are exact integers and cycle within
+    (D/N^2)^depth.  Work is resolution^2 * depth digit lookups, which the
+    budget counts; the centers' digits are exact integers and cycle within
     2 N resolution levels.
     """
     if depth < 1 or resolution < 1:
         raise WordTooShort("depth and resolution must be >= 1")
-    if cap is not None and resolution * resolution * depth > cap:
-        raise CapExceeded("res^2 * depth is over the cap of %d" % cap)
+    core._check_budget(lambda cap: resolution * resolution * depth,
+                       "res^2 * depth is over the cap of %d")
     n, den = spec.matrix.n, 2 * resolution
     a = spec.matrix.array.astype(bool)
     centers = 2 * np.arange(resolution, dtype=np.int64) + 1   # x = c / den, left to right
@@ -146,8 +140,7 @@ def render_pgm(spec, depth, resolution, cap=DEFAULT_CAP):
         seen.add(power)
         digits = centers * power % (den * n) // den   # digit m: floor(c N^m / den) mod N
         alive &= a[digits[None, :], digits[::-1, None]]   # row i, top first: y = 1 - x
-    img = np.where(alive, 0, 255).astype(np.uint8)
-    return img
+    return np.where(alive, 0, 255).astype(np.uint8)
 
 
 def sierpinski_cuntz_rep(spec):

@@ -203,6 +203,28 @@ def test_graph_commands(capsys):
     assert float(d["max_gram_residual"]) < 1e-11
 
 
+def test_graph_wavelets_cap_counts_psi_entries(capsys):
+    # depth 7 on loops3: 2,187 paths x 128 level tuples, one line per entry
+    depth7 = ["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0",
+              "--depth", "7", "--cap"]
+    assert run(depth7 + ["279935"]) == 66
+    out, err = capsys.readouterr()
+    assert out == "" and "paths of length 7 are over the cap of 279935" in err
+    assert run(depth7 + ["279936"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2187 * 128 + 4
+    assert lines[-4:-2] == ["n_paths = 2187", "n_tuples = 128"]
+
+
+def test_fourier_cap_counts_t_values(capsys):
+    fourier = ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+               "--tmin", "0", "--tmax", "1", "--tcount"]
+    assert run(fourier + ["11", "--cap", "10"]) == 66
+    assert "11 t values are over the cap of 10" in capsys.readouterr().err
+    assert run(fourier + ["10", "--cap", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
 # --- failure modes ----------------------------------------------------------
 
 
@@ -369,6 +391,10 @@ def test_huge_levels_are_refused_at_once(tmp_path, capsys):
             ["sierpinski", "cells", "--matrix", TRI3, "--depth", "20000"],
             ["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0",
              "--depth", "20000"],
+            ["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0",
+             "--depth", "10"],
+            ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+             "--tmin", "0", "--tmax", "1", "--tcount", "1000000000000"],
             ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(header_only)]]
     for argv in huge:
         start = time.perf_counter()
@@ -401,7 +427,11 @@ def test_refusals_precede_the_tables_in_a_fresh_process(tmp_path):
                  "--tmin", "0", "--tmax", "1", "--tcount", "2"],
                 ["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "40"],
                 ["op", "word", "--matrix", TRI3, "--word", "1" * 25, "--signal", SIGNAL3],
-                ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(header_only)]]
+                ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(header_only)],
+                ["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0",
+                 "--depth", "10"],
+                ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+                 "--tmin", "0", "--tmax", "1", "--tcount", "1000000000000"]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(ROOT, "src"))
     for argv in over_cap:
         proc = subprocess.run([sys.executable, "-m", "cantorkit"] + argv, capture_output=True,

@@ -1,10 +1,11 @@
 """Derandomized fuzzing of the command table.
 
 Every row of VERBS is driven with drawn flags on the bundled strict matrices
-and graphs: levels and depths from -3 to 100,000, a `--cap` no larger than
-the default (so no example builds a huge table for real), and small signal
-and coefficient files with mutated lines.  Whatever the input, `run` returns
-a documented exit code and no exception escapes.
+and graphs: levels and depths from -3 to 100,000, `--tcount` and `--res` up
+to 10^12, a `--cap` no larger than the default (so no example builds a huge
+table for real), and small signal and coefficient files with mutated lines.
+Whatever the input, `run` returns a documented exit code and no exception
+escapes.
 """
 
 import os
@@ -77,7 +78,7 @@ def _flag_value(draw, flag, matrix, tmp):
     if flag in ("--tmin", "--tmax", "--constant"):
         return draw(NUMBERS)
     if flag in ("--tcount", "--res"):
-        return str(draw(st.integers(-1, 40)))
+        return str(draw(st.integers(-1, 40) | st.sampled_from((10 ** 6, 10 ** 9, 10 ** 12))))
     if flag == "--out":
         return str(tmp / "out.txt")
     signal, coeffs = _base_texts(matrix, draw(st.integers(0, 3)))

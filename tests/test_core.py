@@ -197,6 +197,21 @@ def test_bounded_word_count(full2, tri3, schottky4):
         core.bounded_word_count(tri3, -1, 10)
 
 
+def test_kept_counts_and_hash_follow_the_matrix_value(tri3):
+    # each matrix keeps its bounded counts; one kept for all words is not one for some
+    rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    m = core.validate_matrix(rows)
+    total = core.bounded_word_count(m, 6, 10 ** 9)
+    starts_02 = core.bounded_word_count(m, 6, 10 ** 9, first=(0, 2))
+    assert starts_02 < total == core.word_count(m, 6)
+    assert core.bounded_word_count(m, 6, 10 ** 9) == total
+    # an equal matrix hashes alike and finds the tables its twin built
+    twin = core.validate_matrix(rows)
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert core.value_array(twin, 5) is core.value_array(m, 5)
+    assert core.validate_matrix(rows, strict=False) != m
+
+
 def test_budget_checks_every_table_call(tri3):
     # |W_4| = 41 and |W_5| = 99 on tri3; tables built outside a budget are
     # refused inside one all the same

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -29,6 +30,30 @@ def complete2_graph():
 
 def loops3_graph():
     return graphs.directed_graph(1, ((0, 0), (0, 0), (0, 0)))
+
+
+def input_graph(name):
+    inputs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "inputs")
+    with open(os.path.join(inputs, name)) as fh:
+        return fileio.parse_graph(fh.read())
+
+
+def base_pairs(g):
+    """Every (v0, e0) with e0 an edge into v0."""
+    return [(g.range(e0), e0) for e0 in range(len(g.edges))]
+
+
+def valid_level_tuples(gw, path):
+    """Level tuples usable on this path; empty when any position has d = 1."""
+    ranges = []
+    prev = gw.e0
+    for e in path:
+        if gw.d[prev] < 2:
+            return []
+        ranges.append(range(1, gw.d[prev]))
+        prev = e
+    return [tuple(t) for t in itertools.product(*ranges)]
 
 
 def test_directed_graph_validation():
@@ -124,21 +149,32 @@ def test_paths_from_enumeration():
     assert len(graphs.paths_from(gw, 3)) == 8
 
 
+def reference_paths_from(gw, k):
+    """The per-level path loop that paths_from ran before paths were edge-shift words."""
+    g = gw.graph
+    paths = [()]
+    for _ in range(k):
+        paths = [pth + (e,)
+                 for pth in paths
+                 for e in g.out_edges[g.range(pth[-1]) if pth else gw.v0]]
+    return paths
+
+
 def test_path_count_matches_enumeration():
-    inputs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "inputs")
     for name in ("graph3.txt", "loops3.txt"):
-        with open(os.path.join(inputs, name)) as fh:
-            g = fileio.parse_graph(fh.read())
+        g = input_graph(name)
         for v0 in range(g.vertex_count):
             e0 = next(e for e in range(len(g.edges)) if g.range(e) == v0)
             gw = graphs.build_graph_wavelets(g, v0, e0)
             for k in range(7):
-                n_paths = len(graphs.paths_from(gw, k, cap=None))
-                assert graphs._count_paths(gw, k) == n_paths
-                assert len(graphs.paths_from(gw, k, cap=n_paths)) == n_paths
-                with pytest.raises(CapExceeded):
-                    graphs.paths_from(gw, k, cap=n_paths - 1)
+                paths = graphs.paths_from(gw, k)
+                assert paths == reference_paths_from(gw, k)
+                # the paths are read off W_k of the edge shift, which the budget counts
+                n_words = core.word_count(gw.pd.matrix, k)
+                with core.budget(n_words):
+                    assert graphs.paths_from(gw, k) == paths
+                with pytest.raises(CapExceeded), core.budget(n_words - 1):
+                    graphs.paths_from(gw, k)
 
 
 def test_psi_path_values_on_loops():
@@ -168,13 +204,82 @@ def test_psi_path_validation():
 
 def test_valid_level_tuples():
     gw = graphs.build_graph_wavelets(loops3_graph(), 0, 0)
-    assert graphs.valid_level_tuples(gw, (0, 1)) == [
+    assert valid_level_tuples(gw, (0, 1)) == [
         (1, 1), (1, 2), (2, 1), (2, 2)]
     # a position with d = 1 empties the whole tuple set
     g = three_edge_graph()
     gw2 = graphs.build_graph_wavelets(g, 1, 2)
     assert gw2.d[2] == 2 and gw2.d[1] == 1
-    assert graphs.valid_level_tuples(gw2, (1, 0)) == []
+    assert valid_level_tuples(gw2, (1, 0)) == []
+
+
+def test_psi_levels_match_psi_path():
+    # the level table against the per-path definitions, bit for bit
+    cases = [(loops3_graph(), 0, 0)]
+    # the out-edges of this graph's vertex 0 interleave with the others' (edges 0 and 2)
+    interleaved = graphs.directed_graph(2, ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1)))
+    cases += [(g, v0, e0) for g in (input_graph("graph3.txt"), complete2_graph(), interleaved)
+              for v0, e0 in base_pairs(g)]
+    # out-degrees 2, 3, 2, 1, 3: the tuple (1, 2) lives only below 0 -> 1, whose
+    # next edges have at most one level, while 0 -> 2 -> 4 has two
+    uneven = graphs.directed_graph(5, ((0, 1), (0, 2), (1, 3), (1, 0), (1, 2), (3, 0),
+                                       (2, 4), (2, 0), (4, 0), (4, 1), (4, 2)))
+    cases.append((uneven, 0, 5))
+    assert len(cases) == 1 + 3 + 4 + 5 + 1
+    for g, v0, e0 in cases:
+        gw = graphs.build_graph_wavelets(g, v0, e0)
+        for k in range(1, 6):
+            tuples, valid, psi, weights = graphs._psi_levels(gw, k)
+            paths = graphs.paths_from(gw, k)
+            tuples = [tuple(t) for t in tuples.tolist()]
+            assert tuples == sorted({t for pth in paths for t in valid_level_tuples(gw, pth)})
+            assert valid.shape == psi.shape == (len(tuples), len(paths))
+            for j, pth in enumerate(paths):
+                weight = 1.0
+                for e in pth:
+                    weight *= gw.pd.p[e]
+                assert weights[j] == weight
+                on_path = valid_level_tuples(gw, pth)
+                for i, t in enumerate(tuples):
+                    assert valid[i, j] == (t in on_path)
+                    expect = graphs.psi_path(gw, pth, t).real if t in on_path else 0.0
+                    assert psi[i, j] == expect
+                    assert math.copysign(1.0, psi[i, j]) == math.copysign(1.0, expect)
+
+
+def test_psi_budget_counts_paths_times_tuples():
+    # depth 7 on loops3: 2,187 paths x 128 tuples = 279,936 psi entries
+    gw = graphs.build_graph_wavelets(loops3_graph(), 0, 0)
+    with core.budget(279936):
+        assert graphs.path_integrals(gw, 7).n_paths == 2187
+    with pytest.raises(CapExceeded, match="paths of length 7 are over the cap of 279935"), \
+            core.budget(279935):
+        graphs.path_integrals(gw, 7)
+    with pytest.raises(CapExceeded, match="paths of length 10 "), core.budget(200000):
+        graphs.path_integrals(gw, 10)
+    # where the tuples outnumber the paths, the budget counts the Gram matrix:
+    # 1,024 tuples over 53 paths at depth 5 here
+    g = graphs.directed_graph(4, ((0, 0), (0, 2), (0, 2), (2, 1), (0, 3), (1, 0), (0, 3), (3, 2)))
+    gw = graphs.build_graph_wavelets(g, 0, 0)
+    with core.budget(1024 * 1024):
+        rep = graphs.path_integrals(gw, 5)
+        assert (rep.n_tuples, rep.n_paths) == (1024, 53)
+    with pytest.raises(CapExceeded), core.budget(1024 * 1024 - 1):
+        graphs.path_integrals(gw, 5)
+
+
+def test_negative_depths_and_empty_levels_are_refused():
+    gw = graphs.build_graph_wavelets(loops3_graph(), 0, 0)
+    for k in (-1, -2):
+        with pytest.raises(LevelOutOfRange):
+            graphs.paths_from(gw, k)
+        with pytest.raises(LevelOutOfRange):
+            graphs.path_integrals(gw, k)
+    with pytest.raises(LevelOutOfRange):
+        graphs.path_integrals(gw, 0)
+    with pytest.raises(LevelOutOfRange):
+        graphs.psi_on_vertices(gw, ())
+    assert graphs.paths_from(gw, 0) == [()]
 
 
 def test_path_integrals_zero_mean_and_gram():

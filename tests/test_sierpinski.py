@@ -38,8 +38,8 @@ def test_cell_counts_and_validity(tri3):
 
 def test_cells_cap_and_depth_check(schottky4):
     spec = sierpinski.sierpinski_spec(schottky4)
-    with pytest.raises(CapExceeded):
-        sierpinski.cells(spec, 6, cap=10000)
+    with pytest.raises(CapExceeded), core.budget(10000):
+        sierpinski.cells(spec, 6)
     with pytest.raises(WordTooShort):
         sierpinski.cells(spec, 0)
 
@@ -121,17 +121,20 @@ def test_cells_cap_boundary_at_every_alphabet_size(full2, tri3, schottky4):
         spec = sierpinski.sierpinski_spec(m)
         for depth in range(1, 6):
             size = spec.D ** depth
-            assert len(sierpinski.cells(spec, depth, cap=size)) == size
-            with pytest.raises(CapExceeded, match="over the cap of %d cells" % (size - 1)):
-                sierpinski.cells(spec, depth, cap=size - 1)
+            with core.budget(size):
+                assert len(sierpinski.cells(spec, depth)) == size
+            with pytest.raises(CapExceeded, match="over the cap of %d cells" % (size - 1)), \
+                    core.budget(size - 1):
+                sierpinski.cells(spec, depth)
 
 
 def test_render_cap(tri3):
     spec = sierpinski.sierpinski_spec(tri3)
-    with pytest.raises(CapExceeded):
-        sierpinski.render_pgm(spec, 3, 1000, cap=200000)
-    # the documented reference size passes under the default cap
-    img = sierpinski.render_pgm(spec, 3, 243)
+    with core.budget(200000):
+        with pytest.raises(CapExceeded):
+            sierpinski.render_pgm(spec, 3, 1000)
+        # the documented reference size passes under the default cap
+        img = sierpinski.render_pgm(spec, 3, 243)
     assert img.shape == (243, 243)
 
 
@@ -154,3 +157,14 @@ def test_cuntz_rep_matrix(tri3):
     assert pd.radius == pytest.approx(7.0, abs=1e-10)
     np.testing.assert_allclose(pd.p, [1 / 7] * 7, atol=1e-10)
     assert operators.ck_relations_residual(pd, 2) <= 1e-11
+
+
+def test_render_budget_boundary(tri3):
+    spec = sierpinski.sierpinski_spec(tri3)
+    with core.budget(3 * 20 * 20):
+        assert sierpinski.render_pgm(spec, 3, 20).shape == (20, 20)
+    with pytest.raises(CapExceeded, match=r"res\^2 \* depth is over the cap of 1199"), \
+            core.budget(3 * 20 * 20 - 1):
+        sierpinski.render_pgm(spec, 3, 20)
+    # outside a budget the library has no limit
+    assert sierpinski.render_pgm(spec, 1, 500).shape == (500, 500)

@@ -287,12 +287,12 @@ def cmd_graph_perron(args, g, pd):
 def cmd_graph_wavelets(args, g, pd):
     gw = graphs.build_graph_wavelets(g, args.v0, args.e0,
                                      tol=args.tol, max_iter=args.max_iter)
-    tuples, valid, psi, weights = graphs._psi_levels(gw, args.depth)   # for lines and sums
-    names = [",".join(map(str, t)) for t in tuples.tolist()]
-    paths = [",".join(map(str, pth)) for pth in graphs.paths_from(gw, args.depth)]
-    for j, i in zip(*np.nonzero(valid.T)):   # path by path, each path's tuples in order
-        print("%s %s %s" % (paths[j], names[i], _fmt(psi[i, j])))
-    rep = graphs._integrals(args.depth, psi, weights)
+    rep = graphs.path_integrals(gw, args.depth)
+    names = [",".join(map(str, t)) for t in rep.tuples.tolist()]
+    for j in np.flatnonzero(rep.valid.any(axis=0)):   # path by path, each path's tuples in order
+        pth = ",".join(map(str, rep.paths[j].tolist()))
+        for i in np.flatnonzero(rep.valid[:, j]):
+            print("%s %s %s" % (pth, names[i], _fmt(rep.psi[i, j])))
     _kv("n_paths", rep.n_paths)
     _kv("n_tuples", rep.n_tuples)
     _kv("max_mean_residual", _fmt(rep.max_mean_residual))

@@ -73,7 +73,7 @@ class AdmissibilityMatrix:
         return self._hash
 
     @cached_property
-    def _bounded_counts(self):   # (k, bound, first) -> bounded_word_count
+    def _bounded_counts(self):   # (k, bound) -> bounded_word_count
         return {}
 
     @property
@@ -244,22 +244,22 @@ def word_count(matrix, k):
     return sum(_first_digit_counts(matrix, k)) if k else 1
 
 
-def bounded_word_count(matrix, k, bound, first=None):
-    """min(|W_k|, bound + 1), or the same for the words starting in `first`.
+def bounded_word_count(matrix, k, bound):
+    """min(|W_k|, bound + 1).
 
     Counted level by level only until the count passes `bound`: no level has
     fewer words than the one before, as every digit has a successor.  Kept
     per matrix, as the budget asks again on every table call."""
     check_level(k)
     known = matrix._bounded_counts
-    if (k, bound, first) not in known:
+    if (k, bound) not in known:
         total = 1   # the empty word
         for _, counts in zip(range(k), _count_levels(matrix)):
-            total = sum(counts) if first is None else sum(counts[i] for i in first)
+            total = sum(counts)
             if total > bound:
                 break
-        known[k, bound, first] = min(total, bound + 1)
-    return known[k, bound, first]
+        known[k, bound] = min(total, bound + 1)
+    return known[k, bound]
 
 
 _BUDGET = contextvars.ContextVar("cantorkit_budget", default=None)

@@ -27,9 +27,8 @@ Depth m costs O(paths x tuples) time and memory (the Gram matrix: tuples^2),
 which core.budget counts before allocating; the Gram sums take O(tuples^2 x paths).
 """
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,8 +55,10 @@ class DirectedGraph:
     @cached_property
     def out_edges(self):
         """Edge ids leaving each vertex, ascending."""
-        return tuple(tuple(e for e, (s, _) in enumerate(self.edges) if s == v)
-                     for v in range(self.vertex_count))
+        out = [[] for _ in range(self.vertex_count)]
+        for eid, (s, _) in enumerate(self.edges):
+            out[s].append(eid)
+        return tuple(tuple(e) for e in out)
 
     def source(self, e):
         return self.edges[e][0]
@@ -83,7 +84,10 @@ def directed_graph(vertex_count, edges):
 
 def edge_matrix(g):
     """The E x E edge-shift matrix: A[e, e'] = 1 iff r(e) = s(e')."""
-    return validate_matrix([[int(r == s) for s, _ in g.edges] for _, r in g.edges], strict=False)
+    rows = [[1 if g.range(e) == g.source(e2) else 0
+             for e2 in range(len(g.edges))]
+            for e in range(len(g.edges))]
+    return validate_matrix(rows, strict=False)
 
 
 def graph_perron(g, tol=spectral.DEFAULT_TOL, max_iter=spectral.DEFAULT_MAX_ITER):
@@ -100,17 +104,29 @@ def vertex_measure(g, v0, p):
     among the shortest.  Not normalized — report of the total is the caller's.
     """
     p = np.asarray(p, dtype=float)
-    best, queue = {v0: ()}, [v0]
-    for u in queue:   # the queue grows behind the loop: first in, first out
-        for e in g.out_edges[u]:
-            if g.range(e) not in best:
-                best[g.range(e)] = best[u] + (e,)
-                queue.append(g.range(e))
+    best = {v0: ()}
+    queue = [v0]
+    while queue:
+        nxt = []
+        for u in queue:
+            for e in g.out_edges[u]:
+                v = g.range(e)
+                if v not in best:
+                    best[v] = best[u] + (e,)
+                    nxt.append(v)
+        queue = nxt
     out = {}
     for v in range(g.vertex_count):
-        if v not in best:
+        if v == v0:
+            out[v] = 0.0
+        elif v in best:
+            val = 1.0
+            for e in best[v]:
+                val *= float(p[e])
+            out[v] = val
+        else:
             warnings.warn("vertex %d unreachable from %d; measure 0" % (v, v0))
-        out[v] = math.prod(float(p[e]) for e in best[v]) if v != v0 and v in best else 0.0
+            out[v] = 0.0
     return out
 
 
@@ -143,14 +159,21 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
             % (e0, g.range(e0), v0))
     em = edge_matrix(g)
     pd = spectral.perron_data(em, tol=tol, max_iter=max_iter)
-    c = tuple(tuple(wavelets.weighted_complement_basis(pd.p, s)) for s in em.successors)
+    c = tuple(
+        tuple(wavelets.weighted_complement_basis(pd.p, em.successors[e]))
+        for e in range(len(g.edges)))
     return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=c, d=em.row_sums)
 
 
 def paths_from(gw, k):
-    """All length-k edge paths leaving the base vertex, lexicographic: edge-shift words."""
-    starts = gw.graph.out_edges[gw.v0]
-    return [w for w in core.enumerate_words(gw.pd.matrix, k) if not w or w[0] in starts]
+    """All length-k edge paths leaving the base vertex, lexicographic: the blocks of
+    level-k edge-shift words whose first edge leaves v0."""
+    words = core.enumerate_words(gw.pd.matrix, k)
+    if k == 0:
+        return list(words)
+    first = core.first_digit_array(gw.pd.matrix, k)
+    return [w for e in gw.graph.out_edges[gw.v0]
+            for w in words[np.searchsorted(first, e):np.searchsorted(first, e, "right")]]
 
 
 def psi_path(gw, path, levels):
@@ -175,7 +198,8 @@ def psi_path(gw, path, levels):
         if g.range(path[m]) != g.source(path[m + 1]):
             raise NotComposable(
                 "edges %d and %d do not compose" % (path[m], path[m + 1]))
-    value, prev = 1.0, gw.e0
+    value = 1.0
+    prev = gw.e0
     for e, l in zip(path, levels):
         if not 1 <= l <= gw.d[prev] - 1:
             raise LevelOutOfRange(
@@ -191,7 +215,9 @@ class PathIntegralReport:
 
     n_tuples counts the level tuples actually summed over; 0 means the
     statements were vacuous at this depth (e.g. the base edge has a single
-    successor), which the residuals alone would not reveal.
+    successor), which the residuals alone would not reveal.  The table summed
+    comes along: the level tuples and the paths (rows, lexicographic) index
+    valid and psi (tuples x paths, psi 0 where invalid).
     """
 
     depth: int
@@ -199,11 +225,15 @@ class PathIntegralReport:
     n_tuples: int
     max_mean_residual: float
     max_gram_residual: float
+    tuples: np.ndarray = field(default=None, repr=False, compare=False)
+    paths: np.ndarray = field(default=None, repr=False, compare=False)
+    valid: np.ndarray = field(default=None, repr=False, compare=False)
+    psi: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def _psi_levels(gw, k):
-    """The level tuples (rows, lexicographic), valid and psi (tuples x paths, psi 0
-    where invalid) and the path weights at depth k, built one edge per level."""
+    """The level tuples and paths (rows, lexicographic), valid and psi (tuples x paths,
+    psi 0 where invalid) and the path weights at depth k, built one edge per level."""
     if k < 1:
         raise LevelOutOfRange("depth must be >= 1")
     em, d, starts = gw.pd.matrix, np.array(gw.d), gw.graph.out_edges[gw.v0]
@@ -211,7 +241,7 @@ def _psi_levels(gw, k):
     for e, vecs in enumerate(gw.c):
         coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
     here, last, tuples = np.zeros(1, dtype=np.intp), np.array([gw.e0]), np.zeros((1, 0), int)
-    valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
+    valid, psi, weights, steps = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1), []
     for m in range(1, k + 1):   # here: the positions in W_m of the paths from v0
         above, here = here, np.flatnonzero(np.isin(core.first_digit_array(em, m), starts))
         parent = np.searchsorted(above, core.prefix_index_array(em, m, m - 1)[here])
@@ -228,7 +258,12 @@ def _psi_levels(gw, k):
         psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
         tuples = np.column_stack((tuples[tparent], level))
         weights, last = weights[parent] * gw.pd.p[edge], edge
-    return tuples, valid, psi, weights
+        steps.append((parent, edge))
+    paths, at = np.empty((len(last), k), dtype=np.intp), np.arange(len(last))
+    for m in range(k - 1, -1, -1):   # each path's edges, read back through its prefixes
+        parent, edge = steps[m]
+        paths[:, m], at = edge[at], parent[at]
+    return tuples, paths, valid, psi, weights
 
 
 def path_integrals(gw, k):
@@ -238,19 +273,16 @@ def path_integrals(gw, k):
     wavelet family simply has no member with that index on that branch);
     the Gram matrix is computed over the union of tuples valid somewhere.
     """
-    _, _, psi, weights = _psi_levels(gw, k)
-    return _integrals(k, psi, weights)
-
-
-def _integrals(k, psi, weights):
-    psi = psi.astype(np.complex128)
-    means = psi @ weights
-    gram = (np.conj(psi) * weights[None, :]) @ psi.T
-    dev = gram - np.eye(len(psi))
+    tuples, paths, valid, psi, weights = _psi_levels(gw, k)
+    z = psi.astype(np.complex128)
+    means = z @ weights
+    gram = (np.conj(z) * weights[None, :]) @ z.T
+    dev = gram - np.eye(len(z))
     return PathIntegralReport(   # no tuples: both sums are empty, and read 0
-        depth=k, n_paths=len(weights), n_tuples=len(psi),
+        depth=k, n_paths=len(paths), n_tuples=len(tuples),
         max_mean_residual=float(np.max(np.abs(means), initial=0.0)),
-        max_gram_residual=float(np.max(np.abs(dev), initial=0.0)))
+        max_gram_residual=float(np.max(np.abs(dev), initial=0.0)),
+        tuples=tuples, paths=paths, valid=valid, psi=psi)
 
 
 def psi_on_vertices(gw, levels):

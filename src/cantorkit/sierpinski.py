@@ -80,8 +80,12 @@ def cells(spec, depth):
     # D^depth, taken no deeper than cap.bit_length(), where any D >= 2 passes the cap
     core._check_budget(lambda cap: spec.D ** min(depth, cap.bit_length()),
                        "depth %d is over the cap of %d cells", depth)
-    return [SierpinskiCell(*zip(*pairs))   # (x digits, y digits)
-            for pairs in itertools.product(spec.letter_map, repeat=depth)]
+    out = []
+    for combo in itertools.product(spec.letter_map, repeat=depth):
+        out.append(SierpinskiCell(
+            xword=tuple(p[0] for p in combo),
+            yword=tuple(p[1] for p in combo)))
+    return out
 
 
 def cell_is_valid(spec, cell):
@@ -97,8 +101,11 @@ def induced_matrix(spec):
     Row sums equal d_j (the row sum of the second letter); the diagonal is
     generally not all ones, so the result is non-strict.
     """
-    return validate_matrix([[int(j == l and spec.matrix.rows[j][k]) for l, k in spec.letter_map]
-                            for _, j in spec.letter_map], strict=False)
+    rows = []
+    for (_, j) in spec.letter_map:
+        rows.append([1 if (j == l and spec.matrix.rows[j][k2]) else 0
+                     for (l, k2) in spec.letter_map])
+    return validate_matrix(rows, strict=False)
 
 
 def embed_xi(word):
@@ -140,7 +147,8 @@ def render_pgm(spec, depth, resolution):
         seen.add(power)
         digits = centers * power % (den * n) // den   # digit m: floor(c N^m / den) mod N
         alive &= a[digits[None, :], digits[::-1, None]]   # row i, top first: y = 1 - x
-    return np.where(alive, 0, 255).astype(np.uint8)
+    img = np.where(alive, 0, 255).astype(np.uint8)
+    return img
 
 
 def sierpinski_cuntz_rep(spec):

@@ -190,22 +190,14 @@ def test_bounded_word_count(full2, tri3, schottky4):
                 assert core.bounded_word_count(m, k, bound) == min(n, bound + 1)
     # counting stops at the bound, however deep the level
     assert core.bounded_word_count(tri3, 10 ** 7, 1000) == 1001
-    starts_02 = int(np.isin(core.first_digit_array(tri3, 6), (0, 2)).sum())
-    assert core.bounded_word_count(tri3, 6, 10 ** 9, first=(0, 2)) == starts_02
-    assert core.bounded_word_count(tri3, 6, starts_02 - 1, first=(0, 2)) == starts_02
     with pytest.raises(LevelOutOfRange):
         core.bounded_word_count(tri3, -1, 10)
 
 
-def test_kept_counts_and_hash_follow_the_matrix_value(tri3):
-    # each matrix keeps its bounded counts; one kept for all words is not one for some
+def test_equal_matrices_hash_alike_and_share_tables():
+    # the hash is kept on each instance; an equal matrix finds the tables its twin built
     rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     m = core.validate_matrix(rows)
-    total = core.bounded_word_count(m, 6, 10 ** 9)
-    starts_02 = core.bounded_word_count(m, 6, 10 ** 9, first=(0, 2))
-    assert starts_02 < total == core.word_count(m, 6)
-    assert core.bounded_word_count(m, 6, 10 ** 9) == total
-    # an equal matrix hashes alike and finds the tables its twin built
     twin = core.validate_matrix(rows)
     assert twin is not m and twin == m and hash(twin) == hash(m)
     assert core.value_array(twin, 5) is core.value_array(m, 5)

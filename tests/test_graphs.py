@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cantorkit import core, fileio, graphs, spectral, wavelets
+from cantorkit import cli, core, fileio, graphs, spectral, wavelets
 from cantorkit.errors import (
     BaseEdgeMismatch,
     CapExceeded,
@@ -42,6 +42,13 @@ def input_graph(name):
 def base_pairs(g):
     """Every (v0, e0) with e0 an edge into v0."""
     return [(g.range(e0), e0) for e0 in range(len(g.edges))]
+
+
+def uneven_graph():
+    # out-degrees 2, 3, 2, 1, 3: the tuple (1, 2) lives only below 0 -> 1, whose
+    # next edges have at most one level, while 0 -> 2 -> 4 has two
+    return graphs.directed_graph(5, ((0, 1), (0, 2), (1, 3), (1, 0), (1, 2), (3, 0),
+                                     (2, 4), (2, 0), (4, 0), (4, 1), (4, 2)))
 
 
 def valid_level_tuples(gw, path):
@@ -220,16 +227,13 @@ def test_psi_levels_match_psi_path():
     interleaved = graphs.directed_graph(2, ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1)))
     cases += [(g, v0, e0) for g in (input_graph("graph3.txt"), complete2_graph(), interleaved)
               for v0, e0 in base_pairs(g)]
-    # out-degrees 2, 3, 2, 1, 3: the tuple (1, 2) lives only below 0 -> 1, whose
-    # next edges have at most one level, while 0 -> 2 -> 4 has two
-    uneven = graphs.directed_graph(5, ((0, 1), (0, 2), (1, 3), (1, 0), (1, 2), (3, 0),
-                                       (2, 4), (2, 0), (4, 0), (4, 1), (4, 2)))
-    cases.append((uneven, 0, 5))
+    cases.append((uneven_graph(), 0, 5))
     assert len(cases) == 1 + 3 + 4 + 5 + 1
     for g, v0, e0 in cases:
         gw = graphs.build_graph_wavelets(g, v0, e0)
         for k in range(1, 6):
-            tuples, valid, psi, weights = graphs._psi_levels(gw, k)
+            tuples, paths, valid, psi, weights = graphs._psi_levels(gw, k)
+            assert [tuple(pth) for pth in paths.tolist()] == graphs.paths_from(gw, k)
             paths = graphs.paths_from(gw, k)
             tuples = [tuple(t) for t in tuples.tolist()]
             assert tuples == sorted({t for pth in paths for t in valid_level_tuples(gw, pth)})
@@ -245,6 +249,23 @@ def test_psi_levels_match_psi_path():
                     expect = graphs.psi_path(gw, pth, t).real if t in on_path else 0.0
                     assert psi[i, j] == expect
                     assert math.copysign(1.0, psi[i, j]) == math.copysign(1.0, expect)
+
+
+def test_graph_wavelets_prints_psi_on_every_valid_pair(tmp_path, capsys):
+    # the CLI's lines, path by path and each path's tuples in order, against psi_path
+    for g, v0, e0 in [(uneven_graph(), 0, 5), (input_graph("graph3.txt"), 1, 0)]:
+        gw = graphs.build_graph_wavelets(g, v0, e0)
+        path = tmp_path / "g.txt"
+        path.write_text(fileio.format_graph(g))
+        for k in range(1, 5):
+            assert cli.run(["graph", "wavelets", "--graph", str(path), "--v0", str(v0),
+                            "--e0", str(e0), "--depth", str(k)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            expect = ["%s %s %.15g" % (",".join(map(str, pth)), ",".join(map(str, t)),
+                                       graphs.psi_path(gw, pth, t).real)
+                      for pth in graphs.paths_from(gw, k) for t in valid_level_tuples(gw, pth)]
+            assert lines[:len(expect)] == expect
+            assert lines[len(expect)] == "n_paths = %d" % len(graphs.paths_from(gw, k))
 
 
 def test_psi_budget_counts_paths_times_tuples():

@@ -114,8 +114,8 @@ def cmd_perron(args, matrix, pd):
 
 
 def cmd_words(args, matrix, pd):
-    for w in core.enumerate_words(matrix, args.level):
-        print(fileio.format_word(w, matrix.n))
+    core.check_cap(matrix, args.level)   # a level under 0 or over the cap, before any table
+    print("\n".join(fileio.word_column(matrix, args.level)))
 
 
 def cmd_measure(args, matrix, pd):

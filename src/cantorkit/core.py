@@ -11,8 +11,9 @@ Everything downstream (measures, operators, wavelets) is expressed in the basis
 of cylinder indicators, so a function that is constant on level-k cylinders is
 stored as one complex coefficient per level-k word, in lexicographic word order.
 
-All objects here are immutable; per-matrix combinatorial tables (word lists,
-index maps) are memoised on the matrix value.
+All objects here are immutable.  The tables of a matrix (word lists, index
+maps, level counts) live in that matrix object's memo and are freed with it;
+level counts carry on from the highest level counted, never from level 1.
 
 The index arrays (first and last digits, shift, prefix, suffix and prepend
 positions, N-adic values) are built level by level from the arrays of the
@@ -32,9 +33,9 @@ Outside a budget there is no limit.
 
 import contextlib
 import contextvars
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, wraps
+from functools import cached_property, partial, wraps
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,15 +67,8 @@ class AdmissibilityMatrix:
     strict: bool = True
 
     @cached_property
-    def _hash(self):
-        return hash((self.rows, self.strict))
-
-    def __hash__(self):   # every table lookup hashes the matrix: once per instance
-        return self._hash
-
-    @cached_property
-    def _bounded_counts(self):   # (k, bound) -> bounded_word_count
-        return {}
+    def _memo(self):   # this matrix's tables and level counts; none refers back to it
+        return {"counts": {0: ((0,) * self.n, 1), 1: ((1,) * self.n, self.n)}, "top": 1}
 
     @property
     def n(self):
@@ -224,42 +218,39 @@ def check_level(k):
         raise LevelOutOfRange("level %d is negative" % k)
 
 
-def _count_levels(matrix):
-    """The counts of level-k words by first digit, for k = 1, 2, ... in turn."""
-    counts = (1,) * matrix.n
-    while True:
-        yield counts
-        counts = tuple(sum(counts[j] for j in s) for s in matrix.successors)
+def _next_counts(matrix, counts):
+    """One level step: the first-digit counts of level k + 1 from those of level k."""
+    return tuple(sum(counts[j] for j in s) for s in matrix.successors)
 
 
-@lru_cache(maxsize=None)
-def _first_digit_counts(matrix, k):
-    """counts[i] = number of level-k words (k >= 1) that start with digit i."""
-    return next(itertools.islice(_count_levels(matrix), k - 1, None))
+def _first_digit_counts(matrix, k, bound=None):
+    """(counts, |W_k|), where counts[i] = number of level-k words starting with i.  Counted
+    on from the nearest level counted below k, up to k or to the first level whose total
+    passes `bound`; only that level is kept, not all below."""
+    check_level(k)
+    memo, known = matrix._memo, matrix._memo["counts"]
+    if k in known:   # the budget asks again on every table call
+        return known[k]
+    j = min(k, memo["top"])
+    while j not in known:
+        j -= 1
+    counts, total = known[j]
+    while j < k and (bound is None or total <= bound):
+        counts = _next_counts(matrix, counts)
+        total, j = sum(counts), j + 1
+    known[j], memo["top"] = (counts, total), max(memo["top"], j)
+    return counts, total
 
 
 def word_count(matrix, k):
     """|W_k|, the number of admissible level-k words, as an exact Python int."""
-    check_level(k)
-    return sum(_first_digit_counts(matrix, k)) if k else 1
+    return _first_digit_counts(matrix, k)[1]
 
 
 def bounded_word_count(matrix, k, bound):
-    """min(|W_k|, bound + 1).
-
-    Counted level by level only until the count passes `bound`: no level has
-    fewer words than the one before, as every digit has a successor.  Kept
-    per matrix, as the budget asks again on every table call."""
-    check_level(k)
-    known = matrix._bounded_counts
-    if (k, bound) not in known:
-        total = 1   # the empty word
-        for _, counts in zip(range(k), _count_levels(matrix)):
-            total = sum(counts)
-            if total > bound:
-                break
-        known[k, bound] = min(total, bound + 1)
-    return known[k, bound]
+    """min(|W_k|, bound + 1), counted only until the count passes `bound`: no
+    level has fewer words than the one before, as every digit has a successor."""
+    return min(_first_digit_counts(matrix, k, bound)[1], bound + 1)
 
 
 _BUDGET = contextvars.ContextVar("cantorkit_budget", default=None)
@@ -290,10 +281,13 @@ def check_cap(matrix, k):
                   "level %d is over the cap of %d words", k)
 
 
-def _table(least=0, above=0):
-    """Memoise f(matrix, k, ...); each call, hit or miss, checks k >= least and |W_{k+above}|."""
+def _table(least=0, above=0, levelled=False):
+    """Memoise build(matrix, k, ...) in the matrix's memo; each call, hit or miss, checks
+    k >= least and |W_{k+above}|.  A levelled build(matrix, k, below) makes level k from
+    level k - 1 (None at `least`), upward from the highest level kept, which the check at k
+    covers: no level has more words than the next.  cache_info().misses counts builds."""
     def memoise(build):
-        cached = lru_cache(maxsize=None)(build)
+        info = SimpleNamespace(misses=0)
 
         @wraps(build)
         def table(matrix, k, *args):
@@ -301,8 +295,17 @@ def _table(least=0, above=0):
             if k < least:
                 raise LevelOutOfRange("level %d has no digits to index" % k)
             check_cap(matrix, k + above)
-            return cached(matrix, k, *args)
-        table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+            memo, key = matrix._memo, (build, k) + args
+            if key not in memo:
+                j = k
+                while levelled and j > least and (build, j - 1) not in memo:
+                    j -= 1
+                for j in range(j, k + 1):   # a table that is not levelled: j = k only
+                    below = (memo.get((build, j - 1)),) if levelled else ()
+                    memo[(build, j) + args] = build(matrix, j, *args, *below)
+                    info.misses += 1
+            return memo[key]
+        table.cache_info = lambda: info
         return table
     return memoise
 
@@ -337,15 +340,15 @@ def _frozen(a):
 def first_digit_array(matrix, k):
     """w_1 for every level-k word w (k >= 1): digit i repeated |{w : w_1 = i}| times."""
     return _frozen(np.repeat(np.arange(matrix.n, dtype=np.intp),
-                             _first_digit_counts(matrix, k)))
+                             _first_digit_counts(matrix, k)[0]))
 
 
-@_table(least=1)
-def last_digit_array(matrix, k):
+@_table(least=1, levelled=True)
+def last_digit_array(matrix, k, below):
     """w_k for every level-k word w (k >= 1); the last digit of shift(w) for k >= 2."""
     if k == 1:
         return _frozen(np.arange(matrix.n, dtype=np.intp))
-    return _frozen(last_digit_array(matrix, k - 1)[shift_index_array(matrix, k)])
+    return _frozen(below[shift_index_array(matrix, k)])
 
 
 @_table()
@@ -360,7 +363,7 @@ def prefix_index_array(matrix, k, k0):
         raise LevelOutOfRange("level %d has no level-%d prefixes" % (k, k0))
     if k0 == 0:
         return _frozen(np.zeros(word_count(matrix, k), dtype=np.intp))
-    extensions = np.array(_first_digit_counts(matrix, k - k0 + 1), dtype=np.intp)
+    extensions = np.array(_first_digit_counts(matrix, k - k0 + 1)[0], dtype=np.intp)
     return _frozen(np.repeat(np.arange(word_count(matrix, k0), dtype=np.intp),
                              extensions[last_digit_array(matrix, k0)]))
 
@@ -374,7 +377,7 @@ def shift_index_array(matrix, k):
     """
     if k == 1:
         return _frozen(np.zeros(matrix.n, dtype=np.intp))
-    counts = _first_digit_counts(matrix, k - 1)
+    counts = _first_digit_counts(matrix, k - 1)[0]
     starts = np.cumsum((0,) + counts)
     return _frozen(np.concatenate([
         np.arange(starts[j], starts[j + 1], dtype=np.intp)
@@ -401,7 +404,7 @@ def prepend_index_array(matrix, k, i):
     """
     if not 0 <= i < matrix.n:
         raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
-    counts = _first_digit_counts(matrix, k + 1)
+    counts = _first_digit_counts(matrix, k + 1)[0]
     start = sum(counts[:i])
     block = np.arange(start, start + counts[i], dtype=np.intp)
     out = np.full(word_count(matrix, k), -1, dtype=np.intp)
@@ -419,16 +422,15 @@ def preimage_sum(matrix, k, values):
     return out
 
 
-@_table()
-def value_array(matrix, k):
+@_table(levelled=True)
+def value_array(matrix, k, below):
     """x(a) for every level-k word a, in lexicographic order.
 
     x(a) = (a_1 + x(shift a)) / N, the same float operations as nadic_value.
     """
     if k == 0:
         return _frozen(np.zeros(1))
-    return _frozen((first_digit_array(matrix, k)
-                    + value_array(matrix, k - 1)[shift_index_array(matrix, k)])
+    return _frozen((first_digit_array(matrix, k) + below[shift_index_array(matrix, k)])
                    / matrix.n)
 
 

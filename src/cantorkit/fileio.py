@@ -280,7 +280,7 @@ def parse_coefficients(text, matrix):
         scaling, detail = _parse_coefficient_lines(lines[1:], n)
     else:
         scaling = values[:n].copy()
-        detail = dict(zip(wavelets._key_table(matrix).at(level), values[n:].tolist()))
+        detail = dict(zip(wavelets._key_table(matrix).at(matrix, level), values[n:].tolist()))
     scaling.setflags(write=False)
     return wavelets.WaveletCoefficients(scaling=scaling, detail=detail), level
 

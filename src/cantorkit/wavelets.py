@@ -18,8 +18,8 @@ cylinder functions, with dimensions telescoping to |W_K| exactly.  On the full
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
 coefficient files, which write a = () as an `M` line.  The keys of every
-level come from one cached table per matrix, which analyze, synthesize and
-the coefficient files read.
+level come from one table kept in the matrix's memo, which analyze,
+synthesize and the coefficient files read.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -35,7 +35,7 @@ quadratic reference.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -168,13 +168,11 @@ class _KeyTable:
     extends the list and drops the map until it is used again.
     """
 
-    def __init__(self, matrix):
-        self.matrix, self.keys = matrix, []
-        self.ends = [0, 0]   # ends[K] = number of level-K keys
+    def __init__(self):
+        self.keys, self.ends = [], [0, 0]   # ends[K] = number of level-K keys
 
-    def at(self, K):
-        """The level-K keys, growing the table to level K first."""
-        mat = self.matrix
+    def at(self, mat, K):
+        """The level-K keys of matrix `mat`, growing the table to level K first."""
         if K >= len(self.ends):
             for j in range(len(self.ends) - 2, K - 1):   # the keys with |a| = j
                 self.keys += [(a, l, r) for a in core.enumerate_words(mat, j)
@@ -191,9 +189,8 @@ class _KeyTable:
         return dict(zip(self.keys, range(len(self.keys))))
 
 
-@lru_cache(maxsize=16)
-def _key_table(matrix):
-    return _KeyTable(matrix)
+def _key_table(matrix):   # kept in the matrix's memo
+    return matrix._memo.get(_KeyTable) or matrix._memo.setdefault(_KeyTable, _KeyTable())
 
 
 def detail_keys(mw, K):
@@ -204,7 +201,7 @@ def detail_keys(mw, K):
     mothers a = () come first; this is the pyramid's flat order.  Read from
     one table per matrix that serves every level.
     """
-    return _key_table(mw.matrix).at(K)
+    return _key_table(mw.matrix).at(mw.matrix, K)
 
 
 def basis_labels(mw, K):
@@ -299,7 +296,7 @@ def _flat_layers(coeffs, mw, K):
         raise IndexOutOfRange(
             "scaling layer has %d entries, need %d" % (len(coeffs.scaling), n))
     table = _key_table(mw.matrix)
-    keys = table.at(K)
+    keys = table.at(mw.matrix, K)
     count = len(keys)
     if list(coeffs.detail) == keys:   # the layout analyze writes
         flat = np.array(list(coeffs.detail.values()), dtype=np.complex128)

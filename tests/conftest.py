@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,27 @@ def seeded_strict_matrix(n, seed):
             return core.validate_matrix(rows.astype(int).tolist())
         except CantorError:
             continue
+
+
+def tables_in(memo):
+    """The keys of what a matrix's memo holds beyond its level counts."""
+    return {key for key in memo if key not in ("counts", "top")}
+
+
+@pytest.fixture
+def new_memos(monkeypatch):
+    """The memo of every matrix that first reaches for it while the test runs,
+    such as the matrices the CLI reads, their transposes and edge matrices."""
+    memos, fresh = [], core.AdmissibilityMatrix._memo.func
+
+    def memo(matrix):
+        memos.append(fresh(matrix))
+        return memos[-1]
+
+    prop = functools.cached_property(memo)
+    prop.__set_name__(core.AdmissibilityMatrix, "_memo")
+    monkeypatch.setattr(core.AdmissibilityMatrix, "_memo", prop)
+    return memos
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 
 from cantorkit import core, fileio, ruelle, spectral
 from cantorkit.cli import run
+from conftest import tables_in
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRI3 = os.path.join(ROOT, "inputs", "tri3.txt")
@@ -38,10 +39,21 @@ def test_perron_output(capsys):
     assert int(d["iterations"]) > 0
 
 
-def test_words_listing(capsys):
+def test_words_listing(tmp_path, capsys, strict12):
     assert run(["words", "--matrix", TRI3, "--level", "2"]) == 0
     out = capsys.readouterr().out.split()
     assert out == ["00", "01", "10", "11", "12", "21", "22"]
+    # more than ten letters: dotted words, and "-" for the empty word
+    path = tmp_path / "strict12.txt"
+    path.write_text(fileio.format_matrix(strict12))
+    for k in range(4):
+        assert run(["words", "--matrix", str(path), "--level", str(k)]) == 0
+        assert capsys.readouterr().out == "".join(
+            fileio.format_word(w, 12) + "\n" for w in core.enumerate_words(strict12, k))
+    # the refusal names the level asked for, the empty word included
+    for k, cap in ((12, 100), (0, 0)):
+        assert run(["words", "--matrix", str(path), "--level", str(k), "--cap", str(cap)]) == 66
+        assert "level %d is over the cap of %d words" % (k, cap) in capsys.readouterr().err
 
 
 def test_measure_value(capsys):
@@ -280,16 +292,15 @@ def test_measure_reads_a_lone_wide_letter(strict12, tmp_path, capsys):
     assert run(["measure", "--matrix", str(path), "--word", "1.0"]) == 65
 
 
-def test_ck_and_trig_are_capped(tmp_path, capsys):
-    tables = [core._enumerate_words_cached, core.word_index, core.first_digit_array,
-              core.last_digit_array, core.prefix_index_array, core.shift_index_array,
-              core.prepend_index_array, core.value_array, core.suffix_index_array]
+def test_ck_and_trig_are_capped(tmp_path, capsys, new_memos):
     header_only = tmp_path / "header14.txt"
     header_only.write_text("3 14\nS 0 1.0 0.0\n")
-    # the verbs read their level-2 signal before they refuse, so parse it first
+    # the verbs read their level-2 signal before they refuse: what that builds
     tri3 = core.validate_matrix(fileio.parse_matrix_rows(open(TRI3).read()))
     fileio.parse_signal(open(SIGNAL3).read(), tri3)
-    before = [t.cache_info().currsize for t in tables]
+    signal_tables = tables_in(tri3._memo)
+    assert signal_tables
+    del new_memos[:]
     assert run(["op", "ck", "--matrix", TRI3, "--level", "40"]) == 66
     assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "40"]) == 66
     assert run(["fourier", "--matrix", TRI3, "--signal", SIGNAL3, "--level", "40",
@@ -302,7 +313,8 @@ def test_ck_and_trig_are_capped(tmp_path, capsys):
     # the file header asks for level 14, 275,807 words
     assert run(["wavelets", "synthesize", "--matrix", TRI3,
                 "--coeffs", str(header_only)]) == 66
-    assert [t.cache_info().currsize for t in tables] == before
+    assert len(new_memos) >= 6   # one matrix per command, and any transpose
+    assert all(tables_in(memo) <= signal_tables for memo in new_memos)
     assert capsys.readouterr().err.count("over the cap") == 6
     # K = 4 builds the level-5 tables, 99 words
     assert run(["op", "ck", "--matrix", TRI3, "--level", "4", "--cap", "98"]) == 66
@@ -324,15 +336,12 @@ def test_ck_and_trig_are_capped(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_signal_header_alone_builds_no_tables(tmp_path, capsys):
-    tables = [core._enumerate_words_cached, core.word_index]
-    for table in tables:
-        table.cache_clear()
+def test_signal_header_alone_builds_no_tables(tmp_path, capsys, new_memos):
     for k in (14, 40):   # level 14 first: a missing guard fails before level 40
         header_only = tmp_path / ("signal%d.txt" % k)
         header_only.write_text("3 %d\n" % k)
         assert run(["op", "pf", "--matrix", TRI3, "--signal", str(header_only)]) == 65
-        assert [t.cache_info().currsize for t in tables] == [0, 0]
+        assert new_memos and not any(map(tables_in, new_memos))
     assert capsys.readouterr().err.count("lists 0 of the") == 2
 
 

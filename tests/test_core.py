@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core
+from cantorkit import core, wavelets
 from cantorkit.errors import (
     CapExceeded,
     DeadRow,
@@ -16,6 +19,7 @@ from cantorkit.errors import (
     NotInDomain,
     Reducible,
 )
+from conftest import TRI3, tables_in
 
 
 def test_validate_rejects_non_binary():
@@ -153,10 +157,8 @@ def test_value_array_matches_scalar(full2, tri3, schottky4, strict5):
             assert core.value_array(m, k).tobytes() == scalar.tobytes()
 
 
-def test_tables_never_touch_word_tuples(tri3, monkeypatch):
-    for obj in vars(core).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+def test_tables_never_touch_word_tuples(monkeypatch):
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
 
     def refuse(matrix, k):
         raise AssertionError("word tuples enumerated at level %d" % k)
@@ -194,14 +196,51 @@ def test_bounded_word_count(full2, tri3, schottky4):
         core.bounded_word_count(tri3, -1, 10)
 
 
-def test_equal_matrices_hash_alike_and_share_tables():
-    # the hash is kept on each instance; an equal matrix finds the tables its twin built
+def _light_job(m):
+    """Tables of several kinds, the key table, a transpose and a budget check."""
+    core.value_array(m, 4)
+    core.prefix_index_array(m, 4, 2)
+    core.prepend_index_array(m, 3, 0)
+    core.last_digit_array(m.transpose, 4)
+    wavelets._key_table(m).at(m, 4)
+    with core.budget(10 ** 4):
+        core.enumerate_words(m, 3)
+    return core.value_array(m, 4)
+
+
+def test_equal_matrices_hash_alike_and_die_with_their_tables():
     rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     m = core.validate_matrix(rows)
     twin = core.validate_matrix(rows)
     assert twin is not m and twin == m and hash(twin) == hash(m)
-    assert core.value_array(twin, 5) is core.value_array(m, 5)
     assert core.validate_matrix(rows, strict=False) != m
+    # each instance keeps its own tables
+    assert core.value_array(twin, 5).tobytes() == core.value_array(m, 5).tobytes()
+    assert core.value_array(twin, 5) is not core.value_array(m, 5)
+    table = _light_job(m)
+    dead = [weakref.ref(m), weakref.ref(m.transpose), weakref.ref(table)]
+    gc.disable()   # reference counting alone must free them: nothing refers back
+    try:
+        del m, table
+        assert [ref() for ref in dead] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_no_table_outlives_its_matrix():
+    # a long-lived loop over many matrices holds nothing once each is dropped
+    rng = np.random.default_rng(4)
+    dead = []
+    gc.disable()
+    try:
+        for _ in range(1000):
+            rows = (rng.random((4, 4)) < 0.4) | np.eye(4, dtype=bool)
+            m = core.validate_matrix(rows.astype(int).tolist(), strict=False)
+            dead += [weakref.ref(m), weakref.ref(m.transpose), weakref.ref(_light_job(m))]
+            del m
+        assert sum(ref() is not None for ref in dead) == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_checks_every_table_call(tri3):
@@ -232,14 +271,47 @@ def test_budget_checks_every_table_call(tri3):
     assert core.enumerate_words(tri3, 0) == ((),)
 
 
-def test_budget_refuses_before_building(tri3):
-    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
-    before = [t.cache_info().currsize for t in tables]
+def test_budget_refuses_before_building():
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance, with a few levels built
+    core.value_array(tri3, 3)
+    core.last_digit_array(tri3, 3)
+    before = tables_in(tri3._memo)
     with core.budget(10 ** 6):
         for table in (core.value_array, core.last_digit_array, core.word_index):
             with pytest.raises(CapExceeded):
                 table(tri3, 10 ** 5)
-    assert [t.cache_info().currsize for t in tables] == before
+    assert tables_in(tri3._memo) == before
+
+
+def _two_cycle():
+    return core.validate_matrix([[0, 1], [1, 0]], strict=False)
+
+
+def test_levelled_tables_build_upward_without_recursion():
+    # 3,000 levels, deeper than Python's recursion limit; the words are 0101... and 1010...
+    assert core.last_digit_array(_two_cycle(), 3000).tolist() == [1, 0]
+    assert core.value_array(_two_cycle(), 3000) == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+    assert core.last_digit_array(_two_cycle(), 3001).tolist() == [0, 1]
+
+
+def test_level_counts_carry_on(monkeypatch):
+    # asking for the levels 1..k in turn takes O(k) count steps, not O(k^2)
+    cycle, steps = _two_cycle(), []
+    step = core._next_counts
+    monkeypatch.setattr(core, "_next_counts", lambda m, c: steps.append(1) or step(m, c))
+    builds = [t.cache_info().misses for t in (core.last_digit_array, core.value_array)]
+    with core.budget(200000):
+        for k in range(1, 2001):
+            assert core.word_count(cycle, k) == 2
+            core.first_digit_array(cycle, k)
+            core.last_digit_array(cycle, k)
+            core.value_array(cycle, k)
+            core.prefix_index_array(cycle, k, k - 1)
+            core.prepend_index_array(cycle, k, 1)
+    assert len(steps) <= 2 * 2000
+    # each level of each table is built once; value_array also at level 0
+    assert [t.cache_info().misses - b for t, b in zip(
+        (core.last_digit_array, core.value_array), builds)] == [2000, 2001]
 
 
 def test_indicator_and_refine(full2):

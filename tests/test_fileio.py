@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cantorkit import core, fileio, graphs, sierpinski, spectral, wavelets
 from cantorkit.errors import FileFormatError, IndexOutOfRange
+from conftest import TRI3, tables_in
 
 # --- the per-line reference: one format_word / parse_word per line --------------
 
@@ -174,15 +175,13 @@ def test_signal_requires_every_word(tri3):
         fileio.parse_signal("\n".join(body + [body[-1]]), tri3)  # duplicated
 
 
-def test_signal_line_count_is_checked_before_tables(tri3):
+def test_signal_line_count_is_checked_before_tables():
     # |W_14| = 275,807 and |W_40| is about 10^15: a header alone builds nothing
-    tables = [core._enumerate_words_cached, core.word_index]
-    for table in tables:
-        table.cache_clear()
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
     for k in (14, 40):   # level 14 first: a missing guard fails before level 40
         with pytest.raises(FileFormatError, match="lists 0 of the"):
             fileio.parse_signal("3 %d\n" % k, tri3)
-        assert [t.cache_info().currsize for t in tables] == [0, 0]
+        assert tables_in(tri3._memo) == set()
 
 
 def test_signal_checks_alphabet(tri3, full2):
@@ -356,16 +355,12 @@ def test_any_subset_and_order_of_lines_parses_like_the_reference(tri3_pd, data):
                  tri3_pd.matrix)
 
 
-def test_sparse_deep_coefficient_file_builds_no_tables(tri3):
-    tables = [wavelets._key_table, core._enumerate_words_cached, core.word_index,
-              core.first_digit_array, core.last_digit_array, core.prefix_index_array,
-              core.shift_index_array]
-    for table in tables:
-        table.cache_clear()
+def test_sparse_deep_coefficient_file_builds_no_tables():
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
     for k in (14, 40):   # level 14 first: a missing guard fails before level 40
         wc, level = fileio.parse_coefficients("3 %d\nS 0 1.0 0.0\n" % k, tri3)
         assert (level, wc.scaling.tolist(), wc.detail) == (k, [1, 0, 0], {})
-        assert [t.cache_info().currsize for t in tables] == [0] * len(tables)
+        assert tables_in(tri3._memo) == set()
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "inf", "1e400", "NaN"])

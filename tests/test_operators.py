@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cantorkit import core, operators, spectral
 from cantorkit.errors import CapExceeded, IndexOutOfRange, LevelOutOfRange, MatrixMismatch
+from conftest import tables_in
 
 
 def basis(matrix, k):
@@ -432,10 +433,9 @@ def test_ck_residual_refuses_level_k_plus_one_before_any_table():
     ring = core.validate_matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
     pd = spectral.perron_data(ring)
     w3, w4 = core.word_count(ring, 3), core.word_count(ring, 4)
-    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
-    before = [t.cache_info().currsize for t in tables]
+    assert tables_in(ring._memo) == set()
     with pytest.raises(CapExceeded, match="level 4 "), core.budget(w3):
         operators.ck_relations_residual(pd, 3)
-    assert [t.cache_info().currsize for t in tables] == before
+    assert tables_in(ring._memo) == set()
     with core.budget(w4):
         assert operators.ck_relations_residual(pd, 3) < 1e-12

@@ -11,6 +11,7 @@ from cantorkit.errors import (
     LevelOutOfRange,
     NegativePotential,
 )
+from conftest import TRI3, tables_in
 
 
 def test_constant_potential_reproduces_transfer_operator(tri3_pd):
@@ -421,11 +422,11 @@ def test_scalar_call_reads_two_digits(full2_pd):
     assert seen == [([1], [0], [0.625]), ([1], [0], [0.5]), ([0], [0], [0.0])]
 
 
-def test_walk_refuses_before_building(tri3):
-    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
+def test_walk_refuses_before_building():
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
     pot = ruelle.constant_potential(0.5)
     x = core.nadic_value((1,), 3)
-    before = [t.cache_info().currsize for t in tables]
     with pytest.raises(CapExceeded), core.budget(10 ** 5):
         ruelle.walk_layers(x, pot, tri3, 40)
-    assert [t.cache_info().currsize for t in tables] == before
+    # the walk runs on A^t: neither matrix holds a table
+    assert tables_in(tri3._memo) == tables_in(tri3.transpose._memo) == set()

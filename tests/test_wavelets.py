@@ -11,6 +11,7 @@ from cantorkit.errors import (
     NonPositiveWeight,
     NotComposable,
 )
+from conftest import TRI3, tables_in
 
 SQRT2 = math.sqrt(2.0)
 
@@ -172,14 +173,14 @@ def test_synthesize_rejects_stray_keys(tri3_pd):
         wavelets.synthesize(short, mw, 3)
 
 
-def test_synthesize_reads_keys_in_any_order_at_any_level(tri3_pd):
+def test_synthesize_reads_keys_in_any_order_at_any_level():
     # the key table grows from level 3 to 5 after its slot map was used
-    wavelets._key_table.cache_clear()
-    mw = wavelets.build_mother_wavelets(tri3_pd)
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its key table starts empty
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(tri3))
     rng = np.random.default_rng(12)
     for K in (3, 5):
-        n = core.word_count(tri3_pd.matrix, K)
-        f = core.CylinderFunction(tri3_pd.matrix, K, rng.normal(size=n))
+        n = core.word_count(tri3, K)
+        f = core.CylinderFunction(tri3, K, rng.normal(size=n))
         wc = wavelets.analyze(f, mw)
         flipped = wavelets.WaveletCoefficients(
             scaling=wc.scaling, detail=dict(reversed(list(wc.detail.items()))))
@@ -275,19 +276,18 @@ def test_detail_keys_order(tri3_pd):
     assert all(not (a and a[-1] == 0 and r == 2) for (a, l, r) in keys)
 
 
-def test_synthesize_under_a_budget(tri3_pd):
-    mw = wavelets.build_mother_wavelets(tri3_pd)
+def test_synthesize_under_a_budget():
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(tri3))
     empty = wavelets.WaveletCoefficients(scaling=np.zeros(3), detail={})
-    keys = wavelets._key_table(tri3_pd.matrix)   # the levels its keys reach
+    keys = wavelets._key_table(tri3)   # the levels its keys reach
     ends = list(keys.ends)
-    tables = [obj for obj in vars(core).values() if hasattr(obj, "cache_info")]
-    tables.append(wavelets._key_table)
-    before = [t.cache_info().currsize for t in tables]
+    before = tables_in(tri3._memo)
     with core.budget(1000):
         for K in (14, 40):
             with pytest.raises(CapExceeded):
                 wavelets.synthesize(empty, mw, K)
-    assert [t.cache_info().currsize for t in tables] == before
+    assert tables_in(tri3._memo) == before
     assert keys.ends == ends
     # |W_7| = 577 and |W_8| = 1393: the budget admits the one and refuses the other
     with core.budget(1000):

@@ -21,7 +21,10 @@ level below, with numpy gathers over the lexicographic block structure of
 W_k: the words starting with digit i are the words of W_{k-1} starting with a
 successor of i, in order.  Building the level-k tables costs O(|W_k|) time
 and memory and never touches the word tuples of `enumerate_words`, which stay
-the public tuple API.
+the public tuple API.  That block structure is `branch_runs`: a few
+contiguous runs of W_{k-1} per digit.  The shift and prepend arrays are built
+from it, and S_i, S_i* and the preimage sum are slice copies over it, with no
+index array at all.
 
 `with core.budget(cap):` makes any table of more than `cap` words raise
 CapExceeded: each table builder checks its level on every call, hit or miss,
@@ -368,20 +371,36 @@ def prefix_index_array(matrix, k, k0):
                              extensions[last_digit_array(matrix, k0)]))
 
 
+@_table(above=1)
+def branch_runs(matrix, k):
+    """For each digit i, the runs (b, a, z) of the branch w -> i.w from W_k to W_{k+1}:
+    the words W_k[a:z] start with successors of i, consecutive successors merged, and
+    i.w for them are W_{k+1}[b:b + z - a].  In order, the runs cover the words from i."""
+    if k == 0:
+        return tuple(((i, 0, 1),) for i in range(matrix.n))
+    starts = np.cumsum((0,) + _first_digit_counts(matrix, k)[0]).tolist()
+    out, b = [], 0
+    for succ in matrix.successors:
+        runs = []
+        for j in succ:
+            if runs and runs[-1][2] == starts[j]:
+                runs[-1] = runs[-1][:2] + (starts[j + 1],)
+            else:
+                runs.append((b, starts[j], starts[j + 1]))
+            b += starts[j + 1] - starts[j]
+        out.append(tuple(runs))
+    return tuple(out)
+
+
 @_table(least=1)
 def shift_index_array(matrix, k):
     """For each level-k word w (k >= 1), the position of shift(w) in W_{k-1}.
 
-    The words starting with i shift onto the blocks of W_{k-1} that start with
-    a successor of i, taken in order.
+    The words starting with i shift onto the runs of the branch of i, in order.
     """
-    if k == 1:
-        return _frozen(np.zeros(matrix.n, dtype=np.intp))
-    counts = _first_digit_counts(matrix, k - 1)[0]
-    starts = np.cumsum((0,) + counts)
-    return _frozen(np.concatenate([
-        np.arange(starts[j], starts[j + 1], dtype=np.intp)
-        for i in range(matrix.n) for j in matrix.successors[i]]))
+    return _frozen(np.concatenate([np.arange(a, z, dtype=np.intp)
+                                   for branch in branch_runs(matrix, k - 1)
+                                   for _, a, z in branch]))
 
 
 @_table()
@@ -404,21 +423,21 @@ def prepend_index_array(matrix, k, i):
     """
     if not 0 <= i < matrix.n:
         raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
-    counts = _first_digit_counts(matrix, k + 1)[0]
-    start = sum(counts[:i])
-    block = np.arange(start, start + counts[i], dtype=np.intp)
     out = np.full(word_count(matrix, k), -1, dtype=np.intp)
-    out[shift_index_array(matrix, k + 1)[block]] = block
+    for b, a, z in branch_runs(matrix, k)[i]:
+        out[a:z] = np.arange(b, b + z - a)
     return _frozen(out)
 
 
 def preimage_sum(matrix, k, values):
-    """sum_{i: A[i, b_1] = 1} values[i.b] for every level-k word b; values is level k+1."""
+    """sum_{i: A[i, b_1] = 1} values[i.b] for every level-k word b; values is level k+1.
+
+    Digit by digit in ascending order, each run of a branch adds one slice of values."""
+    runs = branch_runs(matrix, k)   # the budget check comes before the allocation
     out = np.zeros(word_count(matrix, k), dtype=values.dtype)
-    for i in range(matrix.n):
-        pia = prepend_index_array(matrix, k, i)
-        valid = pia >= 0
-        out[valid] += values[pia[valid]]
+    for branch in runs:
+        for b, a, z in branch:
+            out[a:z] += values[b:b + z - a]
     return out
 
 
@@ -442,22 +461,24 @@ class CylinderFunction:
 
     Stored as one coefficient per level-k word, lexicographic order.  Instances
     are immutable; arithmetic returns new objects, refining to a common level
-    when needed.
+    when needed.  A read-only complex128 array that owns its memory is kept as
+    it is, so a kernel passes its fresh result through _frozen; any other input
+    is copied and frozen.
     """
 
     __slots__ = ("matrix", "level", "coeffs")
 
     def __init__(self, matrix, level, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        c = np.asarray(coeffs, dtype=np.complex128)
+        if c is not coeffs or c.base is not None or c.flags.writeable:
+            c = _frozen(c.copy())
         expected = word_count(matrix, level)
-        if coeffs.shape != (expected,):
+        if c.shape != (expected,):
             raise LevelTooLow(
                 "level %d needs %d coefficients, got %r"
-                % (level, expected, coeffs.shape))
+                % (level, expected, c.shape))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "level", level)
-        c = coeffs.copy()
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, *a):
@@ -493,14 +514,14 @@ class CylinderFunction:
 
     def __add__(self, other):
         f, g, m = self._common(other)
-        return CylinderFunction(self.matrix, m, f.coeffs + g.coeffs)
+        return CylinderFunction(self.matrix, m, _frozen(f.coeffs + g.coeffs))
 
     def __sub__(self, other):
         f, g, m = self._common(other)
-        return CylinderFunction(self.matrix, m, f.coeffs - g.coeffs)
+        return CylinderFunction(self.matrix, m, _frozen(f.coeffs - g.coeffs))
 
     def __mul__(self, scalar):
-        return CylinderFunction(self.matrix, self.level, self.coeffs * scalar)
+        return CylinderFunction(self.matrix, self.level, _frozen(self.coeffs * scalar))
 
     __rmul__ = __mul__
 
@@ -512,17 +533,17 @@ def refine(f, k):
     if k == f.level:
         return f
     return CylinderFunction(
-        f.matrix, k, f.coeffs[prefix_index_array(f.matrix, k, f.level)])
+        f.matrix, k, _frozen(f.coeffs[prefix_index_array(f.matrix, k, f.level)]))
 
 
 def multiply(f, g):
     """Pointwise product of two cylinder functions."""
     f2, g2, m = f._common(g)
-    return CylinderFunction(f.matrix, m, f2.coeffs * g2.coeffs)
+    return CylinderFunction(f.matrix, m, _frozen(f2.coeffs * g2.coeffs))
 
 
 def compose_shift(f):
     """f o sigma, one level finer:  (f o sigma)(x) = f(shift of x)."""
     k = f.level + 1
     return CylinderFunction(
-        f.matrix, k, f.coeffs[shift_index_array(f.matrix, k)])
+        f.matrix, k, _frozen(f.coeffs[shift_index_array(f.matrix, k)]))

@@ -205,7 +205,7 @@ def parse_signal(text, matrix):
         coeffs = _parse_column(lines[1:], word_column(matrix, k))
     if coeffs is None:
         coeffs = _parse_signal_lines(lines[1:], matrix, k)
-    return CylinderFunction(matrix, k, coeffs)
+    return CylinderFunction(matrix, k, core._frozen(coeffs))
 
 
 def _parse_signal_lines(lines, matrix, k):

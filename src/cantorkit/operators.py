@@ -18,13 +18,15 @@ algebra; diagonal matrix elements of that measure produce the spectral measure
 mu_f and its Fourier-type transform, and the sum N^{-delta/2} sum_i S_i* is the
 transfer (Perron-Frobenius) operator of the shift.
 
-The generators, the transfer operator, the Fourier sweep and the
-Cuntz-Krieger residual are gathers over the core index arrays, so their cost
-is O(|W_k|) in the number of level-k words; the transfer operator is the
-preimage sum core.preimage_sum scaled by 1/r.  The residual pushes each basis
-vector through the generators as one (row, value) pair instead of a dense
-identity matrix.  A Fourier phase is the product of two exp tables of about
-sqrt(|W_k|) entries, on the two halves of a word.
+The generators and the transfer operator are slice copies over the branch
+runs of core.branch_runs: S_i writes f's runs into the block of words starting
+with i, S_i* reads them back, and the transfer operator is the preimage sum
+core.preimage_sum, which adds each branch's block onto its runs, scaled by 1/r.
+The Fourier sweep and the Cuntz-Krieger residual are gathers over the core
+index arrays.  All cost O(|W_k|) in the number of level-k words.  The
+residual pushes each basis vector through the generators as one (row, value)
+pair instead of a dense identity matrix.  A Fourier phase is the product of
+two exp tables of about sqrt(|W_k|) entries, on the two halves of a word.
 """
 
 import math
@@ -52,11 +54,12 @@ def apply_S(i, f, pd):
     """S_i f at one level finer: sqrt(r) * f(shifted word) on words starting with i."""
     _check(f, pd)
     _check_digit(i, pd)
-    k = f.level + 1
-    mask = core.first_digit_array(f.matrix, k) == i
-    out = np.zeros(len(mask), dtype=np.complex128)
-    out[mask] = math.sqrt(pd.radius) * f.coeffs[core.shift_index_array(f.matrix, k)[mask]]
-    return CylinderFunction(f.matrix, k, out)
+    runs = core.branch_runs(f.matrix, f.level)[i]
+    out = np.zeros(core.word_count(f.matrix, f.level + 1), dtype=np.complex128)
+    root = math.sqrt(pd.radius)
+    for b, a, z in runs:
+        out[b:b + z - a] = root * f.coeffs[a:z]
+    return CylinderFunction(f.matrix, f.level + 1, core._frozen(out))
 
 
 def apply_S_star(i, f, pd):
@@ -68,11 +71,13 @@ def apply_S_star(i, f, pd):
     _check(f, pd)
     _check_digit(i, pd)
     g = core.refine(f, 2) if f.level <= 1 else f
-    pia = core.prepend_index_array(f.matrix, g.level - 1, i)
-    out = np.zeros(len(pia), dtype=np.complex128)
-    valid = pia >= 0
-    out[valid] = g.coeffs[pia[valid]] / math.sqrt(pd.radius)
-    return CylinderFunction(f.matrix, g.level - 1, out)
+    k = g.level - 1
+    runs = core.branch_runs(f.matrix, k)[i]
+    out = np.zeros(core.word_count(f.matrix, k), dtype=np.complex128)
+    root = math.sqrt(pd.radius)
+    for b, a, z in runs:
+        out[a:z] = g.coeffs[b:b + z - a] / root
+    return CylinderFunction(f.matrix, k, core._frozen(out))
 
 
 def apply_S_word(a, f, pd, adjoint=False):
@@ -177,14 +182,15 @@ def pf_operator(f, pd):
     """
     _check(f, pd)
     g = core.refine(f, 2) if f.level <= 1 else f
+    core.check_cap(f.matrix, g.level)   # before the scaled copy of g
     root = math.sqrt(pd.radius)
-    return CylinderFunction(f.matrix, g.level - 1,
-                            core.preimage_sum(f.matrix, g.level - 1, g.coeffs / root) / root)
+    return CylinderFunction(f.matrix, g.level - 1, core._frozen(
+        core.preimage_sum(f.matrix, g.level - 1, g.coeffs / root) / root))
 
 
 def pf_fixed_point(pd):
     """The level-1 function sum_i omega_i chi_{R_i}, fixed by pf_operator."""
-    return CylinderFunction(pd.matrix, 1, pd.omega.astype(np.complex128))
+    return CylinderFunction(pd.matrix, 1, core._frozen(pd.omega.astype(np.complex128)))
 
 
 @dataclass(frozen=True)

@@ -98,19 +98,22 @@ def ruelle_apply(w_fn, f, pd):
     """(R_W f) at one level coarser than the common refinement of W and f."""
     if w_fn.matrix != f.matrix or f.matrix != pd.matrix:
         raise MatrixMismatch("potential, signal and PerronData must share a matrix")
-    _check_cylinder_potential(w_fn)
     m = max(w_fn.level, f.level, 2)
+    core.check_cap(pd.matrix, m)   # before the checks and products at level m
+    _check_cylinder_potential(w_fn)
     wc = core.refine(w_fn, m).coeffs.real
     fc = core.refine(f, m).coeffs
-    return CylinderFunction(pd.matrix, m - 1, core.preimage_sum(pd.matrix, m - 1, wc * fc))
+    return CylinderFunction(pd.matrix, m - 1,
+                            core._frozen(core.preimage_sum(pd.matrix, m - 1, wc * fc)))
 
 
 def keane_residual(w_fn, pd):
     """max_b | sum_{i: A[i,b_1]=1} W(i.b) - 1 | over one level below W."""
     if w_fn.matrix != pd.matrix:
         raise MatrixMismatch("potential and PerronData must share a matrix")
-    _check_cylinder_potential(w_fn)
     m = max(w_fn.level, 2)
+    core.check_cap(pd.matrix, m)
+    _check_cylinder_potential(w_fn)
     wc = core.refine(w_fn, m).coeffs.real
     return float(np.max(np.abs(core.preimage_sum(pd.matrix, m - 1, wc) - 1.0)))
 
@@ -138,8 +141,8 @@ def trig_potential(pd, sample_level):
         return (1.0 - np.cos(2.0 * math.pi * n * value / n1)) / n1
 
     pointwise = PointwisePotential(evaluator=evaluator)
-    coeffs = _endpoint_values(pointwise, mat, sample_level)
-    return CylinderFunction(mat, sample_level, coeffs), pointwise
+    coeffs = _endpoint_values(pointwise, mat, sample_level).astype(np.complex128)
+    return CylinderFunction(mat, sample_level, core._frozen(coeffs)), pointwise
 
 
 def _endpoint_values(potential, matrix, k):

@@ -130,7 +130,7 @@ def build_mother_wavelets(pd):
         for l, v in enumerate(vecs, start=1):
             coeffs = np.zeros(core.word_count(mat, 2), dtype=np.complex128)
             coeffs[cols] = v[succ]
-            f = CylinderFunction(mat, 2, coeffs)
+            f = CylinderFunction(mat, 2, core._frozen(coeffs))
             funcs[(k, l)] = f * (1.0 / spectral.norm(f, pd))
         fmat.append(np.array([funcs[(k, l)].coeffs[cols] for l in range(1, len(succ))],
                              dtype=np.complex128).reshape(len(succ) - 1, len(succ)))
@@ -331,4 +331,4 @@ def synthesize(coeffs, mw, K):
         h = np.repeat(h, sizes)
         for f_r, kids, slots in blocks:
             h[kids] += layer[slots] @ f_r
-    return CylinderFunction(mat, K, h)
+    return CylinderFunction(mat, K, core._frozen(h))

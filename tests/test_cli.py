@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_walk_layer_mass_line(capsys):
 def test_walk_lines_are_the_per_word_loop(capsys):
     # per-word P_x and a running total in word order; at depth 10 a pairwise
     # sum of the same values prints 1 instead of 0.999999999999995
-    tri3 = core.validate_matrix(fileio.parse_matrix_rows(open(TRI3).read()))
+    tri3 = core.validate_matrix(fileio.parse_matrix_rows(Path(TRI3).read_text()))
     pot = ruelle.trig_potential(spectral.perron_data(tri3), 1)[1]
     for x, depth in (("1", 10), ("01", 6), ("2", 0)):
         point = core.nadic_value(fileio.parse_word(x, 3), 3)
@@ -296,8 +297,8 @@ def test_ck_and_trig_are_capped(tmp_path, capsys, new_memos):
     header_only = tmp_path / "header14.txt"
     header_only.write_text("3 14\nS 0 1.0 0.0\n")
     # the verbs read their level-2 signal before they refuse: what that builds
-    tri3 = core.validate_matrix(fileio.parse_matrix_rows(open(TRI3).read()))
-    fileio.parse_signal(open(SIGNAL3).read(), tri3)
+    tri3 = core.validate_matrix(fileio.parse_matrix_rows(Path(TRI3).read_text()))
+    fileio.parse_signal(Path(SIGNAL3).read_text(), tri3)
     signal_tables = tables_in(tri3._memo)
     assert signal_tables
     del new_memos[:]
@@ -347,7 +348,7 @@ def test_signal_header_alone_builds_no_tables(tmp_path, capsys, new_memos):
 
 def test_non_finite_input_exits_65(tmp_path, capsys):
     signal = tmp_path / "nan.txt"
-    signal.write_text(open(SIGNAL3).read().replace("2.0 0.0", "nan 0.0", 1))
+    signal.write_text(Path(SIGNAL3).read_text().replace("2.0 0.0", "nan 0.0", 1))
     assert run(["op", "pf", "--matrix", TRI3, "--signal", str(signal)]) == 65
     coeffs = tmp_path / "c.txt"
     coeffs.write_text("3 2\nS 0 1e400 0.0\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core, wavelets
+from cantorkit import core, operators, ruelle, wavelets
 from cantorkit.errors import (
     CapExceeded,
     DeadRow,
@@ -149,6 +149,24 @@ def test_prefix_shift_prepend_arrays(full2, tri3, schottky4, strict5):
                     longer.get((i,) + w, -1) for w in words]
 
 
+def test_branch_runs_match_shift_and_prepend(full2, tri3, schottky4, strict5):
+    # schottky4's digit 0 has the successors 0, 1, 3: two runs, not one
+    assert core.branch_runs(schottky4, 3)[0] == ((0, 0, 18), (18, 27, 36))
+    for m in (full2, tri3, schottky4, strict5):
+        for k in range(8):
+            first = core.first_digit_array(m, k + 1)
+            for i, runs in enumerate(core.branch_runs(m, k)):
+                assert all(a < z for _, a, z in runs)
+                assert all(z < a for (_, _, z), (_, a, _) in zip(runs, runs[1:]))   # merged
+                shifted = np.concatenate([np.arange(a, z) for _, a, z in runs])
+                block = np.concatenate([np.arange(b, b + z - a) for b, a, z in runs])
+                assert block.tolist() == np.flatnonzero(first == i).tolist()
+                assert core.shift_index_array(m, k + 1)[block].tolist() == shifted.tolist()
+                pia = core.prepend_index_array(m, k, i)
+                assert pia[shifted].tolist() == block.tolist()
+                assert np.count_nonzero(pia >= 0) == len(shifted)
+
+
 def test_value_array_matches_scalar(full2, tri3, schottky4, strict5):
     for m in (full2, tri3, schottky4, strict5):
         for k in TABLE_LEVELS:
@@ -251,6 +269,7 @@ def test_budget_checks_every_table_call(tri3):
     for table in tables:
         table(tri3, 5)
     core.prepend_index_array(tri3, 4, 1)
+    core.branch_runs(tri3, 4)
     with core.budget(98):
         for table in tables:
             with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
@@ -260,10 +279,13 @@ def test_budget_checks_every_table_call(tri3):
                 table(tri3, 5, 2)
         with pytest.raises(CapExceeded):   # the words i.w live at level 5
             core.prepend_index_array(tri3, 4, 1)
+        with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
+            core.branch_runs(tri3, 4)
         with core.budget(None):
             assert len(core.enumerate_words(tri3, 5)) == 99
         with core.budget(99):
             assert len(core.prepend_index_array(tri3, 4, 1)) == 41
+            assert len(core.branch_runs(tri3, 4)) == 3
         assert len(core.value_array(tri3, 4)) == 41
     assert len(core.value_array(tri3, 5)) == 99
     with pytest.raises(CapExceeded), core.budget(0):
@@ -349,12 +371,29 @@ def test_compose_shift(tri3):
         assert g.coeff(w) == (1.0 if w[1] == 2 else 0.0)
 
 
-def test_coeffs_are_immutable(full2):
+def test_coeffs_are_immutable(full2, full2_pd):
     f = core.CylinderFunction.indicator(full2, (0,))
     with pytest.raises(ValueError):
         f.coeffs[0] = 5.0
     with pytest.raises(AttributeError):
         f.level = 3
+    # a writeable array, or a read-only view of one, is copied
+    raw = np.arange(4, dtype=np.complex128)
+    view = raw[:]
+    view.setflags(write=False)
+    for given in (raw, view):
+        before = given.copy()
+        g = core.CylinderFunction(full2, 2, given)
+        raw[0] += 9.0
+        assert g.coeffs.tobytes() == before.tobytes()
+    # kernel results are read-only, and a frozen array that owns its memory is kept
+    g = core.CylinderFunction(full2, 2, raw)
+    w = core.CylinderFunction(full2, 3, np.ones(8))
+    for out in (operators.apply_S(0, g, full2_pd), operators.apply_S_star(1, g, full2_pd),
+                operators.pf_operator(g, full2_pd), core.refine(g, 4),
+                ruelle.ruelle_apply(w, g, full2_pd)):
+        assert not out.coeffs.flags.writeable and out.coeffs.base is None
+    assert np.shares_memory(core.CylinderFunction(full2, 2, g.coeffs).coeffs, g.coeffs)
 
 
 @st.composite

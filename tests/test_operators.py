@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core, operators, spectral
+from cantorkit import core, operators, ruelle, spectral
 from cantorkit.errors import CapExceeded, IndexOutOfRange, LevelOutOfRange, MatrixMismatch
 from conftest import tables_in
 
@@ -217,13 +217,13 @@ def reference_pf(f, pd):
 def test_generators_and_pf_match_batched_loops(full2_pd, tri3_pd, schottky4_pd, strict5_pd):
     rng = np.random.default_rng(11)
     for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
-        for K in range(1, 8):
+        for K in range(8):
             size = core.word_count(pd.matrix, K)
             f = core.CylinderFunction(pd.matrix, K, rng.normal(size=size)
                                       + 1j * rng.normal(size=size))
             assert (operators.pf_operator(f, pd).coeffs.tobytes()
                     == reference_pf(f, pd).tobytes())
-            g = core.refine(f, 2) if K == 1 else f
+            g = core.refine(f, 2) if K <= 1 else f
             for i in range(pd.matrix.n):
                 assert (operators.apply_S(i, f, pd).coeffs.tobytes()
                         == batched_s(i, f.coeffs, K, pd).tobytes())
@@ -439,3 +439,29 @@ def test_ck_residual_refuses_level_k_plus_one_before_any_table():
     assert tables_in(ring._memo) == set()
     with core.budget(w4):
         assert operators.ck_relations_residual(pd, 3) < 1e-12
+
+
+def test_generators_and_preimage_sums_refuse_before_allocating(tri3_pd):
+    # every kernel below reads or writes level 12; a budget one word short of
+    # |W_12| refuses it before any |W_11|-sized array is made
+    pd, K = tri3_pd, 12
+    mat = pd.matrix
+    f = core.CylinderFunction(mat, K, np.ones(core.word_count(mat, K)))
+    h = core.CylinderFunction(mat, K - 1, np.ones(core.word_count(mat, K - 1)))
+    pointwise = ruelle.trig_potential(pd, 1)[1]
+    calls = [lambda: operators.apply_S(0, h, pd), lambda: operators.apply_S_star(1, f, pd),
+             lambda: operators.pf_operator(f, pd), lambda: ruelle.ruelle_apply(f, f, pd),
+             lambda: ruelle.keane_residual(f, pd),
+             lambda: ruelle.preimage_keane_residual(pointwise, pd, K - 1)]
+    smallest = 8 * core.word_count(mat, K - 1)
+    for call in calls:
+        call()   # outside the budget, so every table below level 12 is warm
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="level 12 "), \
+                    core.budget(core.word_count(mat, K) - 1):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smallest / 4

@@ -276,7 +276,7 @@ def cmd_sierpinski_induced(args, matrix, pd):
 
 
 def cmd_graph_perron(args, g, pd):
-    pd = graphs.graph_perron(g, tol=args.tol, max_iter=args.max_iter)
+    pd = graphs.graph_perron(g, tol=args.tol)
     _kv("edges", len(g.edges))
     _kv("radius", _fmt(pd.radius))
     _kv("residual", _fmt(pd.tol))
@@ -285,8 +285,7 @@ def cmd_graph_perron(args, g, pd):
 
 
 def cmd_graph_wavelets(args, g, pd):
-    gw = graphs.build_graph_wavelets(g, args.v0, args.e0,
-                                     tol=args.tol, max_iter=args.max_iter)
+    gw = graphs.build_graph_wavelets(g, args.v0, args.e0, tol=args.tol)
     rep = graphs.path_integrals(gw, args.depth)
     names = [",".join(map(str, t)) for t in rep.tuples.tolist()]
     for j in np.flatnonzero(rep.valid.any(axis=0)):   # path by path, each path's tuples in order
@@ -303,8 +302,8 @@ def cmd_graph_wavelets(args, g, pd):
 
 # One row per verb: its path, help and handler, then its own flags in order.
 # reads: "matrix", "lax" (a matrix, with --lax) or "graph".  spectral: takes
-# --tol/--max-iter, and a matrix verb gets Perron data.  cap: takes --cap,
-# which the verb runs under as its word-table budget.
+# --tol (exit 70 over it), and a matrix verb gets Perron data.  cap: takes
+# --cap, which the verb runs under as its word-table budget.
 Verb = namedtuple("Verb", "path help handler flags reads spectral cap alias",
                   defaults=("matrix", True, False, None))
 
@@ -400,10 +399,8 @@ def _add_verb(sub, name, text, verb):
     if verb.spectral:
         p.add_argument("--tol", type=_real, default=spectral.DEFAULT_TOL,
                        help="eigen-residual tolerance, > 0")
-        p.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER,
-                       help="power iteration cap")
     if verb.cap:
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_count, default=DEFAULT_CAP,
                        help="enumeration cap (default %d)" % DEFAULT_CAP)
     for flag, kw in verb.flags:
         p.add_argument(flag, **kw)
@@ -437,8 +434,7 @@ def _dispatch(args):
             return verb.handler(args, fileio.parse_graph(_read(args.graph)), None)
         rows = fileio.parse_matrix_rows(_read(args.matrix))
         matrix = core.validate_matrix(rows, strict=not getattr(args, "lax", False))
-        pd = (spectral.perron_data(matrix, tol=args.tol, max_iter=args.max_iter)
-              if verb.spectral else None)
+        pd = spectral.perron_data(matrix, tol=args.tol) if verb.spectral else None
         return verb.handler(args, matrix, pd)
 
 

@@ -112,17 +112,11 @@ class AdmissibilityMatrix:
 
 
 def _is_irreducible(rows):
-    """Every state reaches every state along 1-entries."""
-    n = len(rows)
-    a = np.array(rows, dtype=bool)
-    reach = np.eye(n, dtype=bool)
-    for _ in range(n):
-        new = reach | (reach @ a)
-        if new.all():
-            return True
-        if (new == reach).all():
-            break
-        reach = new
+    """Every state reaches every state along 1-entries: (I + A)^(n-1) > 0, by
+    squaring the 0-1 reachability matrix until it covers n - 1 steps."""
+    reach = np.array(rows, dtype=float) + np.eye(len(rows))
+    for _ in range(max(len(rows) - 1, 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
     return bool(reach.all())
 
 

@@ -90,9 +90,9 @@ def edge_matrix(g):
     return validate_matrix(rows, strict=False)
 
 
-def graph_perron(g, tol=spectral.DEFAULT_TOL, max_iter=spectral.DEFAULT_MAX_ITER):
+def graph_perron(g, tol=spectral.DEFAULT_TOL):
     """PerronData of the edge matrix (checks irreducibility itself)."""
-    return spectral.perron_data(edge_matrix(g), tol=tol, max_iter=max_iter)
+    return spectral.perron_data(edge_matrix(g), tol=tol)
 
 
 def vertex_measure(g, v0, p):
@@ -146,8 +146,7 @@ class GraphWaveletSet:
     d: tuple
 
 
-def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
-                         max_iter=spectral.DEFAULT_MAX_ITER):
+def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL):
     """Run the weighted complement construction over the edge shift."""
     if not 0 <= v0 < g.vertex_count:
         raise IndexOutOfRange("vertex %r out of range" % (v0,))
@@ -158,7 +157,7 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL,
             "base edge %d points at vertex %d, not the base vertex %d"
             % (e0, g.range(e0), v0))
     em = edge_matrix(g)
-    pd = spectral.perron_data(em, tol=tol, max_iter=max_iter)
+    pd = spectral.perron_data(em, tol=tol)
     c = tuple(
         tuple(wavelets.weighted_complement_basis(pd.p, em.successors[e]))
         for e in range(len(g.edges)))

@@ -60,11 +60,12 @@ def sierpinski_spec(matrix):
     pairs = tuple((i, j) for i in range(n) for j in range(n)
                   if matrix.rows[i][j])
     d = len(pairs)
+    dim = math.log(d) / math.log(n) if n >= 2 else 0.0   # 0 when N = 1, as perron's delta
     return SierpinskiSpec(
         matrix=matrix,
         D=d,
-        pair_dimension=math.log(d) / (2 * math.log(n)),
-        similarity_dimension=math.log(d) / math.log(n),
+        pair_dimension=dim / 2,
+        similarity_dimension=dim,
         letter_map=pairs,
     )
 

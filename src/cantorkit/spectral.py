@@ -11,7 +11,8 @@ recursion mu(w) = sum_{j: A[w_k, j]=1} mu(w.j) holds exactly because
 (Ap)_i = r p_i.  The Hausdorff dimension of the underlying Cantor set is
 delta = log r / log N, and N^delta = r ties the operator scalings below to the
 geometry.  On the full shift (all-ones A) the measure is Lebesgue and every
-formula here can be checked against interval lengths.
+formula here can be checked against interval lengths.  r, p and omega come
+from one eigenvalue call and inverse iteration (see perron_data).
 """
 
 import math
@@ -23,7 +24,8 @@ from . import core
 from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible, UsageError
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100000
+SHIFT = 1e-13   # how far above the Perron root inverse iteration is shifted, relatively
+SOLVES = 2      # inverse-iteration solves per vector; one leaves a residual near 2e-14
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,8 @@ class PerronData:
 
     radius: Perron root r(A); p / omega: right eigenvectors of A and A^t,
     positive, each summing to 1; delta: log r / log N (0 when undefined);
-    tol: the achieved infinity-norm eigen-residual; iterations: power steps.
+    tol: the achieved infinity-norm eigen-residual; iterations: the
+    inverse-iteration solves made, SOLVES for each vector.
     """
 
     matrix: core.AdmissibilityMatrix
@@ -44,61 +47,42 @@ class PerronData:
     iterations: int
 
 
-def _power_iteration(m, tol, max_iter):
-    """Plain power iteration from the uniform start vector, L1-normalized.
-
-    m must be primitive (some power strictly positive); returns
-    (eigenvalue, vector, residual, iterations).
-    """
-    n = m.shape[0]
-    x = np.full(n, 1.0 / n)
-    lam = float((m @ x).sum())
-    res = float(np.max(np.abs(m @ x - lam * x)))
-    it = 0
-    while res > tol and it < max_iter:
-        y = m @ x
-        lam = float(y.sum())  # sum(x) == 1, so this is the Rayleigh-type ratio
-        x = y / lam
-        res = float(np.max(np.abs(m @ x - lam * x)))
-        it += 1
-    if res > tol:
-        raise NoConvergence(
-            "power iteration residual %.3e after %d steps (tol %.3e)"
-            % (res, max_iter, tol))
-    return lam, x, res, it
-
-
-def perron_data(matrix, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def perron_data(matrix, tol=DEFAULT_TOL):
     """Compute PerronData for an irreducible matrix.
 
-    Strict matrices are primitive (unit diagonal + irreducible), so A itself is
-    iterated.  Non-strict irreducible matrices can be periodic (e.g. the edge
-    matrix of a cycle), so the iteration runs on A + I — primitive whenever A
-    is irreducible, same eigenvectors, eigenvalue shifted by exactly 1.
+    The Perron root lam is the eigenvalue of largest real part, periodic A
+    included.  sigma I - A, sigma = lam (1 + SHIFT), is then a nonsingular
+    M-matrix with a positive inverse: SOLVES steps x <- (sigma I - A)^-1 x / sum
+    from the uniform vector give p, the same on A^t give omega.  NoConvergence
+    when a solve fails, a vector is not positive, or the residual is over tol.
     """
     if not 0.0 < tol < math.inf:
         raise UsageError("tolerance must be finite and > 0, got %r" % (tol,))
     a = matrix.array.astype(float)
-    if not core._is_irreducible(matrix.rows):
+    if not core._is_irreducible(a):
         raise Reducible("matrix is reducible; no Perron data")
-    shift = 0.0 if matrix.strict else 1.0
-    m = a + shift * np.eye(matrix.n)
-    lam_r, p, _, it_r = _power_iteration(m, tol, max_iter)
-    lam_l, omega, _, it_l = _power_iteration(m.T, tol, max_iter)
-    radius = float(lam_r - shift)
-    # Report the residual both vectors achieve against the single reported radius.
-    res = max(
-        float(np.max(np.abs(a @ p - radius * p))),
-        float(np.max(np.abs(a.T @ omega - radius * omega))),
-    )
+    both = np.stack([a, a.T])   # A and A^t, solved side by side
+    shifted = float(np.linalg.eigvals(a).real.max()) * (1.0 + SHIFT) * np.eye(matrix.n) - both
+    x = np.full((2, matrix.n, 1), 1.0 / matrix.n)
+    try:
+        for _ in range(SOLVES):
+            x = np.linalg.solve(shifted, x)
+            x /= x.sum(axis=1, keepdims=True)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("inverse iteration failed: %s" % exc)
+    if not np.all(x > 0):
+        raise NoConvergence("a Perron vector is not positive")
+    bx = both @ x
+    radius = float(bx[0].sum())
+    res = float(np.max(np.abs(bx - radius * x)))   # both vectors against the one radius
+    if not res <= tol:
+        raise NoConvergence("Perron residual %.3e is over tol %.3e" % (res, tol))
+    x.setflags(write=False)
+    p, omega = x[:, :, 0]
     delta = math.log(radius) / math.log(matrix.n) if matrix.n >= 2 else 0.0
-    p = p.copy()
-    omega = omega.copy()
-    p.setflags(write=False)
-    omega.setflags(write=False)
     return PerronData(
         matrix=matrix, radius=radius, p=p, omega=omega,
-        delta=delta, tol=res, iterations=it_r + it_l)
+        delta=delta, tol=res, iterations=2 * SOLVES)
 
 
 def cylinder_measure(pd, word):

@@ -250,7 +250,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["perron", "--matrix", str(bad)]) == 65
     assert run(["words", "--matrix", SCHOTTKY4, "--level", "12",
                 "--cap", "100"]) == 66
-    assert run(["perron", "--matrix", TRI3, "--max-iter", "2"]) == 70
+    assert run(["perron", "--matrix", TRI3, "--tol", "1e-300"]) == 70
     assert run(["measure", "--matrix", TRI3, "--word", "02"]) == 65
     fourier = ["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
                "--tmin", "0", "--tmax", "1", "--tcount"]
@@ -378,6 +378,26 @@ def test_lax_flag_for_nonstrict_matrix(tmp_path, capsys):
     assert run(["perron", "--matrix", str(cyc), "--lax"]) == 0
     d = keys(capsys.readouterr().out)
     assert float(d["radius"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_one_letter_and_two_cycle_run_every_lax_verb(tmp_path, capsys):
+    # N = 1 has no dimension exponent to divide out: both are reported as 0
+    for name, text in (("one", "1\n1\n"), ("cycle", "2\n0 1\n1 0\n")):
+        path = tmp_path / ("%s.txt" % name)
+        path.write_text(text)
+        for argv in (["sierpinski", "info"], ["sierpinski", "cells", "--depth", "2"],
+                     ["sierpinski", "render", "--depth", "2", "--res", "8"],
+                     ["sierpinski", "induced"], ["perron"], ["measure", "--word", "0"],
+                     ["words", "--level", "3"]):
+            assert run(argv + ["--matrix", str(path), "--lax"]) == 0, (name, argv)
+        d = keys(capsys.readouterr().out)
+        if name == "one":
+            assert d["pair_dimension"] == d["similarity_dimension"] == "0"
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    assert run(["words", "--matrix", TRI3, "--level", "0", "--cap", "-1"]) == 64
+    assert "--cap: -1 is negative" in capsys.readouterr().err
 
 
 def test_subprocess_determinism():

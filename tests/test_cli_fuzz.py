@@ -2,8 +2,9 @@
 
 Every row of VERBS is driven with drawn flags on the bundled strict matrices
 and graphs: levels and depths from -3 to 100,000, `--tcount` and `--res` up
-to 10^12, a `--cap` no larger than the default (so no example builds a huge
-table for real), and small signal and coefficient files with mutated lines.
+to 10^12, a `--cap` from -1 to the default (so no example builds a huge
+table for real), a `--tol` from 1e-300 (no convergence) to 0 and nan (usage
+errors), and small signal and coefficient files with mutated lines.
 Whatever the input, `run` returns a documented exit code and no exception
 escapes.
 """
@@ -101,8 +102,8 @@ def commands(draw, tmp):
         if verb.reads == "lax" and draw(st.booleans()):
             argv.append("--lax")
     if verb.spectral and draw(st.integers(0, 9)) == 0:
-        argv.append("--max-iter=" + draw(st.sampled_from(["1", "50"])))
-    cap = draw(st.none() | st.integers(0, core.DEFAULT_CAP))
+        argv.append("--tol=" + draw(st.sampled_from(["1e-300", "1e-12", "0", "nan"])))
+    cap = draw(st.none() | st.just(-1) | st.integers(0, core.DEFAULT_CAP))
     if verb.cap and cap is not None:
         argv.append("--cap=%d" % cap)
     for flag, kw in verb.flags:

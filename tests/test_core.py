@@ -43,6 +43,17 @@ def test_validate_rejects_reducible():
         core.validate_matrix([[1, 0], [0, 1]])
 
 
+def test_irreducible_is_reachability():
+    # against (I + A)^(n-1) > 0, on seeded 0-1 grids with and without a diagonal
+    rng = np.random.default_rng(13)
+    for n in range(1, 8):
+        for density in (0.2, 0.4, 0.6):
+            for _ in range(30):
+                a = (rng.random((n, n)) < density).astype(int)
+                reach = np.linalg.matrix_power(np.eye(n, dtype=int) + a, max(n - 1, 1))
+                assert core._is_irreducible(a.tolist()) == bool((reach > 0).all())
+
+
 def test_lax_mode_allows_cycle():
     m = core.validate_matrix([[0, 1], [1, 0]], strict=False)
     assert m.n == 2 and not m.strict

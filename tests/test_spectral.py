@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cantorkit import core, spectral
+from cantorkit import core, fileio, graphs, spectral
 from cantorkit.errors import LevelOutOfRange, NoConvergence, Reducible, UsageError
 
 SQRT2 = math.sqrt(2.0)
+GRAPH3 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "inputs", "graph3.txt")
 
 
 def eig_oracle(matrix):
@@ -76,7 +79,54 @@ def test_reducible_raises():
 
 def test_no_convergence_raises(tri3):
     with pytest.raises(NoConvergence):
-        spectral.perron_data(tri3, tol=1e-15, max_iter=3)
+        spectral.perron_data(tri3, tol=1e-300)
+
+
+def _band(n):
+    return core.validate_matrix([[int(abs(i - j) <= 2) for j in range(n)] for i in range(n)])
+
+
+def _cycle(n):
+    return core.validate_matrix([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)],
+                                strict=False)
+
+
+def _positive_to_rounding(pd):
+    assert np.all(pd.p > 0) and np.all(pd.omega > 0)
+    assert pd.tol <= 1e-15
+    assert pd.iterations == 4
+
+
+def test_tri3_closed_form_to_rounding(tri3_pd):
+    _positive_to_rounding(tri3_pd)
+    assert abs(tri3_pd.radius - (1 + SQRT2)) <= 1e-15
+    want = np.array([1.0, SQRT2, 1.0]) / (2 + SQRT2)
+    assert np.max(np.abs(tri3_pd.p - want)) <= 1e-15
+    assert np.max(np.abs(tri3_pd.omega - want)) <= 1e-15
+
+
+def test_graph3_radius_is_the_golden_ratio():
+    with open(GRAPH3) as fh:
+        pd = graphs.graph_perron(fileio.parse_graph(fh.read()))
+    _positive_to_rounding(pd)
+    assert abs(pd.radius - (1 + math.sqrt(5)) / 2) <= 1e-15
+
+
+def test_fifty_cycle_is_uniform():
+    # non-strict and periodic: the other 49 eigenvalues lie on the unit circle
+    pd = spectral.perron_data(_cycle(50))
+    _positive_to_rounding(pd)
+    assert abs(pd.radius - 1.0) <= 1e-15
+    assert np.max(np.abs(pd.p - 1 / 50)) <= 1e-15
+    assert np.max(np.abs(pd.omega - 1 / 50)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [20, 57, 120, 240])
+def test_banded_residual_at_rounding(n):
+    pd = spectral.perron_data(_band(n))
+    _positive_to_rounding(pd)
+    # symmetric: the left vector is the right one
+    assert np.max(np.abs(pd.p - pd.omega)) <= 1e-15
 
 
 def test_single_letter_matrix():

@@ -20,16 +20,18 @@ word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
                words parse for any N.
 PGM:           P2 with header "P2\\nW H\\n255", one raster row per line.
 
-Signal and coefficient files are written from arrays: the word and key
-columns come from core's last-digit arrays, level by level, and each value
-goes through repr().  A file in the canonical spelling (one line per word or
-key, each written as format_word and format_coefficients write it, in any
-order) is read by one lookup per line in the canonical key -> slot map, which
-is built only when the file has exactly one data line per slot.  Any other
-file (other spellings, extra whitespace inside a key, repeated or stray keys,
-a sparse coefficient file) goes through the per-line parser, which accepts
-lines in any order and names the line at fault.  Values are read with float();
-nan, inf and overflowing values such as 1e400 are refused.
+Signal and coefficient files are written from arrays: the word column comes
+from core's last-digit arrays, level by level, the key column from the
+matrix's wavelet key table, which spells each key as it grows, and each value
+goes through repr().  Reading tries three ways, cheapest first.  A file with
+exactly one data line per word or key has each line split once: if its keys
+are the canonical column in the order written, the values are taken in turn;
+if they spell that column in another order, each line is placed through a
+key -> slot map.  Any other file (other spellings, extra whitespace inside a
+key, repeated or stray keys, a sparse coefficient file) goes through the
+per-line parser, which accepts lines in any order and names the line at
+fault.  Values are read with float(); nan, inf and overflowing values such as
+1e400 are refused.
 """
 
 import math
@@ -42,12 +44,10 @@ from .errors import FileFormatError
 
 
 def _data_lines(text):
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [line for line in map(str.strip, lines) if line]
 
 
 def _float(tok, where):
@@ -152,29 +152,35 @@ def word_column(matrix, k):
 
 def _value_lines(head, column, values):
     """The text "head" then one "key re im" line per column entry."""
-    return "\n".join([head] + ["%s %r %r" % line for line in zip(
-        column, values.real.tolist(), values.imag.tolist())]) + "\n"
+    re, im = map(repr, values.real.tolist()), map(repr, values.imag.tolist())
+    return "\n".join([head] + list(map(" ".join, zip(column, re, im)))) + "\n"
+
+
+def _slots(keys, column):
+    """The position in `column` of each key; KeyError for a key outside it."""
+    pos = dict(zip(column, range(len(column))))
+    return [pos[key] for key in keys]
 
 
 def _parse_column(lines, column):
     """Values of data lines "key re im" whose keys spell `column` in any order.
 
-    Returns None when a line is not of that form, has a key outside the
-    column, or a value that float() refuses or that is not finite; the
-    per-line parser then reports the fault.  A slot that no line fills stays
-    NaN, so a missing or repeated key falls back too.
+    Each line is split once.  Lines in column order are read in turn; others
+    are placed through a key -> slot map.  Returns None when a line is not of
+    that form, has a key outside the column, or a value that float() refuses
+    or that is not finite; the per-line parser then reports the fault.  A slot
+    that no line fills stays NaN, so a missing or repeated key falls back too.
     """
-    pos = dict(zip(column, range(len(column))))
-    re, im = [math.nan] * len(column), [math.nan] * len(column)
     try:
-        for line in lines:
-            key, x, y = line.rsplit(None, 2)
-            slot = pos[key]
-            re[slot], im[slot] = float(x), float(y)
+        keys, re, im = zip(*[line.rsplit(None, 2) for line in lines])
+        values = np.empty(len(lines), dtype=np.complex128)
+        values.real, values.imag = list(map(float, re)), list(map(float, im))
+        if list(keys) != column:
+            placed = np.full(len(column), math.nan, dtype=np.complex128)
+            placed[_slots(keys, column)] = values
+            values = placed
     except (KeyError, ValueError):
         return None
-    values = np.empty(len(column), dtype=np.complex128)
-    values.real, values.imag = re, im
     return values if np.isfinite(values).all() else None
 
 
@@ -232,21 +238,10 @@ def _parse_signal_lines(lines, matrix, k):
 
 
 def _key_column(matrix, K):
-    """The keys of a level-K coefficient file in canonical order, as written.
-
-    "S i" for each letter, then "M r l" for each mother, then per |a| = 1 ..
-    K-2 the wavelets S_a f^{l,r}, one "D a l r" for each word a and each
-    (r, l) that follows its last digit: detail_keys order.
-    """
-    n, d = matrix.n, matrix.row_sums
-    column = ["S %d" % i for i in range(n)]
-    if K >= 2:
-        column += ["M %d %d" % (r, l) for r in range(n) for l in range(1, d[r])]
-    tails = [[" %d %d" % (l, r) for r in matrix.successors[t] for l in range(1, d[r])]
-             for t in range(n)]
-    for words, last in _word_columns(matrix, K - 2):
-        column += ["D " + w + tail for w, t in zip(words, last) for tail in tails[t]]
-    return column
+    """The keys of a level-K coefficient file as written: "S i" for each letter,
+    then each wavelet key in detail_keys order, read from the matrix's key table."""
+    table = wavelets._key_table(matrix)
+    return table.column[:matrix.n + len(table.at(matrix, K))]
 
 
 def format_coefficients(wc, mw, level):

@@ -59,7 +59,7 @@ def perron_data(matrix, tol=DEFAULT_TOL):
     if not 0.0 < tol < math.inf:
         raise UsageError("tolerance must be finite and > 0, got %r" % (tol,))
     a = matrix.array.astype(float)
-    if not core._is_irreducible(a):
+    if not matrix.strict and not core._is_irreducible(a):   # validate_matrix checked strict ones
         raise Reducible("matrix is reducible; no Perron data")
     both = np.stack([a, a.T])   # A and A^t, solved side by side
     shifted = float(np.linalg.eigvals(a).real.max()) * (1.0 + SHIFT) * np.eye(matrix.n) - both

@@ -19,7 +19,8 @@ One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
 coefficient files, which write a = () as an `M` line.  The keys of every
 level come from one table kept in the matrix's memo, which analyze,
-synthesize and the coefficient files read.
+synthesize and the coefficient files read; it also holds each key as a
+coefficient file spells it.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -28,7 +29,9 @@ synthesize run as Mallat's pyramid on the tree of admissible words: analyze
 sums the masses f*mu up the tree one level at a time and pairs each word's
 children with the fixed (d_r - 1) x d_r matrix F_r of mother values;
 synthesize copies values down the tree and adds the same matrix products back.
-Each costs O(|W_K| * max d_k) time and O(|W_K|) memory.  basis_function and
+Each costs O(|W_K| * max d_k) time and O(|W_K|) memory.  The positions of
+each level's child blocks and coefficients depend on A alone and are kept in
+the matrix's memo, so a call only gathers and multiplies.  basis_function and
 wavelet build single basis vectors at full level; the tests use them as the
 quadratic reference.
 """
@@ -163,21 +166,35 @@ def wavelet(a, l, r, mw):
 class _KeyTable:
     """The detail keys of one matrix, up to the finest level asked for so far.
 
-    The keys of level K are a prefix of the keys of level K + 1, so one list
-    and one key -> slot map serve every level; asking for a finer level
-    extends the list and drops the map until it is used again.
+    The keys of level K are a prefix of the keys of level K + 1, so one list,
+    one key -> slot map and one file column serve every level; asking for a
+    finer level extends the lists and drops the map until it is used again.
+    `column` is "S i" for each letter, then keys[s] as files spell it at n + s.
     """
 
-    def __init__(self):
+    def __init__(self, n):
         self.keys, self.ends = [], [0, 0]   # ends[K] = number of level-K keys
+        self.column = ["S %d" % i for i in range(n)]
+        self.words = []   # the words of the last |a| > 0 keyed, spelled as files do
 
     def at(self, mat, K):
         """The level-K keys of matrix `mat`, growing the table to level K first."""
         if K >= len(self.ends):
+            n, d, sep = mat.n, mat.row_sums, "" if mat.n <= 10 else "."
+            pairs = [[(l, r) for r in s for l in range(1, d[r])] for s in mat.successors]
+            tails = [[" %d %d" % lr for lr in p] for p in pairs]
             for j in range(len(self.ends) - 2, K - 1):   # the keys with |a| = j
-                self.keys += [(a, l, r) for a in core.enumerate_words(mat, j)
-                              for r in (mat.successors[a[-1]] if a else range(mat.n))
-                              for l in range(1, mat.row_sums[r])]
+                if j == 0:   # the mothers: any letter r
+                    self.keys += [((), l, r) for r in range(n) for l in range(1, d[r])]
+                    self.column += ["M %d %d" % (r, l) for r in range(n) for l in range(1, d[r])]
+                else:   # the level-j words: each level-(j-1) word, then a successor
+                    self.words = [w + sep + str(s) for w, a in zip(
+                        self.words, core.enumerate_words(mat, j - 1))
+                        for s in mat.successors[a[-1]]] if j > 1 else list(map(str, range(n)))
+                    words = core.enumerate_words(mat, j)
+                    self.keys += [(a, l, r) for a in words for l, r in pairs[a[-1]]]
+                    self.column += ["D " + w + tail for w, a in zip(self.words, words)
+                                    for tail in tails[a[-1]]]
                 self.ends.append(len(self.keys))
             self.__dict__.pop("slot", None)
         return self.keys[:self.ends[max(K, 0)]]
@@ -190,7 +207,7 @@ class _KeyTable:
 
 
 def _key_table(matrix):   # kept in the matrix's memo
-    return matrix._memo.get(_KeyTable) or matrix._memo.setdefault(_KeyTable, _KeyTable())
+    return matrix._memo.get(_KeyTable) or matrix._memo.setdefault(_KeyTable, _KeyTable(matrix.n))
 
 
 def detail_keys(mw, K):
@@ -236,25 +253,26 @@ class WaveletCoefficients:
         return e
 
 
-def _level_blocks(mw, m):
-    """Layout of the level-m step of the pyramid.
+@core._table(least=1, above=1)
+def _pyramid_layout(matrix, m):
+    """Positions of the level-m step of the pyramid, kept in the matrix's memo.
 
     The children v.s of a level-m word v are contiguous in W_{m+1}, d_{last(v)}
     of them, and v anchors d_{last(v)} - 1 consecutive coefficients of its
     level.  Returns the child counts, the child block starts, the number of
-    coefficients, and per letter r the triple (F_r, child positions,
-    coefficient positions) with one row per level-m word ending in r.
+    coefficients, and per letter r the pair (child positions, coefficient
+    positions) with one row per level-m word ending in r, which pairs with F_r.
     """
-    last = core.last_digit_array(mw.matrix, m)
-    sizes = np.asarray(mw.d, dtype=np.intp)[last]
-    starts = np.cumsum(sizes) - sizes
+    last = core.last_digit_array(matrix, m)
+    sizes = core._frozen(np.asarray(matrix.row_sums, dtype=np.intp)[last])
+    starts = core._frozen(np.cumsum(sizes) - sizes)
     offsets = np.cumsum(sizes - 1) - (sizes - 1)
     blocks = []
-    for r, f_r in enumerate(mw.fmat):
+    for r, d in enumerate(matrix.row_sums):
         rows = np.flatnonzero(last == r)
-        blocks.append((f_r, starts[rows, None] + np.arange(mw.d[r]),
-                       offsets[rows, None] + np.arange(mw.d[r] - 1)))
-    return sizes, starts, int(np.sum(sizes - 1)), blocks
+        blocks.append((core._frozen(starts[rows, None] + np.arange(d)),
+                       core._frozen(offsets[rows, None] + np.arange(d - 1))))
+    return sizes, starts, int(np.sum(sizes - 1)), tuple(blocks)
 
 
 def analyze(f, mw):
@@ -272,9 +290,9 @@ def analyze(f, mw):
     mass = core.refine(f, K).coeffs * spectral.measure_array(pd, K)
     layers = []
     for m in range(K - 1, 0, -1):
-        _, starts, ncoef, blocks = _level_blocks(mw, m)
+        _, starts, ncoef, blocks = _pyramid_layout(mw.matrix, m)
         out = np.zeros(ncoef, dtype=np.complex128)
-        for f_r, kids, slots in blocks:
+        for f_r, (kids, slots) in zip(mw.fmat, blocks):
             out[slots] = mass[kids] @ np.conj(f_r).T
         layers.append(pd.radius ** ((m - 1) / 2.0) * out)
         mass = np.add.reduceat(mass, starts)
@@ -325,10 +343,10 @@ def synthesize(coeffs, mw, K):
     scaling, rest = _flat_layers(coeffs, mw, K)
     h = scaling / np.sqrt(pd.p)
     for m in range(1, K):
-        sizes, _, ncoef, blocks = _level_blocks(mw, m)
+        sizes, _, ncoef, blocks = _pyramid_layout(mat, m)
         layer, rest = np.split(rest, [ncoef])
         layer = pd.radius ** ((m - 1) / 2.0) * layer
         h = np.repeat(h, sizes)
-        for f_r, kids, slots in blocks:
+        for f_r, (kids, slots) in zip(mw.fmat, blocks):
             h[kids] += layer[slots] @ f_r
     return CylinderFunction(mat, K, core._frozen(h))

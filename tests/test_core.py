@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core, operators, ruelle, wavelets
+from cantorkit import core, fileio, operators, ruelle, spectral, wavelets
 from cantorkit.errors import (
     CapExceeded,
     DeadRow,
@@ -256,6 +256,17 @@ def test_equal_matrices_hash_alike_and_die_with_their_tables():
         gc.enable()
 
 
+def _wavelet_round_trip(m):
+    """analyze -> format -> parse -> synthesize at level 4; weak references to
+    a pyramid layout array and the key table it leaves in the memo."""
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(m))
+    f = core.CylinderFunction(m, 4, np.arange(core.word_count(m, 4), dtype=complex))
+    text = fileio.format_coefficients(wavelets.analyze(f, mw), mw, 4)
+    wavelets.synthesize(fileio.parse_coefficients(text, m)[0], mw, 4)
+    assert len(fileio._key_column(m, 4)) == core.word_count(m, 4)
+    return [weakref.ref(wavelets._pyramid_layout(m, 3)[0]), weakref.ref(wavelets._key_table(m))]
+
+
 def test_no_table_outlives_its_matrix():
     # a long-lived loop over many matrices holds nothing once each is dropped
     rng = np.random.default_rng(4)
@@ -266,6 +277,8 @@ def test_no_table_outlives_its_matrix():
             rows = (rng.random((4, 4)) < 0.4) | np.eye(4, dtype=bool)
             m = core.validate_matrix(rows.astype(int).tolist(), strict=False)
             dead += [weakref.ref(m), weakref.ref(m.transpose), weakref.ref(_light_job(m))]
+            if core._is_irreducible(m.rows):   # wavelets need Perron data
+                dead += _wavelet_round_trip(m)
             del m
         assert sum(ref() is not None for ref in dead) == 0
     finally:
@@ -281,6 +294,7 @@ def test_budget_checks_every_table_call(tri3):
         table(tri3, 5)
     core.prepend_index_array(tri3, 4, 1)
     core.branch_runs(tri3, 4)
+    wavelets._pyramid_layout(tri3, 4)
     with core.budget(98):
         for table in tables:
             with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
@@ -292,11 +306,14 @@ def test_budget_checks_every_table_call(tri3):
             core.prepend_index_array(tri3, 4, 1)
         with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
             core.branch_runs(tri3, 4)
+        with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
+            wavelets._pyramid_layout(tri3, 4)   # the children of level-4 words
         with core.budget(None):
             assert len(core.enumerate_words(tri3, 5)) == 99
         with core.budget(99):
             assert len(core.prepend_index_array(tri3, 4, 1)) == 41
             assert len(core.branch_runs(tri3, 4)) == 3
+            assert wavelets._pyramid_layout(tri3, 4)[2] == 99 - 41
         assert len(core.value_array(tri3, 4)) == 41
     assert len(core.value_array(tri3, 5)) == 99
     with pytest.raises(CapExceeded), core.budget(0):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cantorkit import core, fileio, graphs, sierpinski, spectral, wavelets
 from cantorkit.errors import FileFormatError, IndexOutOfRange
-from conftest import TRI3, tables_in
+from conftest import TRI3, seeded_strict_matrix, tables_in
 
 # --- the per-line reference: one format_word / parse_word per line --------------
 
@@ -254,6 +254,23 @@ def test_files_match_the_per_line_reference(name, levels, request):
         assert g.coeffs.tobytes() == wavelets.synthesize(wc, mw, level).coeffs.tobytes()
 
 
+def _spelled(key, n):
+    a, l, r = key
+    return "D %s %d %d" % (fileio.format_word(a, n), l, r) if a else "M %d %d" % (r, l)
+
+
+@pytest.mark.parametrize("fresh", [lambda: core.validate_matrix(TRI3),
+                                   lambda: seeded_strict_matrix(12, 2026)],
+                         ids=["tri3", "strict12"])
+def test_key_column_grows_in_any_level_order(fresh):
+    matrix = fresh()
+    for K in (5, 3, 7):   # one table grows to 5, is read at 3, grows again to 7
+        column = fileio._key_column(matrix, K)
+        assert column == fileio._key_column(fresh(), K)
+        keys = wavelets._key_table(matrix).at(matrix, K)
+        assert column[matrix.n:] == [_spelled(key, matrix.n) for key in keys]
+
+
 def test_sparse_file_reads_lone_wide_letters(strict12):
     mw = wavelets.build_mother_wavelets(spectral.perron_data(strict12))
     wc = wavelets.analyze(random_signal(strict12, 3, seed=5), mw)
@@ -353,6 +370,40 @@ def test_any_subset_and_order_of_lines_parses_like_the_reference(tri3_pd, data):
     text = "\n".join([head] + body) + "\n"
     same_outcome(fileio.parse_coefficients, reference_parse_coefficients, text,
                  tri3_pd.matrix)
+
+
+def _refuse(*args):
+    raise AssertionError("a canonical file took the slow path")
+
+
+def _same_coefficients(wc2, wc):
+    return (wc2.scaling.tobytes() == wc.scaling.tobytes() and list(wc2.detail) == list(wc.detail)
+            and np.array(list(wc2.detail.values())).tobytes()
+            == np.array(list(wc.detail.values())).tobytes())
+
+
+def test_canonical_files_are_read_in_one_pass(monkeypatch, tri3, strict12):
+    files = []
+    for matrix, levels in ((tri3, (1, 2, 5, 8)), (strict12, (1, 2, 3))):
+        mw = wavelets.build_mother_wavelets(spectral.perron_data(matrix))
+        for k in levels:
+            f = random_signal(matrix, k, seed=k)
+            wc = wavelets.analyze(f, mw)
+            files.append((matrix, fileio.format_signal(f), f,
+                          fileio.format_coefficients(wc, mw, k), wc))
+    monkeypatch.setattr(fileio, "_parse_signal_lines", _refuse)
+    monkeypatch.setattr(fileio, "_parse_coefficient_lines", _refuse)
+    with monkeypatch.context() as in_order:   # no key -> slot map either
+        in_order.setattr(fileio, "_slots", _refuse)
+        for matrix, signal, f, coefficients, wc in files:
+            assert fileio.parse_signal(signal, matrix).coeffs.tobytes() == f.coeffs.tobytes()
+            assert _same_coefficients(fileio.parse_coefficients(coefficients, matrix)[0], wc)
+    shuffle = NON_CANONICAL["shuffled"]
+    for matrix, signal, f, coefficients, wc in files:   # out of order: through the map
+        g = fileio.parse_signal(_edit_lines(signal, shuffle), matrix)
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
+        wc2, _ = fileio.parse_coefficients(_edit_lines(coefficients, shuffle), matrix)
+        assert _same_coefficients(wc2, wc)
 
 
 def test_sparse_deep_coefficient_file_builds_no_tables():

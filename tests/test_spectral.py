@@ -97,6 +97,22 @@ def _positive_to_rounding(pd):
     assert pd.iterations == 4
 
 
+def test_strict_matrices_are_checked_for_irreducibility_once(monkeypatch):
+    checks = []
+    check = core._is_irreducible
+    monkeypatch.setattr(core, "_is_irreducible", lambda rows: checks.append(1) or check(rows))
+    band = _band(20)
+    assert len(checks) == 1   # validate_matrix's check
+    spectral.perron_data(band)
+    spectral.perron_data(band.transpose)
+    assert len(checks) == 1
+    spectral.perron_data(_cycle(2))
+    assert len(checks) == 2
+    with pytest.raises(Reducible):
+        spectral.perron_data(core.validate_matrix([[1, 1], [0, 1]], strict=False))
+    assert len(checks) == 3
+
+
 def test_tri3_closed_form_to_rounding(tri3_pd):
     _positive_to_rounding(tri3_pd)
     assert abs(tri3_pd.radius - (1 + SQRT2)) <= 1e-15

@@ -14,6 +14,7 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 All objects here are immutable.  The tables of a matrix (word lists, index
 maps, level counts) live in that matrix object's memo and are freed with it;
 level counts carry on from the highest level counted, never from level 1.
+`rank` reads a word's position off the level counts, with no word table.
 
 The index arrays (first and last digits, shift, prefix, suffix and prepend
 positions, N-adic values) are built level by level from the arrays of the
@@ -328,6 +329,21 @@ def word_index(matrix, k):
     return {w: m for m, w in enumerate(enumerate_words(matrix, k))}
 
 
+def rank(matrix, word):
+    """Position of an admissible word in the lexicographic enumeration of its level: for
+    each m, the words that agree up to a_{m-1} and then take a smaller successor j of
+    a_{m-1} (any smaller letter when m = 1) come first, c_{k-m+1}(j) of them, c_n(j) the
+    level-n words starting with j.  Letters are read from the last, so the counts are
+    asked for level 1 upward, each carrying on from the one before."""
+    word = check_word(matrix, word)
+    pos, k = 0, len(word)
+    for i in range(k - 1, -1, -1):   # word[i] is a_{i+1}
+        counts = _first_digit_counts(matrix, k - i)[0]
+        before = matrix.successors[word[i - 1]] if i else range(matrix.n)
+        pos += sum(counts[j] for j in before if j < word[i])
+    return pos
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -486,14 +502,16 @@ class CylinderFunction:
     def indicator(cls, matrix, word):
         """chi of the cylinder Lambda(word), at level len(word)."""
         word = check_word(matrix, word)
-        k = len(word)
-        c = np.zeros(word_count(matrix, k), dtype=np.complex128)
-        c[word_index(matrix, k)[word]] = 1.0
-        return cls(matrix, k, c)
+        c = np.zeros(word_count(matrix, len(word)), dtype=np.complex128)
+        c[rank(matrix, word)] = 1.0
+        return cls(matrix, len(word), _frozen(c))
 
     def coeff(self, word):
-        """The value taken on the cylinder of `word` (word must be level-level)."""
-        return complex(self.coeffs[word_index(self.matrix, self.level)[tuple(word)]])
+        """The value taken on the cylinder of `word`, an admissible word of this level."""
+        word = tuple(word)
+        if len(word) != self.level:
+            raise LevelOutOfRange("word %r is not of level %d" % (word, self.level))
+        return complex(self.coeffs[rank(self.matrix, word)])
 
     def __repr__(self):
         return "CylinderFunction(level=%d, n_coeffs=%d)" % (self.level, len(self.coeffs))

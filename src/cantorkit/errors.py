@@ -3,7 +3,7 @@
 Everything derives from CantorError so callers can catch one base class.
 DataError covers malformed mathematical input (bad matrices, inadmissible
 words, mismatched levels, unreadable files); the remaining leaves cover
-resource caps and iteration failure, which the command line maps to
+resource caps and failed Perron solves, which the command line maps to
 distinct exit codes.
 """
 
@@ -75,7 +75,8 @@ class MatrixMismatch(DataError):
 # --- analysis-specific --------------------------------------------------------
 
 class NoConvergence(CantorError):
-    """Power iteration failed to reach the residual tolerance."""
+    """No Perron data within the tolerance: an eigensolve or inverse-iteration solve
+    failed, a vector is not positive, or the eigen-residual is over `tol`."""
 
 
 class NegativePotential(DataError):

@@ -20,18 +20,22 @@ word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
                words parse for any N.
 PGM:           P2 with header "P2\\nW H\\n255", one raster row per line.
 
-Signal and coefficient files are written from arrays: the word column comes
-from core's last-digit arrays, level by level, the key column from the
-matrix's wavelet key table, which spells each key as it grows, and each value
-goes through repr().  Reading tries three ways, cheapest first.  A file with
-exactly one data line per word or key has each line split once: if its keys
-are the canonical column in the order written, the values are taken in turn;
-if they spell that column in another order, each line is placed through a
-key -> slot map.  Any other file (other spellings, extra whitespace inside a
-key, repeated or stray keys, a sparse coefficient file) goes through the
-per-line parser, which accepts lines in any order and names the line at
-fault.  Values are read with float(); nan, inf and overflowing values such as
-1e400 are refused.
+Signal and coefficient files are written from arrays, each value through
+repr().  The word column comes from core's last-digit arrays, level by level.
+The level-K key column is a table in the matrix's memo: the column of level
+K - 1, then the keys with |a| = K - 2 spelled from the level-(K - 2) words;
+every level up to the finest asked for is kept, sharing its strings with the
+levels above, at about 80 bytes per level-K key.  Reading tries three ways,
+cheapest first.  A file with exactly one data line per word or key has each
+line split once: if its keys are the canonical column in the order written,
+the values are taken in turn; if they spell that column in another order,
+each line is placed through a key -> slot map.  Any other file (other
+spellings, extra whitespace inside a key, repeated or stray keys, a sparse
+coefficient file) goes through the per-line parser, which accepts lines in
+any order and names the line at fault; it finds a signal word spelled as
+written in the canonical column and any other spelling by core.rank.  Values
+are read with float(); nan, inf and overflowing values such as 1e400 are
+refused.
 """
 
 import math
@@ -71,11 +75,7 @@ def _int(tok, where):
 
 
 def format_word(word, n):
-    if len(word) == 0:
-        return "-"
-    if n <= 10:
-        return "".join(str(d) for d in word)
-    return ".".join(str(d) for d in word)
+    return ("" if n <= 10 else ".").join(map(str, word)) or "-"
 
 
 def parse_word(s, n):
@@ -125,8 +125,8 @@ def parse_matrix_rows(text):
 # --- signal ----------------------------------------------------------------------
 
 
-def _word_columns(matrix, k):
-    """(word strings, last digits) of W_1 .. W_k in turn, as format_word spells them.
+def word_column(matrix, k):
+    """format_word of every level-k word, lexicographic.
 
     The children w.s of a word w are contiguous in the next level, s running
     over the successors of w's last digit, so each level's strings come from
@@ -134,20 +134,12 @@ def _word_columns(matrix, k):
     """
     sep = "" if matrix.n <= 10 else "."
     ext = [[sep + str(s) for s in matrix.successors[t]] for t in range(matrix.n)]
-    words = [str(i) for i in range(matrix.n)]
-    for j in range(1, k + 1):
+    words = [str(i) for i in range(matrix.n)] if k > 0 else ["-"]
+    for j in range(1, k + 1):   # level k's array too: its table checks the budget
         last = core.last_digit_array(matrix, j).tolist()
-        yield words, last
         if j < k:
             words = [w + e for w, t in zip(words, last) for e in ext[t]]
-
-
-def word_column(matrix, k):
-    """format_word of every level-k word, lexicographic."""
-    column = ["-"]
-    for column, _ in _word_columns(matrix, k):
-        pass
-    return column
+    return words
 
 
 def _value_lines(head, column, values):
@@ -175,7 +167,7 @@ def _parse_column(lines, column):
         keys, re, im = zip(*[line.rsplit(None, 2) for line in lines])
         values = np.empty(len(lines), dtype=np.complex128)
         values.real, values.imag = list(map(float, re)), list(map(float, im))
-        if list(keys) != column:
+        if keys != tuple(column):
             placed = np.full(len(column), math.nan, dtype=np.complex128)
             placed[_slots(keys, column)] = values
             values = placed
@@ -206,42 +198,55 @@ def parse_signal(text, matrix):
         total = core.bounded_word_count(matrix, k, 10 ** 15)   # more than a file holds
         raise FileFormatError("signal lists %d of the %s level-%d words" % (
             nlines, total if total <= 10 ** 15 else "over 10^15", k))
-    coeffs = None
+    coeffs, column = None, word_column(matrix, k)
     if nwords == nlines:
-        coeffs = _parse_column(lines[1:], word_column(matrix, k))
+        coeffs = _parse_column(lines[1:], column)
     if coeffs is None:
-        coeffs = _parse_signal_lines(lines[1:], matrix, k)
+        coeffs = _parse_signal_lines(lines[1:], matrix, k, column)
     return CylinderFunction(matrix, k, core._frozen(coeffs))
 
 
-def _parse_signal_lines(lines, matrix, k):
-    """Per-line parse of at least |W_k| data lines, in any order and spelling."""
+def _parse_signal_lines(lines, matrix, k, column):
+    """Per-line parse of at least |W_k| data lines, in any order and spelling; a word
+    spelled as in `column` is found there, any other spelling is parsed and ranked."""
     # with at least one line per word, a missing word forces a repeat or a misspelling
-    idx = core.word_index(matrix, k)
-    coeffs = np.zeros(len(idx), dtype=np.complex128)
+    pos = dict(zip(column, range(len(column))))
+    coeffs = np.zeros(len(column), dtype=np.complex128)
     seen = set()
     for line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise FileFormatError("signal line %r needs 'word re im'" % line)
-        w = parse_word(parts[0], matrix.n)
-        if w not in idx:
-            raise FileFormatError("word %r is not admissible at level %d" % (parts[0], k))
-        if w in seen:
+        slot = pos.get(parts[0])
+        if slot is None:
+            w = parse_word(parts[0], matrix.n)
+            if len(w) != k or not core.is_admissible(matrix, w):
+                raise FileFormatError("word %r is not admissible at level %d" % (parts[0], k))
+            slot = core.rank(matrix, w)
+        if slot in seen:
             raise FileFormatError("word %r listed twice" % (parts[0],))
-        seen.add(w)
-        coeffs[idx[w]] = complex(_float(parts[1], line), _float(parts[2], line))
+        seen.add(slot)
+        coeffs[slot] = complex(_float(parts[1], line), _float(parts[2], line))
     return coeffs
 
 
 # --- wavelet coefficients ---------------------------------------------------------
 
 
-def _key_column(matrix, K):
-    """The keys of a level-K coefficient file as written: "S i" for each letter,
-    then each wavelet key in detail_keys order, read from the matrix's key table."""
-    table = wavelets._key_table(matrix)
-    return table.column[:matrix.n + len(table.at(matrix, K))]
+@core._table(levelled=True)
+def _key_column(matrix, K, below):
+    """The keys of a level-K coefficient file as written, kept in the matrix's memo:
+    "S i" for each letter, then each wavelet key in detail_keys order.  Level K is
+    level K - 1, then the keys with |a| = K - 2, spelled from the level-(K - 2) words."""
+    d = matrix.row_sums
+    if K < 2 or core.word_count(matrix, K) == core.word_count(matrix, K - 1):
+        return below or tuple("S %d" % i for i in range(matrix.n))
+    if K == 2:
+        return below + tuple("M %d %d" % (r, l) for r in range(matrix.n) for l in range(1, d[r]))
+    tails = [[" %d %d" % (l, r) for r in s for l in range(1, d[r])] for s in matrix.successors]
+    last = core.last_digit_array(matrix, K - 2).tolist()
+    return below + tuple("D " + w + tail for w, j in zip(word_column(matrix, K - 2), last)
+                         for tail in tails[j])
 
 
 def format_coefficients(wc, mw, level):
@@ -275,7 +280,7 @@ def parse_coefficients(text, matrix):
         scaling, detail = _parse_coefficient_lines(lines[1:], n)
     else:
         scaling = values[:n].copy()
-        detail = dict(zip(wavelets._key_table(matrix).at(matrix, level), values[n:].tolist()))
+        detail = dict(zip(wavelets._keys(matrix, level), values[n:].tolist()))
     scaling.setflags(write=False)
     return wavelets.WaveletCoefficients(scaling=scaling, detail=detail), level
 

@@ -259,9 +259,8 @@ def measure_mu_f(f, borel, pd):
     nrm = spectral.norm(f, pd)
     if abs(nrm - 1.0) > 1e-9:
         warnings.warn("measure_mu_f: ||f|| = %.12g, not a unit vector" % nrm)
-    widx = core.word_index(pd.matrix, borel.level)
     masses = _cylinder_masses(f, borel.level, pd)
-    return float(masses[[widx[w] for w in borel.words]].sum())
+    return float(masses[[core.rank(pd.matrix, w) for w in borel.words]].sum())
 
 
 def _cylinder_masses(f, k, pd):

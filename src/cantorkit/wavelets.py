@@ -17,10 +17,10 @@ cylinder functions, with dimensions telescoping to |W_K| exactly.  On the full
 
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
-coefficient files, which write a = () as an `M` line.  The keys of every
-level come from one table kept in the matrix's memo, which analyze,
-synthesize and the coefficient files read; it also holds each key as a
-coefficient file spells it.
+coefficient files, which fileio spells.  The level-K keys are a table in the
+matrix's memo: level K - 1's keys, then those with |a| = K - 2.  Every level
+up to the finest asked for is kept, each a tuple sharing its keys with the
+levels above; about 80 bytes per level-K key (3.7 MB for tri3 at K = 12).
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -38,7 +38,6 @@ quadratic reference.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -163,51 +162,16 @@ def wavelet(a, l, r, mw):
     return operators.apply_S_word(a, mw.funcs[(r, l)], mw.pd)
 
 
-class _KeyTable:
-    """The detail keys of one matrix, up to the finest level asked for so far.
-
-    The keys of level K are a prefix of the keys of level K + 1, so one list,
-    one key -> slot map and one file column serve every level; asking for a
-    finer level extends the lists and drops the map until it is used again.
-    `column` is "S i" for each letter, then keys[s] as files spell it at n + s.
-    """
-
-    def __init__(self, n):
-        self.keys, self.ends = [], [0, 0]   # ends[K] = number of level-K keys
-        self.column = ["S %d" % i for i in range(n)]
-        self.words = []   # the words of the last |a| > 0 keyed, spelled as files do
-
-    def at(self, mat, K):
-        """The level-K keys of matrix `mat`, growing the table to level K first."""
-        if K >= len(self.ends):
-            n, d, sep = mat.n, mat.row_sums, "" if mat.n <= 10 else "."
-            pairs = [[(l, r) for r in s for l in range(1, d[r])] for s in mat.successors]
-            tails = [[" %d %d" % lr for lr in p] for p in pairs]
-            for j in range(len(self.ends) - 2, K - 1):   # the keys with |a| = j
-                if j == 0:   # the mothers: any letter r
-                    self.keys += [((), l, r) for r in range(n) for l in range(1, d[r])]
-                    self.column += ["M %d %d" % (r, l) for r in range(n) for l in range(1, d[r])]
-                else:   # the level-j words: each level-(j-1) word, then a successor
-                    self.words = [w + sep + str(s) for w, a in zip(
-                        self.words, core.enumerate_words(mat, j - 1))
-                        for s in mat.successors[a[-1]]] if j > 1 else list(map(str, range(n)))
-                    words = core.enumerate_words(mat, j)
-                    self.keys += [(a, l, r) for a in words for l, r in pairs[a[-1]]]
-                    self.column += ["D " + w + tail for w, a in zip(self.words, words)
-                                    for tail in tails[a[-1]]]
-                self.ends.append(len(self.keys))
-            self.__dict__.pop("slot", None)
-        return self.keys[:self.ends[max(K, 0)]]
-
-    @cached_property
-    def slot(self):
-        """key -> position in `keys`, built on first use: analyze's layout is
-        read without it."""
-        return dict(zip(self.keys, range(len(self.keys))))
-
-
-def _key_table(matrix):   # kept in the matrix's memo
-    return matrix._memo.get(_KeyTable) or matrix._memo.setdefault(_KeyTable, _KeyTable(matrix.n))
+@core._table(levelled=True)
+def _keys(matrix, K, below):
+    """The level-K detail keys, kept in the matrix's memo: those of level K - 1, then the
+    keys with |a| = K - 2, r following a_last (any letter for the mothers, a = ())."""
+    if K < 2 or core.word_count(matrix, K) == core.word_count(matrix, K - 1):
+        return below or ()   # no key with |a| = K - 2, so no word of that level is listed
+    d, letters = matrix.row_sums, matrix.successors + (range(matrix.n),)
+    pairs = [[(l, r) for r in s for l in range(1, d[r])] for s in letters]
+    return below + tuple((a, l, r) for a in core.enumerate_words(matrix, K - 2)
+                         for l, r in pairs[a[-1] if a else -1])
 
 
 def detail_keys(mw, K):
@@ -215,10 +179,10 @@ def detail_keys(mw, K):
 
     Order: |a| ascending, then a lexicographic, then r ascending over the
     digits following a_last (any letter when a = ()), then l ascending.  The
-    mothers a = () come first; this is the pyramid's flat order.  Read from
-    one table per matrix that serves every level.
+    mothers a = () come first; this is the pyramid's flat order.  A copy of
+    the level-K entry of a table kept in the matrix's memo.
     """
-    return _key_table(mw.matrix).at(mw.matrix, K)
+    return list(_keys(mw.matrix, K))
 
 
 def basis_labels(mw, K):
@@ -299,7 +263,7 @@ def analyze(f, mw):
     scaling = mass / np.sqrt(pd.p)
     scaling.setflags(write=False)
     flat = np.concatenate(layers[::-1]).tolist() if layers else []
-    return WaveletCoefficients(scaling=scaling, detail=dict(zip(detail_keys(mw, K), flat)))
+    return WaveletCoefficients(scaling=scaling, detail=dict(zip(_keys(mw.matrix, K), flat)))
 
 
 def _flat_layers(coeffs, mw, K):
@@ -313,18 +277,16 @@ def _flat_layers(coeffs, mw, K):
     if len(coeffs.scaling) != n:
         raise IndexOutOfRange(
             "scaling layer has %d entries, need %d" % (len(coeffs.scaling), n))
-    table = _key_table(mw.matrix)
-    keys = table.at(mw.matrix, K)
-    count = len(keys)
-    if list(coeffs.detail) == keys:   # the layout analyze writes
+    keys = _keys(mw.matrix, K)
+    if tuple(coeffs.detail) == keys:   # the layout analyze writes
         flat = np.array(list(coeffs.detail.values()), dtype=np.complex128)
     else:
-        flat = np.zeros(count, dtype=np.complex128)
+        slot = dict(zip(keys, range(len(keys))))
+        flat = np.zeros(len(keys), dtype=np.complex128)
         for key, alpha in coeffs.detail.items():
-            slot = table.slot.get(key, count)
-            if slot >= count:
+            if key not in slot:
                 raise IndexOutOfRange("detail key %r invalid at level %d" % (key, K))
-            flat[slot] = alpha
+            flat[slot[key]] = alpha
     return np.asarray(coeffs.scaling, dtype=np.complex128), flat
 
 

@@ -1,41 +1,62 @@
 """Derandomized fuzzing of the command table.
 
 Every row of VERBS is driven with drawn flags on the bundled strict matrices
-and graphs: levels and depths from -3 to 100,000, `--tcount` and `--res` up
-to 10^12, a `--cap` from -1 to the default (so no example builds a huge
+and graphs, and on three matrices written to a temporary directory: the lax
+2-cycle and the lax 1x1 matrix (drawn for the verbs that take `--lax`, and
+given it) and a strict 12-letter matrix, whose words are written with dots.
+The flags are levels and depths from -3 to 100,000, `--tcount` and `--res`
+up to 10^12, a `--cap` from -1 to the default (so no example builds a huge
 table for real), a `--tol` from 1e-300 (no convergence) to 0 and nan (usage
 errors), and small signal and coefficient files with mutated lines.
 Whatever the input, `run` returns a documented exit code and no exception
-escapes.
+escapes; `hypothesis.event` names each example's matrix and exit code.
 """
 
 import os
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cantorkit import core, fileio, spectral, wavelets
 from cantorkit.cli import VERBS, run
+from conftest import seeded_strict_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MATRICES = [os.path.join(ROOT, "inputs", name)
-            for name in ("full2.txt", "tri3.txt", "schottky4.txt")]
+BUNDLED = ("full2", "tri3", "schottky4")
+WRITTEN = {"two-cycle": core.validate_matrix([[0, 1], [1, 0]], strict=False),
+           "one-letter": core.validate_matrix([[1]], strict=False),
+           "strict12": seeded_strict_matrix(12, 2026)}
+MATRICES = BUNDLED + tuple(WRITTEN)
+STRICT = BUNDLED + ("strict12",)
 GRAPHS = [os.path.join(ROOT, "inputs", name) for name in ("graph3.txt", "loops3.txt")]
 EXIT_CODES = {0, 64, 65, 66, 70}
 
 _texts = {}
 
 
-def _base_texts(path, level):
-    """A valid (signal, coefficient) text pair over the matrix at `path`."""
-    if (path, level) not in _texts:
-        with open(path) as fh:
-            matrix = core.validate_matrix(fileio.parse_matrix_rows(fh.read()))
+def _matrix_file(name, tmp):
+    """The path of matrix `name`: a bundled input, or a file written under tmp."""
+    if name in BUNDLED:
+        return os.path.join(ROOT, "inputs", name + ".txt")
+    path = tmp / ("%s.txt" % name)
+    if not path.exists():
+        path.write_text(fileio.format_matrix(WRITTEN[name]))
+    return str(path)
+
+
+def _base_texts(name, level):
+    """A valid (signal, coefficient) text pair over matrix `name`."""
+    if (name, level) not in _texts:
+        if name in BUNDLED:
+            with open(_matrix_file(name, None)) as fh:
+                matrix = core.validate_matrix(fileio.parse_matrix_rows(fh.read()))
+        else:
+            matrix = WRITTEN[name]
         f = core.CylinderFunction(matrix, level, 1.0 + core.value_array(matrix, level))
         mw = wavelets.build_mother_wavelets(spectral.perron_data(matrix))
-        _texts[path, level] = (fileio.format_signal(f), fileio.format_coefficients(
+        _texts[name, level] = (fileio.format_signal(f), fileio.format_coefficients(
             wavelets.analyze(f, mw), mw, max(level, 1)))
-    return _texts[path, level]
+    return _texts[name, level]
 
 
 NUMBERS = st.sampled_from(["-1", "0", "0.5", "2", "1e400", "nan", "x"])
@@ -91,15 +112,17 @@ def _flag_value(draw, flag, matrix, tmp):
 
 @st.composite
 def commands(draw, tmp):
-    verb = draw(st.sampled_from(VERBS))
+    # a lax matrix goes to a verb that takes --lax, and always with it
+    matrix = draw(st.sampled_from(MATRICES))
+    lax = matrix not in STRICT
+    verb = draw(st.sampled_from([v for v in VERBS if v.reads == "lax"] if lax else VERBS))
     argv = list(verb.path)
     if verb.reads == "graph":
-        matrix = MATRICES[0]
         argv.append("--graph=" + draw(st.sampled_from(GRAPHS)))
     else:
-        matrix = draw(st.sampled_from(MATRICES))
-        argv.append("--matrix=" + matrix)
-        if verb.reads == "lax" and draw(st.booleans()):
+        event("matrix: %s" % matrix)
+        argv.append("--matrix=" + _matrix_file(matrix, tmp))
+        if verb.reads == "lax" and (lax or draw(st.booleans())):
             argv.append("--lax")
     if verb.spectral and draw(st.integers(0, 9)) == 0:
         argv.append("--tol=" + draw(st.sampled_from(["1e-300", "1e-12", "0", "nan"])))
@@ -125,4 +148,5 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path, capsys, data):
     argv = data.draw(commands(tmp_path))
     code = run(argv)
     capsys.readouterr()
+    event("exit %d" % code)
     assert code in EXIT_CODES, argv

@@ -1,4 +1,7 @@
 import gc
+import sys
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -133,6 +136,37 @@ def test_word_index_round_trip(tri3):
         assert core.enumerate_words(tri3, 3)[idx[w]] == w
 
 
+def _lax(rows):
+    return core.validate_matrix(rows, strict=False)
+
+
+def test_rank_is_the_position_in_the_enumeration(full2, tri3, schottky4, strict5, strict12):
+    for m in (full2, tri3, schottky4, strict5, strict12,
+              _lax([[0, 1], [1, 0]]), _lax([[1]])):
+        for k in range(7):
+            words = core.enumerate_words(m, k)
+            assert [core.rank(m, w) for w in words] == list(range(len(words)))
+    # strict12 writes its words with dots; they parse back to the same rank
+    for pos, w in enumerate(core.enumerate_words(strict12, 3)):
+        assert core.rank(strict12, fileio.parse_word(fileio.format_word(w, 12), 12)) == pos
+
+
+def test_rank_refuses_inadmissible_words(tri3, strict12):
+    for m, word in ((tri3, (0, 2)), (tri3, (2, 1, 0, 2)), (tri3, (3,)), (tri3, (-1, 0)),
+                    (tri3, (1, 5)), (strict12, (12,)), (_lax([[0, 1], [1, 0]]), (0, 0))):
+        with pytest.raises(InadmissibleWord):
+            core.rank(m, word)
+
+
+def test_rank_of_a_deep_word_on_the_two_cycle():
+    # level 20,000: the counts are carried on level by level, not recounted per letter
+    m = _lax([[0, 1], [1, 0]])
+    start = time.perf_counter()
+    assert core.rank(m, (1, 0) * 10000) == 1
+    assert core.rank(m, (0, 1) * 10000) == 0
+    assert time.perf_counter() - start < 1.0
+
+
 TABLE_LEVELS = range(8)
 
 
@@ -226,12 +260,13 @@ def test_bounded_word_count(full2, tri3, schottky4):
 
 
 def _light_job(m):
-    """Tables of several kinds, the key table, a transpose and a budget check."""
+    """Tables of several kinds, both key tables, a transpose and a budget check."""
     core.value_array(m, 4)
     core.prefix_index_array(m, 4, 2)
     core.prepend_index_array(m, 3, 0)
     core.last_digit_array(m.transpose, 4)
-    wavelets._key_table(m).at(m, 4)
+    wavelets._keys(m, 4)
+    fileio._key_column(m, 4)
     with core.budget(10 ** 4):
         core.enumerate_words(m, 3)
     return core.value_array(m, 4)
@@ -256,15 +291,24 @@ def test_equal_matrices_hash_alike_and_die_with_their_tables():
         gc.enable()
 
 
+def _held_by_memo_alone(m, table, k):
+    """Whether the level-k entry of a memoised table is referred to by m's memo and by
+    nothing else, so that it is freed with m.  For tuples, which take no weak reference."""
+    return sys.getrefcount(m._memo[(table.__wrapped__, k)]) == 2   # the memo and the argument
+
+
 def _wavelet_round_trip(m):
-    """analyze -> format -> parse -> synthesize at level 4; weak references to
-    a pyramid layout array and the key table it leaves in the memo."""
+    """analyze -> format -> parse -> synthesize at level 4; a weak reference to a
+    pyramid layout array it leaves in the memo.  The key tables it leaves there
+    are held by the memo alone."""
     mw = wavelets.build_mother_wavelets(spectral.perron_data(m))
     f = core.CylinderFunction(m, 4, np.arange(core.word_count(m, 4), dtype=complex))
     text = fileio.format_coefficients(wavelets.analyze(f, mw), mw, 4)
     wavelets.synthesize(fileio.parse_coefficients(text, m)[0], mw, 4)
     assert len(fileio._key_column(m, 4)) == core.word_count(m, 4)
-    return [weakref.ref(wavelets._pyramid_layout(m, 3)[0]), weakref.ref(wavelets._key_table(m))]
+    assert _held_by_memo_alone(m, wavelets._keys, 4)
+    assert _held_by_memo_alone(m, fileio._key_column, 4)
+    return [weakref.ref(wavelets._pyramid_layout(m, 3)[0])]
 
 
 def test_no_table_outlives_its_matrix():
@@ -289,7 +333,8 @@ def test_budget_checks_every_table_call(tri3):
     # |W_4| = 41 and |W_5| = 99 on tri3; tables built outside a budget are
     # refused inside one all the same
     tables = (core._enumerate_words_cached, core.word_index, core.first_digit_array,
-              core.last_digit_array, core.shift_index_array, core.value_array)
+              core.last_digit_array, core.shift_index_array, core.value_array,
+              wavelets._keys, fileio._key_column)
     for table in tables:
         table(tri3, 5)
     core.prepend_index_array(tri3, 4, 1)
@@ -372,6 +417,31 @@ def test_indicator_and_refine(full2):
         assert g.coeff(w) == (1.0 if w[:2] == (0, 1) else 0.0)
     with pytest.raises(LevelTooLow):
         core.refine(g, 2)
+
+
+def test_coeff_refuses_words_of_another_level_or_inadmissible(tri3):
+    f = core.CylinderFunction.indicator(tri3, (1, 2))
+    assert [f.coeff(w) for w in core.enumerate_words(tri3, 2)] == [0, 0, 0, 0, 1, 0, 0]
+    for word in ((0,), (0, 1, 1), ()):
+        with pytest.raises(LevelOutOfRange):
+            f.coeff(word)
+    for word in ((0, 2), (5, 1), (2, 0)):
+        with pytest.raises(InadmissibleWord):
+            f.coeff(word)
+
+
+def test_indicator_of_a_deep_word_builds_no_word_table():
+    # tri3 at level 13 has 114,243 words: 1.8 MB of coefficients, and no word tuples
+    tri3 = core.validate_matrix(TRI3)
+    word = (1,) * 13
+    tracemalloc.start()
+    try:
+        f = core.CylinderFunction.indicator(tri3, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert f.coeff(word) == 1 and f.coeffs.sum() == 1
 
 
 def test_arithmetic_refines_to_common_level(full2):

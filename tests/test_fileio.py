@@ -267,8 +267,8 @@ def test_key_column_grows_in_any_level_order(fresh):
     for K in (5, 3, 7):   # one table grows to 5, is read at 3, grows again to 7
         column = fileio._key_column(matrix, K)
         assert column == fileio._key_column(fresh(), K)
-        keys = wavelets._key_table(matrix).at(matrix, K)
-        assert column[matrix.n:] == [_spelled(key, matrix.n) for key in keys]
+        keys = wavelets._keys(matrix, K)
+        assert list(column[matrix.n:]) == [_spelled(key, matrix.n) for key in keys]
 
 
 def test_sparse_file_reads_lone_wide_letters(strict12):

@@ -280,18 +280,16 @@ def test_synthesize_under_a_budget():
     tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
     mw = wavelets.build_mother_wavelets(spectral.perron_data(tri3))
     empty = wavelets.WaveletCoefficients(scaling=np.zeros(3), detail={})
-    keys = wavelets._key_table(tri3)   # the levels its keys reach
-    ends = list(keys.ends)
-    before = tables_in(tri3._memo)
+    before = tables_in(tri3._memo)   # the key tables among them
     with core.budget(1000):
         for K in (14, 40):
             with pytest.raises(CapExceeded):
                 wavelets.synthesize(empty, mw, K)
     assert tables_in(tri3._memo) == before
-    assert keys.ends == ends
     # |W_7| = 577 and |W_8| = 1393: the budget admits the one and refuses the other
     with core.budget(1000):
         assert len(wavelets.synthesize(empty, mw, 7).coeffs) == 577
         with pytest.raises(CapExceeded):
             wavelets.synthesize(empty, mw, 8)
+    assert (wavelets._keys.__wrapped__, 8) not in tri3._memo
     assert len(wavelets.synthesize(empty, mw, 8).coeffs) == 1393

@@ -13,14 +13,10 @@ from .core import (
     AdmissibilityMatrix,
     CylinderFunction,
     Point,
-    compose_shift,
     enumerate_words,
     is_admissible,
-    multiply,
     nadic_value,
-    prepend,
     refine,
-    shift,
     validate_matrix,
     word_count,
     word_index,
@@ -40,31 +36,23 @@ from .graphs import (
     edge_matrix,
     graph_perron,
     path_integrals,
-    paths_from,
-    psi_on_vertices,
-    psi_path,
-    vertex_measure,
 )
 from .operators import (
-    BorelSet,
     apply_S,
     apply_S_star,
     apply_S_word,
-    borel_set,
     ck_relations_residual,
     fourier_approx,
     fourier_sweep,
     fourier_tail_bound,
     kms_letter_ratio,
     kms_state,
-    measure_mu_f,
     pf_fixed_point,
     pf_operator,
 )
 from .ruelle import (
     PointwisePotential,
     constant_potential,
-    harmonic_truncated,
     keane_residual,
     preimage_keane_residual,
     ruelle_apply,
@@ -79,7 +67,6 @@ from .sierpinski import (
     embed_xi,
     induced_matrix,
     render_pgm,
-    sierpinski_cuntz_rep,
     sierpinski_spec,
 )
 from .spectral import (
@@ -99,7 +86,6 @@ from .wavelets import (
     basis_labels,
     build_mother_wavelets,
     detail_keys,
-    scaling_function,
     synthesize,
     wavelet,
     weighted_complement_basis,

@@ -14,7 +14,8 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 All objects here are immutable.  The tables of a matrix (word lists, index
 maps, level counts) live in that matrix object's memo and are freed with it;
 level counts carry on from the highest level counted, never from level 1.
-`rank` reads a word's position off the level counts, with no word table.
+`rank` reads a word's position off level counts it carries itself, from level 1
+up, with no word table and nothing added to the memo.
 
 The index arrays (first and last digits, shift, prefix, suffix and prepend
 positions, N-adic values) are built level by level from the arrays of the
@@ -46,7 +47,6 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DeadRow,
-    EmptyWord,
     InadmissibleWord,
     LevelOutOfRange,
     LevelTooLow,
@@ -173,25 +173,6 @@ def check_word(matrix, word):
     if not is_admissible(matrix, word):
         raise InadmissibleWord("word %r is not admissible" % (word,))
     return word
-
-
-def shift(word):
-    """Drop the leading digit:  sigma(a_1 a_2 ... a_k) = a_2 ... a_k."""
-    if len(word) == 0:
-        raise EmptyWord("cannot shift the empty word")
-    return tuple(word[1:])
-
-
-def prepend(i, word, matrix):
-    """Attach digit i in front of word; requires A[i, word_1] = 1."""
-    i = int(i)
-    if not 0 <= i < matrix.n:
-        raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
-    if word and not matrix.rows[i][word[0]]:
-        raise NotInDomain(
-            "prepend %d to word starting with %d: A[%d, %d] = 0"
-            % (i, word[0], i, word[0]))
-    return (i,) + tuple(word)
 
 
 @dataclass(frozen=True)
@@ -334,13 +315,13 @@ def rank(matrix, word):
     each m, the words that agree up to a_{m-1} and then take a smaller successor j of
     a_{m-1} (any smaller letter when m = 1) come first, c_{k-m+1}(j) of them, c_n(j) the
     level-n words starting with j.  Letters are read from the last, so the counts are
-    asked for level 1 upward, each carrying on from the one before."""
+    carried from level 1 upward in a local variable; the matrix's memo is left alone."""
     word = check_word(matrix, word)
-    pos, k = 0, len(word)
-    for i in range(k - 1, -1, -1):   # word[i] is a_{i+1}
-        counts = _first_digit_counts(matrix, k - i)[0]
+    pos, k, counts = 0, len(word), (1,) * matrix.n
+    for i in range(k - 1, -1, -1):   # word[i] is a_{i+1}; counts are those of level k - i
         before = matrix.successors[word[i - 1]] if i else range(matrix.n)
         pos += sum(counts[j] for j in before if j < word[i])
+        counts = _next_counts(matrix, counts)
     return pos
 
 
@@ -547,15 +528,3 @@ def refine(f, k):
     return CylinderFunction(
         f.matrix, k, _frozen(f.coeffs[prefix_index_array(f.matrix, k, f.level)]))
 
-
-def multiply(f, g):
-    """Pointwise product of two cylinder functions."""
-    f2, g2, m = f._common(g)
-    return CylinderFunction(f.matrix, m, _frozen(f2.coeffs * g2.coeffs))
-
-
-def compose_shift(f):
-    """f o sigma, one level finer:  (f o sigma)(x) = f(shift of x)."""
-    k = f.level + 1
-    return CylinderFunction(
-        f.matrix, k, _frozen(f.coeffs[shift_index_array(f.matrix, k)]))

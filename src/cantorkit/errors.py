@@ -103,9 +103,5 @@ class BaseEdgeMismatch(DataError):
     """The base edge of a graph wavelet system does not point at the base vertex."""
 
 
-class MultiplePaths(DataError):
-    """A vertex-indexed wavelet value is ambiguous: several paths reach the vertex."""
-
-
 class FileFormatError(DataError):
     """A data file does not follow its documented format."""

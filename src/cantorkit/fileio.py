@@ -148,28 +148,37 @@ def _value_lines(head, column, values):
     return "\n".join([head] + list(map(" ".join, zip(column, re, im)))) + "\n"
 
 
-def _slots(keys, column):
-    """The position in `column` of each key; KeyError for a key outside it."""
-    pos = dict(zip(column, range(len(column))))
-    return [pos[key] for key in keys]
+def _slots(column):
+    """The key -> position map of a column."""
+    return dict(zip(column, range(len(column))))
+
+
+_CHUNK = 2048   # lines split at a time: a parse holds one chunk's parts, not the file's
 
 
 def _parse_column(lines, column):
     """Values of data lines "key re im" whose keys spell `column` in any order.
 
-    Each line is split once.  Lines in column order are read in turn; others
-    are placed through a key -> slot map.  Returns None when a line is not of
-    that form, has a key outside the column, or a value that float() refuses
-    or that is not finite; the per-line parser then reports the fault.  A slot
-    that no line fills stays NaN, so a missing or repeated key falls back too.
+    Lines are split in chunks of _CHUNK, each line once, and converted before the next
+    chunk is split.  Chunks in column order are read in turn; from the first that is
+    not, each line is placed through the key -> slot map.  Returns None when a line is
+    not of that form, has a key outside the column, or a value that float() refuses or
+    that is not finite; the per-line parser then reports the fault.  A slot that no
+    line fills stays NaN, so a missing or repeated key falls back too.
     """
+    values, slots = np.empty(len(lines), dtype=np.complex128), None
     try:
-        keys, re, im = zip(*[line.rsplit(None, 2) for line in lines])
-        values = np.empty(len(lines), dtype=np.complex128)
-        values.real, values.imag = list(map(float, re)), list(map(float, im))
-        if keys != tuple(column):
+        for at in range(0, len(lines), _CHUNK):
+            keys, re, im = zip(*[line.rsplit(None, 2) for line in lines[at:at + _CHUNK]])
+            end = at + len(keys)
+            values.real[at:end], values.imag[at:end] = list(map(float, re)), list(map(float, im))
+            if slots is None and keys != tuple(column[at:end]):
+                slots, pos = np.arange(len(lines)), _slots(column)   # lines up to `at` in order
+            if slots is not None:
+                slots[at:end] = [pos[key] for key in keys]
+        if slots is not None:
             placed = np.full(len(column), math.nan, dtype=np.complex128)
-            placed[_slots(keys, column)] = values
+            placed[slots] = values
             values = placed
     except (KeyError, ValueError):
         return None
@@ -210,7 +219,7 @@ def _parse_signal_lines(lines, matrix, k, column):
     """Per-line parse of at least |W_k| data lines, in any order and spelling; a word
     spelled as in `column` is found there, any other spelling is parsed and ranked."""
     # with at least one line per word, a missing word forces a repeat or a misspelling
-    pos = dict(zip(column, range(len(column))))
+    pos = _slots(column)
     coeffs = np.zeros(len(column), dtype=np.complex128)
     seen = set()
     for line in lines:

@@ -10,9 +10,11 @@ e0 pointing at it seed a family of path wavelets
 
     Psi^{l_1..l_k}(e_1..e_k) = c^{l_1,e0}_{e_1} c^{l_2,e_1}_{e_2} ... c^{l_k,e_{k-1}}_{e_k},
 
-where c^{l,e} are the weighted-complement coefficient vectors (the *same*
-Gram-Schmidt routine as the line wavelets, run with weights p on the
-successor set of e).  Each position m admits levels l_m = 1..d_{e_{m-1}} - 1;
+where c^{l,e} are the weighted-complement coefficient vectors: the weighted
+Gram-Schmidt with weights p on the successor set of e.  They come from the
+helper that gives the line's mother wavelets their vectors, run on the edge
+matrix's Perron data, so both constructions share one routine and its bits.
+Each position m admits levels l_m = 1..d_{e_{m-1}} - 1;
 edges with a single successor contribute no levels at all.  Zero-mean and
 Gram-orthonormality are path-space statements — sums over edge tuples
 weighted by p_{e_1}...p_{e_k} — and path_integrals measures them directly.
@@ -25,9 +27,10 @@ path's prefix q (core.prefix_index_array):
 
 Depth m costs O(paths x tuples) time and memory (the Gram matrix: tuples^2),
 which core.budget counts before allocating; the Gram sums take O(tuples^2 x paths).
+path_integrals returns that whole table, paths and level tuples included, with
+the two residuals; Psi on one path is read off it, with no scalar evaluator here.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,14 +38,7 @@ import numpy as np
 
 from . import core, spectral, wavelets
 from .core import validate_matrix
-from .errors import (
-    BaseEdgeMismatch,
-    IndexOutOfRange,
-    LevelOutOfRange,
-    MultiplePaths,
-    NotComposable,
-    SinkFound,
-)
+from .errors import BaseEdgeMismatch, IndexOutOfRange, LevelOutOfRange, SinkFound
 
 
 @dataclass(frozen=True)
@@ -95,41 +91,6 @@ def graph_perron(g, tol=spectral.DEFAULT_TOL):
     return spectral.perron_data(edge_matrix(g), tol=tol)
 
 
-def vertex_measure(g, v0, p):
-    """mu(v) = product of p over the BFS-shortest path v0 -> v, ties lex-min.
-
-    The base vertex gets 0 by convention; unreachable vertices get 0 with a
-    warning.  Deterministic: out-edges are scanned in ascending id order and
-    the FIFO queue makes the first path found the lexicographically smallest
-    among the shortest.  Not normalized — report of the total is the caller's.
-    """
-    p = np.asarray(p, dtype=float)
-    best = {v0: ()}
-    queue = [v0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for e in g.out_edges[u]:
-                v = g.range(e)
-                if v not in best:
-                    best[v] = best[u] + (e,)
-                    nxt.append(v)
-        queue = nxt
-    out = {}
-    for v in range(g.vertex_count):
-        if v == v0:
-            out[v] = 0.0
-        elif v in best:
-            val = 1.0
-            for e in best[v]:
-                val *= float(p[e])
-            out[v] = val
-        else:
-            warnings.warn("vertex %d unreachable from %d; measure 0" % (v, v0))
-            out[v] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class GraphWaveletSet:
     """Coefficient vectors c^{l,e} for every edge, plus the spectral data.
@@ -156,56 +117,9 @@ def build_graph_wavelets(g, v0, e0, tol=spectral.DEFAULT_TOL):
         raise BaseEdgeMismatch(
             "base edge %d points at vertex %d, not the base vertex %d"
             % (e0, g.range(e0), v0))
-    em = edge_matrix(g)
-    pd = spectral.perron_data(em, tol=tol)
-    c = tuple(
-        tuple(wavelets.weighted_complement_basis(pd.p, em.successors[e]))
-        for e in range(len(g.edges)))
-    return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=c, d=em.row_sums)
-
-
-def paths_from(gw, k):
-    """All length-k edge paths leaving the base vertex, lexicographic: the blocks of
-    level-k edge-shift words whose first edge leaves v0."""
-    words = core.enumerate_words(gw.pd.matrix, k)
-    if k == 0:
-        return list(words)
-    first = core.first_digit_array(gw.pd.matrix, k)
-    return [w for e in gw.graph.out_edges[gw.v0]
-            for w in words[np.searchsorted(first, e):np.searchsorted(first, e, "right")]]
-
-
-def psi_path(gw, path, levels):
-    """The wavelet value on one path: the product of complement coefficients.
-
-    Position m draws its vector from the *previous* edge (the base edge at
-    m = 1), so each l_m must fit in 1..d_{e_{m-1}} - 1.
-    """
-    path = tuple(int(e) for e in path)
-    levels = tuple(int(l) for l in levels)
-    if len(path) != len(levels) or not path:
-        raise LevelOutOfRange("need one level per path edge (and k >= 1)")
-    g = gw.graph
-    for e in path:
-        if not 0 <= e < len(g.edges):
-            raise IndexOutOfRange("edge %r out of range" % (e,))
-    if g.source(path[0]) != gw.v0:
-        raise NotComposable(
-            "path starts at vertex %d, not the base vertex %d"
-            % (g.source(path[0]), gw.v0))
-    for m in range(len(path) - 1):
-        if g.range(path[m]) != g.source(path[m + 1]):
-            raise NotComposable(
-                "edges %d and %d do not compose" % (path[m], path[m + 1]))
-    value = 1.0
-    prev = gw.e0
-    for e, l in zip(path, levels):
-        if not 1 <= l <= gw.d[prev] - 1:
-            raise LevelOutOfRange(
-                "level %d invalid after edge %d (d = %d)" % (l, prev, gw.d[prev]))
-        value *= float(gw.c[prev][l - 1][e])
-        prev = e
-    return complex(value)
+    pd = graph_perron(g, tol=tol)
+    return GraphWaveletSet(graph=g, v0=v0, e0=e0, pd=pd, c=wavelets._complement_vectors(pd),
+                           d=pd.matrix.row_sums)
 
 
 @dataclass(frozen=True)
@@ -283,22 +197,3 @@ def path_integrals(gw, k):
         max_gram_residual=float(np.max(np.abs(dev), initial=0.0)),
         tuples=tuples, paths=paths, valid=valid, psi=psi)
 
-
-def psi_on_vertices(gw, levels):
-    """Vertex-indexed wavelet values Psi(v) at depth k = len(levels).
-
-    Defined only when each vertex reached at depth k is reached by a single
-    path; several paths would assign conflicting values, in which case
-    MultiplePaths reports the offending vertex.
-    """
-    k = len(levels)
-    if k < 1:
-        raise LevelOutOfRange("need one level per path edge (and k >= 1)")
-    ends = {}
-    for pth in paths_from(gw, k):
-        v = gw.graph.range(pth[-1])
-        if v in ends:
-            raise MultiplePaths(
-                "vertex %d is reached by several depth-%d paths" % (v, k))
-        ends[v] = pth
-    return {v: psi_path(gw, pth, levels) for v, pth in sorted(ends.items())}

@@ -30,7 +30,6 @@ two exp tables of about sqrt(|W_k|) entries, on the two halves of a word.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,45 +221,6 @@ def kms_letter_ratio(i, pd):
               for j in pd.matrix.successors[i])
     den = kms_state((i,), (i,), pd).value.real
     return num / den
-
-
-@dataclass(frozen=True)
-class BorelSet:
-    """A finite disjoint union of level-`level` cylinders, listed by word."""
-
-    level: int
-    words: tuple
-
-
-def borel_set(matrix, level, words):
-    """Validate, deduplicate, and sort a cylinder union into a BorelSet."""
-    seen = set()
-    out = []
-    for w in words:
-        w = core.check_word(matrix, w)
-        if len(w) != level:
-            raise LevelOutOfRange(
-                "word %r has length %d, set has level %d" % (w, len(w), level))
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return BorelSet(level=level, words=tuple(sorted(out)))
-
-
-def measure_mu_f(f, borel, pd):
-    """The spectral measure mu_f(B) = <f, E(B) f> on a cylinder union B.
-
-    E(Lambda(a)) is the range projection S_a S_a*, i.e. multiplication by
-    chi_{Lambda(a)}, so mu_f(B) is just the |f|^2-mass of B under mu.
-    Intended for unit vectors (then mu_f is a probability measure); warns
-    when ||f|| strays from 1 by more than 1e-9.
-    """
-    _check(f, pd)
-    nrm = spectral.norm(f, pd)
-    if abs(nrm - 1.0) > 1e-9:
-        warnings.warn("measure_mu_f: ||f|| = %.12g, not a unit vector" % nrm)
-    masses = _cylinder_masses(f, borel.level, pd)
-    return float(masses[[core.rank(pd.matrix, w) for w in borel.words]].sum())
 
 
 def _cylinder_masses(f, k, pd):

@@ -25,8 +25,8 @@ Lambda_{k,A^t}(a) carries probability
 
     P_x(a) = A[a_1, x_1] * W(sigma_{a_1} x) * W(sigma_{a_2} sigma_{a_1} x) * ...
 
-Each layer then has total mass 1, and the layer sums assemble the truncated
-harmonic series exposed at the end of the module.
+Each layer then has total mass 1; walk_layer_mass is that sum at one depth,
+and the layer sums over depths 1..k are the truncated harmonic series.
 
 R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum.
 A pointwise potential is evaluated on arrays, once per level: at the cylinder
@@ -229,10 +229,3 @@ def walk_layer_mass(x, potential, matrix, k):
     """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
     return _sum_in_order(walk_layers(x, potential, matrix, k)[-1].tolist())
 
-
-def harmonic_truncated(x, potential, matrix, kmax):
-    """Partial sum of the layer masses, depths 1..kmax, from one walk."""
-    if kmax < 1:
-        raise LevelOutOfRange("kmax must be >= 1")
-    return _sum_in_order(_sum_in_order(layer.tolist())
-                         for layer in walk_layers(x, potential, matrix, kmax)[1:])

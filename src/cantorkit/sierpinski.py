@@ -9,8 +9,8 @@ caller's to interpret), enumerates and renders depth-k cells, and exposes the
 pair-digit shift: its D x D induced matrix over the letter pairs, and the
 embedding w -> (w, shift w) of the line Cantor set into the planar one.
 Because every pair letter can follow every other in the plane, the natural
-operator system on the fractal is the full D-shift, delivered here as the
-all-ones D x D matrix ready for the spectral/operator modules.
+operator system on the fractal is the full D-shift: the all-ones D x D matrix,
+which validate_matrix takes as it is.
 """
 
 import itertools
@@ -151,13 +151,3 @@ def render_pgm(spec, depth, resolution):
     img = np.where(alive, 0, 255).astype(np.uint8)
     return img
 
-
-def sierpinski_cuntz_rep(spec):
-    """The all-ones D x D matrix: the full shift on pair letters.
-
-    Every subdivision map of the planar fractal is everywhere defined, so the
-    operator calculus on it is the D-letter full-shift one; feed this matrix
-    to the spectral/operator modules (radius D, uniform weights 1/D).
-    """
-    d = spec.D
-    return validate_matrix([[1] * d for _ in range(d)], strict=True)

@@ -13,7 +13,9 @@ L2(mu) norm.  Moving mothers around with the generators, psi = S_a f^{l,r}
 translate with a = ().  The scaling family mu(R_i)^{-1/2} chi_{R_i} and the
 wavelets with |a| <= K-2 together form an orthonormal basis of the level-K
 cylinder functions, with dimensions telescoping to |W_K| exactly.  On the full
-2x2 shift this is the classical Haar basis of [0,1].
+2x2 shift this is the classical Haar basis of [0,1].  The vectors c^{l,k} of
+every letter come from one helper, which graphs also runs, on the Perron data
+of an edge matrix, for the graph wavelets.
 
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
@@ -32,8 +34,8 @@ synthesize copies values down the tree and adds the same matrix products back.
 Each costs O(|W_K| * max d_k) time and O(|W_K|) memory.  The positions of
 each level's child blocks and coefficients depend on A alone and are kept in
 the matrix's memo, so a call only gathers and multiplies.  basis_function and
-wavelet build single basis vectors at full level; the tests use them as the
-quadratic reference.
+wavelet build one basis vector at a time, at the level of its support; the
+acceptance checks use them as the quadratic reference.
 """
 
 import math
@@ -119,31 +121,28 @@ class MotherWaveletSet:
         return self.pd.matrix
 
 
+def _complement_vectors(pd):
+    """c^{l,k} for every letter k: the complement basis on the successors of k, weighted
+    by the Perron vector p.  The line wavelets and the graph wavelets both take theirs here."""
+    return tuple(tuple(weighted_complement_basis(pd.p, succ)) for succ in pd.matrix.successors)
+
+
 def build_mother_wavelets(pd):
     """Run the weighted complement construction for every letter of A."""
     mat = pd.matrix
-    c_all, funcs, fmat = [], {}, []
+    c_all, funcs, fmat = _complement_vectors(pd), {}, []
     for k in range(mat.n):
         succ = list(mat.successors[k])
         start = sum(mat.row_sums[:k])   # the words k.j are contiguous in W_2
         cols = slice(start, start + len(succ))
-        vecs = weighted_complement_basis(pd.p, succ)
-        c_all.append(tuple(vecs))
-        for l, v in enumerate(vecs, start=1):
+        for l, v in enumerate(c_all[k], start=1):
             coeffs = np.zeros(core.word_count(mat, 2), dtype=np.complex128)
             coeffs[cols] = v[succ]
             f = CylinderFunction(mat, 2, core._frozen(coeffs))
             funcs[(k, l)] = f * (1.0 / spectral.norm(f, pd))
         fmat.append(np.array([funcs[(k, l)].coeffs[cols] for l in range(1, len(succ))],
                              dtype=np.complex128).reshape(len(succ) - 1, len(succ)))
-    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=tuple(c_all), funcs=funcs,
-                            fmat=tuple(fmat))
-
-
-def scaling_function(pd, i):
-    """The normalized cylinder bump mu(R_i)^{-1/2} chi_{R_i}."""
-    f = CylinderFunction.indicator(pd.matrix, (i,))
-    return f * (1.0 / math.sqrt(pd.p[i]))
+    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=c_all, funcs=funcs, fmat=tuple(fmat))
 
 
 def wavelet(a, l, r, mw):
@@ -195,8 +194,11 @@ def basis_labels(mw, K):
 
 
 def basis_function(mw, label):
+    """The basis function of a label: mu(R_i)^{-1/2} chi_{R_i} for ("S", i), at level 1,
+    and the wavelet S_a f^{l,r} for ("D", a, l, r)."""
     if label[0] == "S":
-        return scaling_function(mw.pd, label[1])
+        i = label[1]
+        return CylinderFunction.indicator(mw.matrix, (i,)) * (1.0 / math.sqrt(mw.pd.p[i]))
     if label[0] == "D":
         return wavelet(label[1], label[2], label[3], mw)
     raise IndexOutOfRange("unknown basis label %r" % (label,))

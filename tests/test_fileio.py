@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,52 @@ def test_canonical_files_are_read_in_one_pass(monkeypatch, tri3, strict12):
         assert g.coeffs.tobytes() == f.coeffs.tobytes()
         wc2, _ = fileio.parse_coefficients(_edit_lines(coefficients, shuffle), matrix)
         assert _same_coefficients(wc2, wc)
+
+
+def test_parse_holds_one_chunk_of_split_lines():
+    # tri3 level 10: 8,119 lines; the split parts of one 2,048-line chunk are held at a
+    # time, not those of the whole file (4.4 MB peak when every line's parts were kept)
+    tri3 = core.validate_matrix(TRI3)
+    f = random_signal(tri3, 10, seed=10)
+    text = fileio.format_signal(f)
+    fileio.parse_signal(text, tri3)   # the tables are warm from here on
+    tracemalloc.start()
+    try:
+        g = fileio.parse_signal(text, tri3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.coeffs.tobytes() == f.coeffs.tobytes()
+    assert peak <= 3e6
+
+
+def test_lines_past_the_first_chunk_are_placed_by_key(monkeypatch):
+    # 8,119 lines, four chunks: a swap in the last chunk, or across two chunks, is placed
+    # through the key map; a key repeated far down falls back to the per-line parser
+    tri3 = core.validate_matrix(TRI3)
+    f = random_signal(tri3, 10, seed=3)
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(tri3))
+    wc = wavelets.analyze(f, mw)
+    texts = (fileio.format_signal(f), fileio.format_coefficients(wc, mw, 10))
+
+    def swap(i, j):
+        def edit(body):
+            body = list(body)
+            body[i], body[j] = body[j], body[i]
+            return body
+        return edit
+
+    with monkeypatch.context() as placed:
+        placed.setattr(fileio, "_parse_signal_lines", _refuse)
+        placed.setattr(fileio, "_parse_coefficient_lines", _refuse)
+        for i, j in ((8000, 8100), (100, 5000), (2047, 2048)):
+            g = fileio.parse_signal(_edit_lines(texts[0], swap(i, j)), tri3)
+            assert g.coeffs.tobytes() == f.coeffs.tobytes()
+            wc2, _ = fileio.parse_coefficients(_edit_lines(texts[1], swap(i, j)), tri3)
+            assert _same_coefficients(wc2, wc)
+    repeated = _edit_lines(texts[0], lambda body: body[:-1] + [body[7000]])
+    with pytest.raises(FileFormatError, match="listed twice"):
+        fileio.parse_signal(repeated, tri3)
 
 
 def test_sparse_deep_coefficient_file_builds_no_tables():

@@ -11,10 +11,10 @@ from cantorkit.errors import (
     CapExceeded,
     IndexOutOfRange,
     LevelOutOfRange,
-    MultiplePaths,
     NotComposable,
     SinkFound,
 )
+import oracles
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -105,25 +105,25 @@ def test_graph_perron_golden_ratio():
 def test_vertex_measure_shortest_path():
     g = three_edge_graph()
     pd = graphs.graph_perron(g)
-    vm = graphs.vertex_measure(g, 0, pd.p)
+    vm = oracles.vertex_measure(g, 0, pd.p)
     assert vm[0] == 0.0
     # one step u -> v along e0
     assert vm[1] == pytest.approx(pd.p[0], abs=1e-10)
-    vm_back = graphs.vertex_measure(g, 1, pd.p)
+    vm_back = oracles.vertex_measure(g, 1, pd.p)
     assert vm_back[0] == pytest.approx(pd.p[1], abs=1e-10)
 
 
 def test_vertex_measure_lex_min_tie_break():
     # two length-1 routes 0 -> 1 (edges 0 and 1): the smaller edge id wins
     g = graphs.directed_graph(2, ((0, 1), (0, 1), (1, 0)))
-    vm = graphs.vertex_measure(g, 0, (0.2, 0.5, 0.3))
+    vm = oracles.vertex_measure(g, 0, (0.2, 0.5, 0.3))
     assert vm[1] == pytest.approx(0.2)
 
 
 def test_vertex_measure_unreachable_warns():
     g = graphs.directed_graph(2, ((0, 0), (1, 0)))
     with pytest.warns(UserWarning):
-        vm = graphs.vertex_measure(g, 0, (0.5, 0.5))
+        vm = oracles.vertex_measure(g, 0, (0.5, 0.5))
     assert vm[1] == 0.0
 
 
@@ -148,12 +148,30 @@ def test_coefficients_bit_compatible_with_wavelet_module():
             assert np.array_equal(np.asarray(mine), np.asarray(theirs))
 
 
+def test_graph_coefficients_need_no_level_two_tables(tmp_path, capsys):
+    # the complement vectors alone: the line's mother functions would build level 2
+    # (9 words on loops3), over a cap of 6 that depth 1 fits (2 tuples x 3 paths)
+    g = loops3_graph()
+    with core.budget(6):
+        gw = graphs.build_graph_wavelets(g, 0, 0)
+        with pytest.raises(CapExceeded):
+            wavelets.build_mother_wavelets(gw.pd)
+    assert [[v.tobytes() for v in vecs] for vecs in gw.c] == [
+        [v.tobytes() for v in vecs] for vecs in wavelets.build_mother_wavelets(gw.pd).c]
+    path = tmp_path / "loops3.txt"
+    path.write_text(fileio.format_graph(g))
+    argv = ["graph", "wavelets", "--graph", str(path), "--v0", "0", "--e0", "0", "--depth", "1"]
+    assert cli.run(argv + ["--cap", "6"]) == 0
+    assert cli.run(argv + ["--cap", "5"]) == 66
+    capsys.readouterr()
+
+
 def test_paths_from_enumeration():
     g = complete2_graph()
     gw = graphs.build_graph_wavelets(g, 0, 0)
-    paths = graphs.paths_from(gw, 2)
+    paths = oracles.paths_from(gw, 2)
     assert paths == [(0, 0), (0, 1), (1, 2), (1, 3)]
-    assert len(graphs.paths_from(gw, 3)) == 8
+    assert len(oracles.paths_from(gw, 3)) == 8
 
 
 def reference_paths_from(gw, k):
@@ -174,39 +192,39 @@ def test_path_count_matches_enumeration():
             e0 = next(e for e in range(len(g.edges)) if g.range(e) == v0)
             gw = graphs.build_graph_wavelets(g, v0, e0)
             for k in range(7):
-                paths = graphs.paths_from(gw, k)
+                paths = oracles.paths_from(gw, k)
                 assert paths == reference_paths_from(gw, k)
                 # the paths are read off W_k of the edge shift, which the budget counts
                 n_words = core.word_count(gw.pd.matrix, k)
                 with core.budget(n_words):
-                    assert graphs.paths_from(gw, k) == paths
+                    assert oracles.paths_from(gw, k) == paths
                 with pytest.raises(CapExceeded), core.budget(n_words - 1):
-                    graphs.paths_from(gw, k)
+                    oracles.paths_from(gw, k)
 
 
 def test_psi_path_values_on_loops():
     gw = graphs.build_graph_wavelets(loops3_graph(), 0, 0)
     # uniform p = 1/3: the first complement vector is (sqrt2, -1/sqrt2, -1/sqrt2)
     c1 = gw.c[0][0]
-    vals = [graphs.psi_path(gw, (e,), (1,)).real for e in range(3)]
+    vals = [oracles.psi_path(gw, (e,), (1,)).real for e in range(3)]
     np.testing.assert_allclose(vals, c1, atol=1e-12)
     # depth 2 multiplies coefficients along the path
-    v = graphs.psi_path(gw, (1, 2), (1, 2))
+    v = oracles.psi_path(gw, (1, 2), (1, 2))
     assert v == pytest.approx(gw.c[0][0][1] * gw.c[1][1][2], abs=1e-12)
 
 
 def test_psi_path_validation():
     gw = graphs.build_graph_wavelets(complete2_graph(), 0, 0)
     with pytest.raises(NotComposable):
-        graphs.psi_path(gw, (2, 0), (1, 1))  # edge 2 starts at vertex 1
+        oracles.psi_path(gw, (2, 0), (1, 1))  # edge 2 starts at vertex 1
     with pytest.raises(NotComposable):
-        graphs.psi_path(gw, (1, 0), (1, 1))  # e1 ends at 1, e0 starts at 0
+        oracles.psi_path(gw, (1, 0), (1, 1))  # e1 ends at 1, e0 starts at 0
     with pytest.raises(LevelOutOfRange):
-        graphs.psi_path(gw, (0,), (2,))  # d = 2 allows only level 1
+        oracles.psi_path(gw, (0,), (2,))  # d = 2 allows only level 1
     with pytest.raises(LevelOutOfRange):
-        graphs.psi_path(gw, (0,), ())
+        oracles.psi_path(gw, (0,), ())
     with pytest.raises(IndexOutOfRange):
-        graphs.psi_path(gw, (9,), (1,))
+        oracles.psi_path(gw, (9,), (1,))
 
 
 def test_valid_level_tuples():
@@ -233,8 +251,8 @@ def test_psi_levels_match_psi_path():
         gw = graphs.build_graph_wavelets(g, v0, e0)
         for k in range(1, 6):
             tuples, paths, valid, psi, weights = graphs._psi_levels(gw, k)
-            assert [tuple(pth) for pth in paths.tolist()] == graphs.paths_from(gw, k)
-            paths = graphs.paths_from(gw, k)
+            assert [tuple(pth) for pth in paths.tolist()] == oracles.paths_from(gw, k)
+            paths = oracles.paths_from(gw, k)
             tuples = [tuple(t) for t in tuples.tolist()]
             assert tuples == sorted({t for pth in paths for t in valid_level_tuples(gw, pth)})
             assert valid.shape == psi.shape == (len(tuples), len(paths))
@@ -246,7 +264,7 @@ def test_psi_levels_match_psi_path():
                 on_path = valid_level_tuples(gw, pth)
                 for i, t in enumerate(tuples):
                     assert valid[i, j] == (t in on_path)
-                    expect = graphs.psi_path(gw, pth, t).real if t in on_path else 0.0
+                    expect = oracles.psi_path(gw, pth, t).real if t in on_path else 0.0
                     assert psi[i, j] == expect
                     assert math.copysign(1.0, psi[i, j]) == math.copysign(1.0, expect)
 
@@ -262,10 +280,10 @@ def test_graph_wavelets_prints_psi_on_every_valid_pair(tmp_path, capsys):
                             "--e0", str(e0), "--depth", str(k)]) == 0
             lines = capsys.readouterr().out.splitlines()
             expect = ["%s %s %.15g" % (",".join(map(str, pth)), ",".join(map(str, t)),
-                                       graphs.psi_path(gw, pth, t).real)
-                      for pth in graphs.paths_from(gw, k) for t in valid_level_tuples(gw, pth)]
+                                       oracles.psi_path(gw, pth, t).real)
+                      for pth in oracles.paths_from(gw, k) for t in valid_level_tuples(gw, pth)]
             assert lines[:len(expect)] == expect
-            assert lines[len(expect)] == "n_paths = %d" % len(graphs.paths_from(gw, k))
+            assert lines[len(expect)] == "n_paths = %d" % len(oracles.paths_from(gw, k))
 
 
 def test_psi_budget_counts_paths_times_tuples():
@@ -293,14 +311,14 @@ def test_negative_depths_and_empty_levels_are_refused():
     gw = graphs.build_graph_wavelets(loops3_graph(), 0, 0)
     for k in (-1, -2):
         with pytest.raises(LevelOutOfRange):
-            graphs.paths_from(gw, k)
+            oracles.paths_from(gw, k)
         with pytest.raises(LevelOutOfRange):
             graphs.path_integrals(gw, k)
     with pytest.raises(LevelOutOfRange):
         graphs.path_integrals(gw, 0)
     with pytest.raises(LevelOutOfRange):
-        graphs.psi_on_vertices(gw, ())
-    assert graphs.paths_from(gw, 0) == [()]
+        oracles.psi_on_vertices(gw, ())
+    assert oracles.paths_from(gw, 0) == [()]
 
 
 def test_path_integrals_zero_mean_and_gram():
@@ -329,16 +347,16 @@ def test_psi_on_vertices_unique_paths():
     # reached exactly once, so the vertex-indexed values are well defined
     g = graphs.directed_graph(3, ((0, 1), (0, 2), (1, 0), (2, 0)))
     gw = graphs.build_graph_wavelets(g, 0, 2)
-    vals = graphs.psi_on_vertices(gw, (1,))
+    vals = oracles.psi_on_vertices(gw, (1,))
     assert set(vals) == {1, 2}
-    assert vals[1] == pytest.approx(graphs.psi_path(gw, (0,), (1,)))
-    assert vals[2] == pytest.approx(graphs.psi_path(gw, (1,), (1,)))
+    assert vals[1] == pytest.approx(oracles.psi_path(gw, (0,), (1,)))
+    assert vals[2] == pytest.approx(oracles.psi_path(gw, (1,), (1,)))
 
 
 def test_psi_on_vertices_detects_collisions():
     gw = graphs.build_graph_wavelets(complete2_graph(), 0, 0)
-    with pytest.raises(MultiplePaths):
-        graphs.psi_on_vertices(gw, (1, 1))
+    with pytest.raises(oracles.MultiplePaths):
+        oracles.psi_on_vertices(gw, (1, 1))
 
 
 def test_vertex_projection_relation():

@@ -1,0 +1,112 @@
+"""Every name `cantorkit` exports has a caller outside its own unit tests.
+
+A name counts as called when one of these uses it: the code of another
+function in the package (a CLI verb included), a benchmark workload
+(`perfbench/workloads.py`, `perfbench/worker.py`, or the table names that
+`perfbench/layers.py::table_caches` looks up), or an acceptance check in
+`tests/test_acceptance.py`.  Uses are read off the syntax trees, so a name in
+a docstring, a comment or an import line is not a use, and nor is a use inside
+the name's own definition.  A reference form that only the unit tests need
+belongs in `tests/oracles.py`.
+"""
+
+import ast
+import functools
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "cantorkit")
+MODULES = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+OUTSIDE = (("perfbench", "workloads.py"), ("perfbench", "worker.py"),
+           ("tests", "test_acceptance.py"))
+
+
+def _tree(*parts):
+    with open(os.path.join(ROOT, *parts)) as fh:
+        return ast.parse(fh.read())
+
+
+def exports():
+    """(module, name) for every name that cantorkit/__init__.py imports from a module."""
+    return [(node.module, alias.asname or alias.name)
+            for node in _tree("src", "cantorkit", "__init__.py").body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _tail(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+@functools.lru_cache(maxsize=None)
+def _uses(parts, module=None):
+    """{(module, name): the top-level definitions whose code uses it} for one file.
+
+    `mod.name`, `a.mod.name` and `alias.name` after `alias = a.mod` give (mod, name); a
+    bare name gives the module it is imported from ("cantorkit" for the package), or
+    `module` for a name of the file's own module.  Code outside any definition is held
+    by None."""
+    tree = _tree(*parts)
+    imported = {alias.asname or alias.name: (node.module or "").rsplit(".", 1)[-1]
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    aliases = {node.targets[0].id: _tail(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name) and _tail(node.value) in MODULES}
+    out = {}
+    for top in tree.body:
+        holder = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                owner = _tail(node.value)
+                use = (aliases.get(owner, owner), node.attr)
+            elif isinstance(node, ast.Name) and (node.id in imported or module):
+                use = (imported.get(node.id, module), node.id)
+            else:
+                continue
+            out.setdefault(use, set()).add(holder)
+    return out
+
+
+def _table_cache_names():
+    """The word-table names that perfbench's table_caches passes to getattr(core, ...)."""
+    fn = next(node for node in _tree("perfbench", "layers.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == "table_caches")
+    return {("core", node.value) for node in ast.walk(fn)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def callers(module, name):
+    """The files whose code uses module.name under the rule of this file's docstring."""
+    found = []
+    for mod in MODULES:
+        holders = _uses(("src", "cantorkit", mod + ".py"), mod).get((module, name), set())
+        if holders - ({name} if mod == module else set()):
+            found.append("src/cantorkit/%s.py" % mod)
+    for parts in OUTSIDE:
+        uses = _uses(parts)
+        if (module, name) in uses or ("cantorkit", name) in uses:
+            found.append("/".join(parts))
+    if (module, name) in _table_cache_names():
+        found.append("perfbench/layers.py")
+    return found
+
+
+def test_every_export_has_a_caller():
+    names = exports()
+    assert names, "no exports found"
+    orphans = [module + "." + name for module, name in names if not callers(module, name)]
+    assert orphans == [], "exported with no caller in src, perfbench or the acceptance checks"
+
+
+def test_the_rule_sees_uses_and_nothing_else():
+    # rank: called by CylinderFunction.indicator and .coeff, and by fileio's parser
+    assert callers("core", "rank") == ["src/cantorkit/core.py", "src/cantorkit/fileio.py"]
+    # wavelet: called by basis_function alone
+    assert callers("wavelets", "wavelet") == ["src/cantorkit/wavelets.py"]
+    # fourier_approx: reached through `ops = self.ck.operators` in a workload; it calls
+    # fourier_sweep, which is no use of fourier_approx
+    assert callers("operators", "fourier_approx") == ["perfbench/workloads.py",
+                                                      "tests/test_acceptance.py"]
+    # names in layers.py's metric table are strings, not uses; table_caches' are
+    assert callers("ruelle", "walk_measure") == ["tests/test_acceptance.py"]
+    assert callers("core", "word_index") == ["perfbench/workloads.py", "perfbench/layers.py"]

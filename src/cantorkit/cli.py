@@ -8,6 +8,9 @@ byte-identical across runs for identical inputs and flags.
 Every verb is one row of VERBS.  The dispatcher loads the row's matrix or
 graph, computes Perron data when the row needs it, and calls the handler,
 under a core.budget of `--cap` words per table when the row takes `--cap`.
+Only core, errors, fileio and spectral, which the parser and the dispatcher
+need, are imported here; each handler imports the modules it calls, so a
+process loads the modules of its own verb and no others.
 
 Exit codes: 0 success, 64 usage, 65 bad data, 66 cap exceeded,
 70 no convergence.
@@ -20,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import core, fileio, graphs, operators, ruelle, sierpinski, spectral, wavelets
+from . import core, fileio, spectral
 from .core import DEFAULT_CAP
 from .errors import (
     CantorError,
@@ -124,24 +127,29 @@ def cmd_measure(args, matrix, pd):
 
 
 def cmd_op_s(args, matrix, pd):
+    from . import operators
     _emit_signal(args, operators.apply_S(args.i, _load_signal(args.signal, matrix), pd))
 
 
 def cmd_op_sstar(args, matrix, pd):
+    from . import operators
     _emit_signal(args, operators.apply_S_star(args.i, _load_signal(args.signal, matrix), pd))
 
 
 def cmd_op_word(args, matrix, pd):
+    from . import operators
     f = _load_signal(args.signal, matrix)
     a = _parse_cli_word(args.word, matrix)
     _emit_signal(args, operators.apply_S_word(a, f, pd, adjoint=args.adjoint))
 
 
 def cmd_op_pf(args, matrix, pd):
+    from . import operators
     _emit_signal(args, operators.pf_operator(_load_signal(args.signal, matrix), pd))
 
 
 def cmd_op_fixed_point(args, matrix, pd):
+    from . import operators
     f = operators.pf_fixed_point(pd)
     residual = spectral.norm(operators.pf_operator(f, pd) - f, pd)
     _emit_signal(args, f)
@@ -149,10 +157,12 @@ def cmd_op_fixed_point(args, matrix, pd):
 
 
 def cmd_op_ck(args, matrix, pd):
+    from . import operators
     _kv("residual", _fmt(operators.ck_relations_residual(pd, args.level)))
 
 
 def cmd_fourier(args, matrix, pd):
+    from . import operators
     f = _load_signal(args.signal, matrix)
     core._check_budget(lambda cap: args.tcount, "%d t values are over the cap of %d", args.tcount)
     ts = np.linspace(args.tmin, args.tmax, args.tcount).tolist()
@@ -161,6 +171,7 @@ def cmd_fourier(args, matrix, pd):
 
 
 def cmd_kms(args, matrix, pd):
+    from . import operators
     if args.letter is not None:
         _kv("ratio", _fmt(operators.kms_letter_ratio(args.letter, pd)))
         _kv("radius", _fmt(pd.radius))
@@ -175,6 +186,7 @@ def cmd_kms(args, matrix, pd):
 
 
 def cmd_wavelets_build(args, matrix, pd):
+    from . import wavelets
     mw = wavelets.build_mother_wavelets(pd)
     for k in range(matrix.n):
         _kv("d_%d" % k, mw.d[k])
@@ -185,6 +197,7 @@ def cmd_wavelets_build(args, matrix, pd):
 
 
 def cmd_wavelets_analyze(args, matrix, pd):
+    from . import wavelets
     f = _load_signal(args.signal, matrix)
     if args.level is not None:
         f = core.refine(f, args.level)
@@ -196,6 +209,7 @@ def cmd_wavelets_analyze(args, matrix, pd):
 
 
 def cmd_wavelets_synthesize(args, matrix, pd):
+    from . import wavelets
     mw = wavelets.build_mother_wavelets(pd)
     wc, level = fileio.parse_coefficients(_read(args.coeffs), matrix)
     if args.level is not None:
@@ -210,17 +224,20 @@ def cmd_wavelets_synthesize(args, matrix, pd):
 
 
 def cmd_ruelle_apply(args, matrix, pd):
+    from . import ruelle
     w_fn = _load_signal(args.potential, matrix)
     f = _load_signal(args.signal, matrix)
     _emit_signal(args, ruelle.ruelle_apply(w_fn, f, pd))
 
 
 def cmd_ruelle_keane(args, matrix, pd):
+    from . import ruelle
     w_fn = _load_signal(args.potential, matrix)
     _kv("residual", _fmt(ruelle.keane_residual(w_fn, pd)))
 
 
 def cmd_ruelle_trig(args, matrix, pd):
+    from . import ruelle
     cyl, pointwise = ruelle.trig_potential(pd, args.level)
     if args.out:   # samples W at level K + 1, so it may refuse: before any output
         pointwise_residual = ruelle.preimage_keane_residual(pointwise, pd, args.level)
@@ -231,6 +248,7 @@ def cmd_ruelle_trig(args, matrix, pd):
 
 
 def cmd_walk(args, matrix, pd):
+    from . import ruelle
     x = core.nadic_value(_parse_cli_word(args.x, matrix), matrix.n)
     if args.constant is not None:
         potential = ruelle.constant_potential(args.constant)
@@ -245,6 +263,7 @@ def cmd_walk(args, matrix, pd):
 
 
 def cmd_sierpinski_info(args, matrix, pd):
+    from . import sierpinski
     spec = sierpinski.sierpinski_spec(matrix)
     _kv("n", matrix.n)
     _kv("D", spec.D)
@@ -253,6 +272,7 @@ def cmd_sierpinski_info(args, matrix, pd):
 
 
 def cmd_sierpinski_cells(args, matrix, pd):
+    from . import sierpinski
     spec = sierpinski.sierpinski_spec(matrix)
     for cell in sierpinski.cells(spec, args.depth):
         print("%s %s" % (fileio.format_word(cell.xword, matrix.n),
@@ -260,6 +280,7 @@ def cmd_sierpinski_cells(args, matrix, pd):
 
 
 def cmd_sierpinski_render(args, matrix, pd):
+    from . import sierpinski
     spec = sierpinski.sierpinski_spec(matrix)
     img = sierpinski.render_pgm(spec, args.depth, args.res)
     _emit(args, fileio.format_pgm(img))
@@ -271,11 +292,13 @@ def cmd_sierpinski_render(args, matrix, pd):
 
 
 def cmd_sierpinski_induced(args, matrix, pd):
+    from . import sierpinski
     spec = sierpinski.sierpinski_spec(matrix)
     _emit(args, fileio.format_matrix(sierpinski.induced_matrix(spec)))
 
 
 def cmd_graph_perron(args, g, pd):
+    from . import graphs
     pd = graphs.graph_perron(g, tol=args.tol)
     _kv("edges", len(g.edges))
     _kv("radius", _fmt(pd.radius))
@@ -285,6 +308,7 @@ def cmd_graph_perron(args, g, pd):
 
 
 def cmd_graph_wavelets(args, g, pd):
+    from . import graphs
     gw = graphs.build_graph_wavelets(g, args.v0, args.e0, tol=args.tol)
     rep = graphs.path_integrals(gw, args.depth)
     names = [",".join(map(str, t)) for t in rep.tuples.tolist()]

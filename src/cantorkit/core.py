@@ -14,8 +14,9 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 All objects here are immutable.  The tables of a matrix (word lists, index
 maps, level counts) live in that matrix object's memo and are freed with it;
 level counts carry on from the highest level counted, never from level 1.
-`rank` reads a word's position off level counts it carries itself, from level 1
-up, with no word table and nothing added to the memo.
+`rank` reads a word's position off level counts counted from level 1 up, with
+no word table and nothing added to the memo; a caller ranking many words of
+one level counts them once.
 
 The index arrays (first and last digits, shift, prefix, suffix and prepend
 positions, N-adic values) are built level by level from the arrays of the
@@ -310,18 +311,27 @@ def word_index(matrix, k):
     return {w: m for m, w in enumerate(enumerate_words(matrix, k))}
 
 
-def rank(matrix, word):
+def _count_ladder(matrix, k):
+    """c_1, ..., c_k, the first-digit counts of levels 1 to k, each counted from the one
+    below, lazily, so that one rank holds one level at a time; the memo is left alone."""
+    counts = (1,) * matrix.n
+    for _ in range(k):
+        yield counts
+        counts = _next_counts(matrix, counts)
+
+
+def rank(matrix, word, *, ladder=None):
     """Position of an admissible word in the lexicographic enumeration of its level: for
     each m, the words that agree up to a_{m-1} and then take a smaller successor j of
     a_{m-1} (any smaller letter when m = 1) come first, c_{k-m+1}(j) of them, c_n(j) the
-    level-n words starting with j.  Letters are read from the last, so the counts are
-    carried from level 1 upward in a local variable; the matrix's memo is left alone."""
+    level-n words starting with j.  Letters are read from the last, against the counts of
+    levels 1, 2, ...: `ladder`, the list of a _count_ladder that a caller ranking many
+    words counts once, or else a _count_ladder counted here."""
     word = check_word(matrix, word)
-    pos, k, counts = 0, len(word), (1,) * matrix.n
-    for i in range(k - 1, -1, -1):   # word[i] is a_{i+1}; counts are those of level k - i
+    pos, k = 0, len(word)
+    for i, counts in zip(range(k - 1, -1, -1), ladder or _count_ladder(matrix, k)):
         before = matrix.successors[word[i - 1]] if i else range(matrix.n)
         pos += sum(counts[j] for j in before if j < word[i])
-        counts = _next_counts(matrix, counts)
     return pos
 
 

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from . import core, wavelets
+from . import core
 from .core import CylinderFunction
 from .errors import FileFormatError
 
@@ -219,7 +219,7 @@ def _parse_signal_lines(lines, matrix, k, column):
     """Per-line parse of at least |W_k| data lines, in any order and spelling; a word
     spelled as in `column` is found there, any other spelling is parsed and ranked."""
     # with at least one line per word, a missing word forces a repeat or a misspelling
-    pos = _slots(column)
+    pos, ladder = _slots(column), list(core._count_ladder(matrix, k))
     coeffs = np.zeros(len(column), dtype=np.complex128)
     seen = set()
     for line in lines:
@@ -231,7 +231,7 @@ def _parse_signal_lines(lines, matrix, k, column):
             w = parse_word(parts[0], matrix.n)
             if len(w) != k or not core.is_admissible(matrix, w):
                 raise FileFormatError("word %r is not admissible at level %d" % (parts[0], k))
-            slot = core.rank(matrix, w)
+            slot = core.rank(matrix, w, ladder=ladder)
         if slot in seen:
             raise FileFormatError("word %r listed twice" % (parts[0],))
         seen.add(slot)
@@ -264,6 +264,7 @@ def format_coefficients(wc, mw, level):
     Raises IndexOutOfRange when wc holds a key that is not a level-`level`
     wavelet or a scaling layer of the wrong length, as synthesize does.
     """
+    from . import wavelets
     scaling, detail = wavelets._flat_layers(wc, mw, level)
     return _value_lines("%d %d" % (mw.matrix.n, level), _key_column(mw.matrix, level),
                         np.concatenate([scaling, detail]))
@@ -271,6 +272,7 @@ def format_coefficients(wc, mw, level):
 
 def parse_coefficients(text, matrix):
     """Read a coefficient file; returns (WaveletCoefficients, level)."""
+    from . import wavelets
     lines = _data_lines(text)
     if not lines:
         raise FileFormatError("empty coefficient file")
@@ -320,13 +322,6 @@ def _parse_coefficient_lines(lines, n):
 
 
 # --- graph -------------------------------------------------------------------------
-
-
-def format_graph(g):
-    lines = ["%d %d" % (g.vertex_count, len(g.edges))]
-    for s, r in g.edges:
-        lines.append("%d %d" % (s, r))
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph(text):

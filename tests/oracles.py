@@ -230,3 +230,14 @@ def psi_on_vertices(gw, levels):
                 "vertex %d is reached by several depth-%d paths" % (v, k))
         ends[v] = pth
     return {v: psi_path(gw, pth, levels) for v, pth in sorted(ends.items())}
+
+
+# --- graph files (fileio) ----------------------------------------------------------
+
+
+def format_graph(g):
+    """The graph file of `g`, as fileio.parse_graph reads it; no verb writes one."""
+    lines = ["%d %d" % (g.vertex_count, len(g.edges))]
+    for s, r in g.edges:
+        lines.append("%d %d" % (s, r))
+    return "\n".join(lines) + "\n"

@@ -468,3 +468,57 @@ def test_refusals_precede_the_tables_in_a_fresh_process(tmp_path):
                               text=True, env=env, preexec_fn=_limit_address_space, timeout=120)
         assert proc.returncode == 66, (argv, proc.stderr[-500:])
         assert "over the cap" in proc.stderr
+
+
+# one command per verb group, and the modules its process loads beyond the package,
+# cli, core, errors, fileio and spectral, which the parser needs
+VERB_MODULES = [
+    (["perron", "--matrix", TRI3], ()),
+    (["words", "--matrix", TRI3, "--level", "2"], ()),
+    (["measure", "--matrix", TRI3, "--word", "12"], ()),
+    (["op", "s", "--matrix", TRI3, "--i", "1", "--signal", SIGNAL3], ("operators",)),
+    (["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
+      "--tmin", "0", "--tmax", "1", "--tcount", "2"], ("operators",)),
+    (["kms", "--matrix", TRI3, "--letter", "1"], ("operators",)),
+    (["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3],
+     ("wavelets", "operators")),
+    (["ruelle", "trig", "--matrix", TRI3, "--level", "2"], ("ruelle",)),
+    (["walk", "--matrix", TRI3, "--x", "1", "--depth", "2"], ("ruelle",)),
+    (["sierpinski", "info", "--matrix", SCHOTTKY4], ("sierpinski",)),
+    (["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0", "--depth", "2"],
+     ("graphs", "wavelets", "operators")),
+]
+
+
+# a fresh process lists its modules on stderr's last line, after `import cantorkit`
+# or after `python -m cantorkit` run as runpy runs it
+_LIST = "print(*sorted(sys.modules), file=sys.stderr)"
+_IMPORT = "import sys, cantorkit\n" + _LIST
+_RUN = ("import runpy, sys\ntry:\n"
+        "    runpy.run_module('cantorkit', run_name='__main__', alter_sys=True)\n"
+        "finally:\n    " + _LIST)
+
+
+def _loaded(code, argv, cwd):
+    """(exit code, stderr before its last line, the modules listed on that line) of a
+    fresh `python -c code argv`."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+    *err, modules = proc.stderr.splitlines() or [""]
+    return proc.returncode, err, set(modules.split())
+
+
+def test_each_verb_loads_only_its_own_modules(tmp_path):
+    # in-process tests run with every module loaded; a fresh process shows an import
+    # cycle that depends on import order, and every module a verb does not need
+    base = {"cantorkit", "cantorkit.cli", "cantorkit.core", "cantorkit.errors",
+            "cantorkit.fileio", "cantorkit.spectral"}
+    for argv, own in VERB_MODULES:
+        code, err, modules = _loaded(_RUN, argv, tmp_path)
+        assert (code, err) == (0, []), argv
+        assert {m for m in modules if m.startswith("cantorkit")} == base | {
+            "cantorkit." + m for m in own}, argv
+    code, err, modules = _loaded(_IMPORT, [], tmp_path)
+    assert (code, err) == (0, [])
+    assert {m for m in modules if m.startswith(("cantorkit", "numpy"))} == {"cantorkit"}

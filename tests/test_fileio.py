@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cantorkit import core, fileio, graphs, sierpinski, spectral, wavelets
 from cantorkit.errors import FileFormatError, IndexOutOfRange
 from conftest import TRI3, seeded_strict_matrix, tables_in
+import oracles
 
 # --- the per-line reference: one format_word / parse_word per line --------------
 
@@ -359,6 +360,21 @@ def test_signal_words_in_other_spellings(tri3):
                         tri3) == "word '0.1.1' listed twice"
 
 
+def test_dotted_signal_counts_its_levels_once(monkeypatch):
+    # tri3 level 10 in dotted words: every one of the 8,119 tokens misses the canonical
+    # column and is ranked, from level counts made once per parse, not once per token
+    tri3 = core.validate_matrix(TRI3)
+    f = random_signal(tri3, 10, seed=10)
+    text = fileio.format_signal(f)   # the tables are warm from here on
+    dotted = _edit_lines(text, lambda body: [_respell(ln, ".".join(ln.split()[0]))
+                                             for ln in body])
+    steps, next_counts = [], core._next_counts
+    monkeypatch.setattr(core, "_next_counts", lambda *a: steps.append(a) or next_counts(*a))
+    g = fileio.parse_signal(dotted, tri3)
+    assert g.coeffs.tobytes() == f.coeffs.tobytes()
+    assert len(steps) <= 10
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_any_subset_and_order_of_lines_parses_like_the_reference(tri3_pd, data):
@@ -495,7 +511,7 @@ def test_format_refuses_foreign_keys(tri3_pd):
 
 def test_graph_round_trip():
     g = graphs.directed_graph(2, ((0, 1), (1, 0), (1, 1)))
-    text = fileio.format_graph(g)
+    text = oracles.format_graph(g)
     g2 = fileio.parse_graph(text)
     assert g2.vertex_count == 2 and g2.edges == g.edges
 

@@ -159,7 +159,7 @@ def test_graph_coefficients_need_no_level_two_tables(tmp_path, capsys):
     assert [[v.tobytes() for v in vecs] for vecs in gw.c] == [
         [v.tobytes() for v in vecs] for vecs in wavelets.build_mother_wavelets(gw.pd).c]
     path = tmp_path / "loops3.txt"
-    path.write_text(fileio.format_graph(g))
+    path.write_text(oracles.format_graph(g))
     argv = ["graph", "wavelets", "--graph", str(path), "--v0", "0", "--e0", "0", "--depth", "1"]
     assert cli.run(argv + ["--cap", "6"]) == 0
     assert cli.run(argv + ["--cap", "5"]) == 66
@@ -274,7 +274,7 @@ def test_graph_wavelets_prints_psi_on_every_valid_pair(tmp_path, capsys):
     for g, v0, e0 in [(uneven_graph(), 0, 5), (input_graph("graph3.txt"), 1, 0)]:
         gw = graphs.build_graph_wavelets(g, v0, e0)
         path = tmp_path / "g.txt"
-        path.write_text(fileio.format_graph(g))
+        path.write_text(oracles.format_graph(g))
         for k in range(1, 5):
             assert cli.run(["graph", "wavelets", "--graph", str(path), "--v0", str(v0),
                             "--e0", str(e0), "--depth", str(k)]) == 0

@@ -1,4 +1,5 @@
-"""Every name `cantorkit` exports has a caller outside its own unit tests.
+"""Every name `cantorkit` exports, and every public function and class of its
+modules, has a caller outside its own unit tests.
 
 A name counts as called when one of these uses it: the code of another
 function in the package (a CLI verb included), a benchmark workload
@@ -12,7 +13,10 @@ belongs in `tests/oracles.py`.
 
 import ast
 import functools
+import importlib
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "cantorkit")
@@ -27,10 +31,20 @@ def _tree(*parts):
 
 
 def exports():
-    """(module, name) for every name that cantorkit/__init__.py imports from a module."""
-    return [(node.module, alias.asname or alias.name)
-            for node in _tree("src", "cantorkit", "__init__.py").body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
+    """(module, name) for every name in the _EXPORTS table of cantorkit/__init__.py."""
+    table = next(node.value for node in _tree("src", "cantorkit", "__init__.py").body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_EXPORTS")
+    return [(module, name) for module, names in ast.literal_eval(table).items()
+            for name in names]
+
+
+def definitions():
+    """(module, name) for every public function and class at the top of a module."""
+    return [(mod, node.name)
+            for mod in MODULES for node in _tree("src", "cantorkit", mod + ".py").body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def _tail(node):
@@ -92,10 +106,23 @@ def callers(module, name):
 
 
 def test_every_export_has_a_caller():
-    names = exports()
-    assert names, "no exports found"
+    # and every other public function and class of a module
+    assert exports(), "no exports found"
+    names = sorted(set(exports()) | set(definitions()))
     orphans = [module + "." + name for module, name in names if not callers(module, name)]
-    assert orphans == [], "exported with no caller in src, perfbench or the acceptance checks"
+    assert orphans == [], "public with no caller in src, perfbench or the acceptance checks"
+
+
+def test_exports_are_their_modules_objects():
+    import cantorkit
+    for module, name in exports():
+        mod = importlib.import_module("cantorkit." + module)
+        assert getattr(cantorkit, name) is getattr(mod, name) and name in dir(cantorkit)
+        assert getattr(mod, name).__module__ == mod.__name__   # defined there, not imported
+    assert sorted(cantorkit.__all__) == sorted(name for _, name in exports())
+    assert cantorkit.fileio is importlib.import_module("cantorkit.fileio")
+    with pytest.raises(AttributeError, match="no attribute 'format_graph'"):
+        cantorkit.format_graph
 
 
 def test_the_rule_sees_uses_and_nothing_else():

@@ -173,6 +173,8 @@ def cmd_fourier(args, matrix, pd):
 def cmd_kms(args, matrix, pd):
     from . import operators
     if args.letter is not None:
+        if args.a is not None or args.b is not None:
+            raise UsageError("kms takes either --letter or --a and --b, not both")
         _kv("ratio", _fmt(operators.kms_letter_ratio(args.letter, pd)))
         _kv("radius", _fmt(pd.radius))
         return

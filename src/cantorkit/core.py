@@ -14,9 +14,8 @@ stored as one complex coefficient per level-k word, in lexicographic word order.
 All objects here are immutable.  The tables of a matrix (word lists, index
 maps, level counts) live in that matrix object's memo and are freed with it;
 level counts carry on from the highest level counted, never from level 1.
-`rank` reads a word's position off level counts counted from level 1 up, with
-no word table and nothing added to the memo; a caller ranking many words of
-one level counts them once.
+`rank` reads one word's position off level counts it carries itself, adding
+nothing to the memo; `_digit_table` lists a level's words as rows of digits.
 
 The index arrays (first and last digits, shift, prefix, suffix and prepend
 positions, N-adic values) are built level by level from the arrays of the
@@ -311,27 +310,18 @@ def word_index(matrix, k):
     return {w: m for m, w in enumerate(enumerate_words(matrix, k))}
 
 
-def _count_ladder(matrix, k):
-    """c_1, ..., c_k, the first-digit counts of levels 1 to k, each counted from the one
-    below, lazily, so that one rank holds one level at a time; the memo is left alone."""
-    counts = (1,) * matrix.n
-    for _ in range(k):
-        yield counts
-        counts = _next_counts(matrix, counts)
-
-
-def rank(matrix, word, *, ladder=None):
+def rank(matrix, word):
     """Position of an admissible word in the lexicographic enumeration of its level: for
     each m, the words that agree up to a_{m-1} and then take a smaller successor j of
     a_{m-1} (any smaller letter when m = 1) come first, c_{k-m+1}(j) of them, c_n(j) the
     level-n words starting with j.  Letters are read from the last, against the counts of
-    levels 1, 2, ...: `ladder`, the list of a _count_ladder that a caller ranking many
-    words counts once, or else a _count_ladder counted here."""
+    levels 1, 2, ..., each counted here from the one below; the memo is left alone."""
     word = check_word(matrix, word)
-    pos, k = 0, len(word)
-    for i, counts in zip(range(k - 1, -1, -1), ladder or _count_ladder(matrix, k)):
+    pos, counts = 0, (1,) * matrix.n
+    for i in range(len(word) - 1, -1, -1):
         before = matrix.successors[word[i - 1]] if i else range(matrix.n)
         pos += sum(counts[j] for j in before if j < word[i])
+        counts = _next_counts(matrix, counts) if i else counts
     return pos
 
 
@@ -353,6 +343,20 @@ def last_digit_array(matrix, k, below):
     if k == 1:
         return _frozen(np.arange(matrix.n, dtype=np.intp))
     return _frozen(below[shift_index_array(matrix, k)])
+
+
+def _digit_table(matrix, k):
+    """The digits of each level-k word, a row each, lexicographic: uint8, or uint16 past
+    256 letters.  Column j is read off the level-(j + 1) prefixes, whose positions come
+    up a level at a time: the d_{last(v)} children of a word v are contiguous."""
+    lasts = [last_digit_array(matrix, j) for j in range(1, k + 1)]   # checks the budget
+    out = np.empty((word_count(matrix, k), k), dtype=np.uint8 if matrix.n <= 256 else np.uint16)
+    at, sizes = np.arange(len(out)), np.asarray(matrix.row_sums, dtype=np.intp)
+    for j in range(k - 1, -1, -1):
+        out[:, j] = lasts[j][at]
+        if j and len(lasts[j - 1]) < len(lasts[j]):
+            at = np.repeat(np.arange(len(lasts[j - 1])), sizes[lasts[j - 1]])[at]
+    return out
 
 
 @_table()
@@ -496,13 +500,6 @@ class CylinderFunction:
         c = np.zeros(word_count(matrix, len(word)), dtype=np.complex128)
         c[rank(matrix, word)] = 1.0
         return cls(matrix, len(word), _frozen(c))
-
-    def coeff(self, word):
-        """The value taken on the cylinder of `word`, an admissible word of this level."""
-        word = tuple(word)
-        if len(word) != self.level:
-            raise LevelOutOfRange("word %r is not of level %d" % (word, self.level))
-        return complex(self.coeffs[rank(self.matrix, word)])
 
     def __repr__(self):
         return "CylinderFunction(level=%d, n_coeffs=%d)" % (self.level, len(self.coeffs))

@@ -21,19 +21,20 @@ word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
 PGM:           P2 with header "P2\\nW H\\n255", one raster row per line.
 
 Signal and coefficient files are written from arrays, each value through
-repr().  The word column comes from core's last-digit arrays, level by level.
-The level-K key column is a table in the matrix's memo: the column of level
-K - 1, then the keys with |a| = K - 2 spelled from the level-(K - 2) words;
-every level up to the finest asked for is kept, sharing its strings with the
-levels above, at about 80 bytes per level-K key.  Reading tries three ways,
+repr().  A level's word column is a table in the matrix's memo, spelled from
+core's digit table, about 70 bytes per word.  The level-K key column is one
+too: that of K - 1, then the keys with |a| = K - 2 from the word column of
+K - 2; each level up to the finest asked for is kept, with the word columns
+it read, at about 100 bytes per level-K key.  Reading tries three ways,
 cheapest first.  A file with exactly one data line per word or key has each
 line split once: if its keys are the canonical column in the order written,
 the values are taken in turn; if they spell that column in another order,
 each line is placed through a key -> slot map.  Any other file (other
 spellings, extra whitespace inside a key, repeated or stray keys, a sparse
 coefficient file) goes through the per-line parser, which accepts lines in
-any order and names the line at fault; it finds a signal word spelled as
-written in the canonical column and any other spelling by core.rank.  Values
+any order and names the line at fault; it finds a signal word in the
+canonical column as written, or else as format_word spells the digits it
+parses to, and a word found neither way is not admissible.  Values
 are read with float(); nan, inf and overflowing values such as 1e400 are
 refused.
 """
@@ -125,21 +126,20 @@ def parse_matrix_rows(text):
 # --- signal ----------------------------------------------------------------------
 
 
+@core._table()
 def word_column(matrix, k):
-    """format_word of every level-k word, lexicographic.
-
-    The children w.s of a word w are contiguous in the next level, s running
-    over the successors of w's last digit, so each level's strings come from
-    the level above and core's last-digit array; no word tuple is made.
-    """
-    sep = "" if matrix.n <= 10 else "."
-    ext = [[sep + str(s) for s in matrix.successors[t]] for t in range(matrix.n)]
-    words = [str(i) for i in range(matrix.n)] if k > 0 else ["-"]
-    for j in range(1, k + 1):   # level k's array too: its table checks the budget
-        last = core.last_digit_array(matrix, j).tolist()
-        if j < k:
-            words = [w + e for w, t in zip(words, last) for e in ext[t]]
-    return words
+    """format_word of every level-k word, lexicographic, kept in the matrix's memo: the
+    rows of core's digit table as glyphs (separator, letter padded), padding dropped."""
+    if k == 0:
+        return ("-",)
+    sep, width = b"" if matrix.n <= 10 else b".", len(str(matrix.n - 1))
+    glyphs = np.array([list(b"%s%*d" % (sep, width, d)) for d in range(matrix.n)], np.uint8)
+    rows = np.take(glyphs, core._digit_table(matrix, k), axis=0).reshape(-1, k * len(glyphs[0]))
+    rows[:, :len(sep)] = ord(" ")   # no separator before the first letter
+    ends = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+    text = np.hstack((rows, ends)).tobytes().translate(None, b" ").decode()
+    del rows   # freed before the strings are made
+    return tuple(text.split())
 
 
 def _value_lines(head, column, values):
@@ -216,10 +216,10 @@ def parse_signal(text, matrix):
 
 
 def _parse_signal_lines(lines, matrix, k, column):
-    """Per-line parse of at least |W_k| data lines, in any order and spelling; a word
-    spelled as in `column` is found there, any other spelling is parsed and ranked."""
+    """Per-line parse of at least |W_k| data lines, in any order and spelling; a word is
+    found in `column` as written, or else as format_word spells it."""
     # with at least one line per word, a missing word forces a repeat or a misspelling
-    pos, ladder = _slots(column), list(core._count_ladder(matrix, k))
+    pos = _slots(column)
     coeffs = np.zeros(len(column), dtype=np.complex128)
     seen = set()
     for line in lines:
@@ -228,10 +228,9 @@ def _parse_signal_lines(lines, matrix, k, column):
             raise FileFormatError("signal line %r needs 'word re im'" % line)
         slot = pos.get(parts[0])
         if slot is None:
-            w = parse_word(parts[0], matrix.n)
-            if len(w) != k or not core.is_admissible(matrix, w):
+            slot = pos.get(format_word(parse_word(parts[0], matrix.n), matrix.n))
+            if slot is None:
                 raise FileFormatError("word %r is not admissible at level %d" % (parts[0], k))
-            slot = core.rank(matrix, w, ladder=ladder)
         if slot in seen:
             raise FileFormatError("word %r listed twice" % (parts[0],))
         seen.add(slot)

@@ -20,8 +20,8 @@ Gram-orthonormality are path-space statements — sums over edge tuples
 weighted by p_{e_1}...p_{e_k} — and path_integrals measures them directly.
 
 The length-k paths from v0 are the level-k edge-shift words whose first edge
-leaves v0, and Psi on all of them is built one level at a time from each
-path's prefix q (core.prefix_index_array):
+leaves v0, read off core's digit table, and Psi on all of them is built one
+level at a time from each path's prefix q (core.prefix_index_array):
 
     Psi^{t.l}(q.e) = Psi^t(q) c^{l, last q}_e,  valid iff t is valid on q and l < d_{last q}.
 
@@ -154,7 +154,7 @@ def _psi_levels(gw, k):
     for e, vecs in enumerate(gw.c):
         coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
     here, last, tuples = np.zeros(1, dtype=np.intp), np.array([gw.e0]), np.zeros((1, 0), int)
-    valid, psi, weights, steps = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1), []
+    valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
     for m in range(1, k + 1):   # here: the positions in W_m of the paths from v0
         above, here = here, np.flatnonzero(np.isin(core.first_digit_array(em, m), starts))
         parent = np.searchsorted(above, core.prefix_index_array(em, m, m - 1)[here])
@@ -171,12 +171,7 @@ def _psi_levels(gw, k):
         psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
         tuples = np.column_stack((tuples[tparent], level))
         weights, last = weights[parent] * gw.pd.p[edge], edge
-        steps.append((parent, edge))
-    paths, at = np.empty((len(last), k), dtype=np.intp), np.arange(len(last))
-    for m in range(k - 1, -1, -1):   # each path's edges, read back through its prefixes
-        parent, edge = steps[m]
-        paths[:, m], at = edge[at], parent[at]
-    return tuples, paths, valid, psi, weights
+    return tuples, core._digit_table(em, k)[here], valid, psi, weights
 
 
 def path_integrals(gw, k):

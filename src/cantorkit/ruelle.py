@@ -71,12 +71,6 @@ class PointwisePotential:
                                     % (w[bad[0]], float(value[bad[0]])))
         return w
 
-    def __call__(self, digits, value):
-        """W at one point named by its digits and value, through `values`."""
-        d = tuple(digits)[:2] + (0, 0)
-        return float(self.values(np.array([d[0]]), np.array([d[1]]),
-                                 np.array([float(value)]))[0])
-
 
 def constant_potential(c):
     c = float(c)

@@ -16,7 +16,6 @@ which validate_matrix takes as it is.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +40,6 @@ class SierpinskiSpec:
     pair_dimension: float
     similarity_dimension: float
     letter_map: tuple
-
-    @cached_property
-    def pair_index(self):
-        return {pair: t for t, pair in enumerate(self.letter_map)}
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ of an edge matrix, for the graph wavelets.
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
 `detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
 coefficient files, which fileio spells.  The level-K keys are a table in the
-matrix's memo: level K - 1's keys, then those with |a| = K - 2.  Every level
-up to the finest asked for is kept, each a tuple sharing its keys with the
-levels above; about 80 bytes per level-K key (3.7 MB for tri3 at K = 12).
+matrix's memo: level K - 1's keys, then those with |a| = K - 2, a read off
+core's digit table.  Every level up to the finest asked for is kept, each a
+tuple sharing its keys with the levels above; about 110 bytes per key.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -169,8 +169,8 @@ def _keys(matrix, K, below):
         return below or ()   # no key with |a| = K - 2, so no word of that level is listed
     d, letters = matrix.row_sums, matrix.successors + (range(matrix.n),)
     pairs = [[(l, r) for r in s for l in range(1, d[r])] for s in letters]
-    return below + tuple((a, l, r) for a in core.enumerate_words(matrix, K - 2)
-                         for l, r in pairs[a[-1] if a else -1])
+    words = map(tuple, core._digit_table(matrix, K - 2).tolist())
+    return below + tuple((a, l, r) for a in words for l, r in pairs[a[-1] if a else -1])
 
 
 def detail_keys(mw, K):

@@ -63,6 +63,14 @@ def compose_shift(f):
         f.matrix, k, core._frozen(f.coeffs[core.shift_index_array(f.matrix, k)]))
 
 
+def coeff(f, word):
+    """The value f takes on the cylinder of `word`, an admissible word of f's level."""
+    word = tuple(word)
+    if len(word) != f.level:
+        raise LevelOutOfRange("word %r is not of level %d" % (word, f.level))
+    return complex(f.coeffs[core.rank(f.matrix, word)])
+
+
 # --- the spectral measure on cylinder unions (operators) --------------------------
 
 
@@ -116,6 +124,13 @@ def harmonic_truncated(x, potential, matrix, kmax):
                                 for layer in ruelle.walk_layers(x, potential, matrix, kmax)[1:])
 
 
+def potential_at(potential, digits, value):
+    """W at one point named by its digits and value, through PointwisePotential.values."""
+    d = tuple(digits)[:2] + (0, 0)
+    return float(potential.values(np.array([d[0]]), np.array([d[1]]),
+                                  np.array([float(value)]))[0])
+
+
 # --- planar cells (sierpinski) ----------------------------------------------------
 
 
@@ -128,6 +143,11 @@ def sierpinski_cuntz_rep(spec):
     """
     d = spec.D
     return validate_matrix([[1] * d for _ in range(d)], strict=True)
+
+
+def pair_index(spec):
+    """Map each digit pair (i, j) of a planar fractal to its pair letter."""
+    return {pair: t for t, pair in enumerate(spec.letter_map)}
 
 
 # --- vertices and single paths (graphs) -------------------------------------------

@@ -114,6 +114,14 @@ def test_kms_outputs(capsys):
     assert float(d["ratio"]) == pytest.approx(float(d["radius"]), abs=1e-9)
 
 
+@pytest.mark.parametrize("extra", [["--a", "12", "--b", "10"], ["--a", "12"], ["--b", "10"]])
+def test_kms_letter_with_a_word_is_a_usage_error(extra, capsys):
+    # --letter would otherwise print the letter ratio and drop --a and --b unread
+    assert run(["kms", "--matrix", TRI3, "--letter", "1"] + extra) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "not both" in err
+
+
 def test_wavelet_pipeline(tmp_path, capsys):
     coeffs = tmp_path / "c.txt"
     resynth = tmp_path / "r.txt"

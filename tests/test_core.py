@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core, fileio, operators, ruelle, spectral, wavelets
+from cantorkit import core, fileio, graphs, operators, ruelle, spectral, wavelets
 from cantorkit.errors import (
     CapExceeded,
     DeadRow,
@@ -152,6 +152,27 @@ def test_rank_is_the_position_in_the_enumeration(full2, tri3, schottky4, strict5
         assert core.rank(strict12, fileio.parse_word(fileio.format_word(w, 12), 12)) == pos
 
 
+def test_digit_table_and_word_column_spell_the_enumeration(full2, tri3, schottky4, strict5,
+                                                           strict12):
+    rng = np.random.default_rng(11)   # eleven letters, so dotted words: 4,972 at level 6
+    rows = (rng.random((11, 11)) < 0.1) | np.eye(11, dtype=bool) | np.eye(11, k=1, dtype=bool)
+    rows[10, 0] = True   # the cycle 0 -> 1 -> ... -> 10 -> 0 makes it irreducible
+    for m in (full2, tri3, schottky4, strict5, strict12, core.validate_matrix(rows.tolist()),
+              _lax([[0, 1], [1, 0]]), _lax([[1]])):
+        for k in range(7):
+            words = core.enumerate_words(m, k)
+            table = core._digit_table(m, k)
+            assert table.dtype == np.uint8 and table.shape == (len(words), k)
+            assert list(map(tuple, table.tolist())) == list(words)
+            assert [core.rank(m, row) for row in table.tolist()] == list(range(len(words)))
+            assert fileio.word_column(m, k) == tuple(fileio.format_word(w, m.n) for w in words)
+    # past 256 letters the digits take two bytes
+    cycle = _lax([[int(j == (i + 1) % 257) for j in range(257)] for i in range(257)])
+    table = core._digit_table(cycle, 3)
+    assert table.dtype == np.uint16 and table[-1].tolist() == [256, 0, 1]
+    assert fileio.word_column(cycle, 3)[-1] == "256.0.1"
+
+
 def test_rank_refuses_inadmissible_words(tri3, strict12):
     for m, word in ((tri3, (0, 2)), (tri3, (2, 1, 0, 2)), (tri3, (3,)), (tri3, (-1, 0)),
                     (tri3, (1, 5)), (strict12, (12,)), (_lax([[0, 1], [1, 0]]), (0, 0))):
@@ -242,6 +263,12 @@ def test_tables_never_touch_word_tuples(monkeypatch):
     assert len(core.prepend_index_array(tri3, 12, 1)) == core.word_count(tri3, 12)
     assert len(core.value_array(tri3, 12)) == core.word_count(tri3, 12)
     assert len(core.suffix_index_array(tri3, 12, 6)) == core.word_count(tri3, 12)
+    # and no listing or spelling of words outside core builds them either
+    assert len(fileio.word_column(tri3, 12)) == core.word_count(tri3, 12)
+    assert len(fileio._key_column(tri3, 12)) == core.word_count(tri3, 12)
+    assert len(wavelets._keys(tri3, 12)) == core.word_count(tri3, 12) - tri3.n
+    loops = graphs.directed_graph(1, [(0, 0)] * 3)
+    assert graphs.path_integrals(graphs.build_graph_wavelets(loops, 0, 0), 4).n_paths == 81
 
 
 def test_table_levels_are_checked(tri3):
@@ -426,20 +453,20 @@ def test_indicator_and_refine(full2):
     g = core.refine(f, 4)
     assert g.level == 4
     for w in core.enumerate_words(full2, 4):
-        assert g.coeff(w) == (1.0 if w[:2] == (0, 1) else 0.0)
+        assert oracles.coeff(g, w) == (1.0 if w[:2] == (0, 1) else 0.0)
     with pytest.raises(LevelTooLow):
         core.refine(g, 2)
 
 
 def test_coeff_refuses_words_of_another_level_or_inadmissible(tri3):
     f = core.CylinderFunction.indicator(tri3, (1, 2))
-    assert [f.coeff(w) for w in core.enumerate_words(tri3, 2)] == [0, 0, 0, 0, 1, 0, 0]
+    assert [oracles.coeff(f, w) for w in core.enumerate_words(tri3, 2)] == [0, 0, 0, 0, 1, 0, 0]
     for word in ((0,), (0, 1, 1), ()):
         with pytest.raises(LevelOutOfRange):
-            f.coeff(word)
+            oracles.coeff(f, word)
     for word in ((0, 2), (5, 1), (2, 0)):
         with pytest.raises(InadmissibleWord):
-            f.coeff(word)
+            oracles.coeff(f, word)
 
 
 def test_indicator_of_a_deep_word_builds_no_word_table():
@@ -453,7 +480,7 @@ def test_indicator_of_a_deep_word_builds_no_word_table():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
-    assert f.coeff(word) == 1 and f.coeffs.sum() == 1
+    assert oracles.coeff(f, word) == 1 and f.coeffs.sum() == 1
 
 
 def test_arithmetic_refines_to_common_level(full2):
@@ -461,16 +488,16 @@ def test_arithmetic_refines_to_common_level(full2):
     g = core.CylinderFunction.indicator(full2, (1, 0))
     h = f + g * 2.0
     assert h.level == 2
-    assert h.coeff((0, 1)) == 1.0
-    assert h.coeff((1, 0)) == 2.0
+    assert oracles.coeff(h, (0, 1)) == 1.0
+    assert oracles.coeff(h, (1, 0)) == 2.0
 
 
 def test_multiply_is_pointwise(full2):
     f = core.CylinderFunction.indicator(full2, (0,))
     g = core.CylinderFunction.indicator(full2, (0, 1))
     h = oracles.multiply(f, g)
-    assert h.coeff((0, 1)) == 1.0
-    assert h.coeff((0, 0)) == 0.0
+    assert oracles.coeff(h, (0, 1)) == 1.0
+    assert oracles.coeff(h, (0, 0)) == 0.0
 
 
 def test_compose_shift(tri3):
@@ -478,7 +505,7 @@ def test_compose_shift(tri3):
     g = oracles.compose_shift(f)  # g(x) = f(sigma x), one level finer
     assert g.level == 2
     for w in core.enumerate_words(tri3, 2):
-        assert g.coeff(w) == (1.0 if w[1] == 2 else 0.0)
+        assert oracles.coeff(g, w) == (1.0 if w[1] == 2 else 0.0)
 
 
 def test_coeffs_are_immutable(full2, full2_pd):

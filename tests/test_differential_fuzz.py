@@ -12,7 +12,9 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
 - the walk layers against `ruelle.walk_measure` and the per-word loop;
 - the psi table of `graphs.path_integrals` against `oracles.paths_from` and
   `oracles.psi_path`, and the graph coefficient vectors against the line
-  construction's on the same edge matrix.
+  construction's on the same edge matrix;
+- core's digit table, `fileio.word_column` and `core.rank` against the word
+  tuples of `core.enumerate_words`.
 
 `hypothesis.event` names each example's input class.
 """
@@ -22,7 +24,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cantorkit import core, graphs, operators, ruelle, spectral, wavelets
+from cantorkit import core, fileio, graphs, operators, ruelle, spectral, wavelets
 from test_graphs import valid_level_tuples
 from test_operators import batched_s, batched_sstar, reference_pf
 from test_ruelle import (
@@ -34,6 +36,7 @@ from test_ruelle import (
 
 MAX_WALK_WORDS = 300    # the per-word references run one scalar call per word
 MAX_PSI_ENTRIES = 1500  # and one psi_path call per (tuple, path) entry
+MAX_RANKED = 200        # words ranked per example, evenly spaced, one scalar rank each
 
 
 @st.composite
@@ -81,6 +84,16 @@ def test_generators_and_preimage_sums_match_their_loops(m, K, seed):
     applied = ruelle.ruelle_apply(w_fn, f, pd)
     assert applied.coeffs.tobytes() == reference_ruelle_apply(w_fn, f, pd).tobytes()
     assert ruelle.keane_residual(w_fn, pd) == reference_keane_residual(w_fn, pd)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(irreducible_matrices(), st.integers(0, 6))
+def test_digit_table_and_word_column_match_the_word_tuples(m, K):
+    words = core.enumerate_words(m, K)
+    assert list(map(tuple, core._digit_table(m, K).tolist())) == list(words)
+    assert fileio.word_column(m, K) == tuple(fileio.format_word(w, m.n) for w in words)
+    step = -(-len(words) // MAX_RANKED)
+    assert [core.rank(m, w) for w in words[::step]] == list(range(0, len(words), step))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

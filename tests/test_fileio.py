@@ -362,7 +362,7 @@ def test_signal_words_in_other_spellings(tri3):
 
 def test_dotted_signal_counts_its_levels_once(monkeypatch):
     # tri3 level 10 in dotted words: every one of the 8,119 tokens misses the canonical
-    # column and is ranked, from level counts made once per parse, not once per token
+    # column and is found there again as format_word spells it, with no level counted
     tri3 = core.validate_matrix(TRI3)
     f = random_signal(tri3, 10, seed=10)
     text = fileio.format_signal(f)   # the tables are warm from here on
@@ -373,6 +373,16 @@ def test_dotted_signal_counts_its_levels_once(monkeypatch):
     g = fileio.parse_signal(dotted, tri3)
     assert g.coeffs.tobytes() == f.coeffs.tobytes()
     assert len(steps) <= 10
+
+
+def test_word_column_is_kept_in_the_memo():
+    tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
+    misses = fileio.word_column.cache_info().misses
+    column = fileio.word_column(tri3, 9)
+    assert fileio.word_column(tri3, 9) is column and isinstance(column, tuple)
+    text = fileio.format_signal(random_signal(tri3, 9, seed=3))
+    assert fileio.parse_signal(text, tri3).level == 9
+    assert fileio.word_column.cache_info().misses == misses + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,14 @@ function in the package (a CLI verb included), a benchmark workload
 a docstring, a comment or an import line is not a use, and nor is a use inside
 the name's own definition.  A reference form that only the unit tests need
 belongs in `tests/oracles.py`.
+
+A public method or property of a public class counts as used when an attribute
+of its name is read in the package outside its own definition, or in one of
+the benchmark and acceptance files above.
 """
 
 import ast
+import collections
 import functools
 import importlib
 import os
@@ -45,6 +50,22 @@ def definitions():
             for mod in MODULES for node in _tree("src", "cantorkit", mod + ".py").body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def members():
+    """(module, class, definition) for every public method and property of a public class."""
+    return [(mod, cls.name, node)
+            for mod in MODULES for cls in _tree("src", "cantorkit", mod + ".py").body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _reads(tree):
+    """How often each attribute name is read in a syntax tree."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Load))
 
 
 def _tail(node):
@@ -113,6 +134,19 @@ def test_every_export_has_a_caller():
     assert orphans == [], "public with no caller in src, perfbench or the acceptance checks"
 
 
+def test_every_public_member_is_read():
+    src = sum((_reads(_tree("src", "cantorkit", mod + ".py")) for mod in MODULES),
+              collections.Counter())
+    outside = sum((_reads(_tree(*parts)) for parts in OUTSIDE), collections.Counter())
+    found = members()
+    # predecessors is walked, and counts as read: col_sums reads it
+    assert ("core", "AdmissibilityMatrix", "predecessors") in [
+        (mod, cls, node.name) for mod, cls, node in found]
+    unread = ["%s.%s.%s" % (mod, cls, node.name) for mod, cls, node in found
+              if src[node.name] <= _reads(node)[node.name] and not outside[node.name]]
+    assert unread == [], "public members read by no one but the unit tests"
+
+
 def test_exports_are_their_modules_objects():
     import cantorkit
     for module, name in exports():
@@ -126,8 +160,8 @@ def test_exports_are_their_modules_objects():
 
 
 def test_the_rule_sees_uses_and_nothing_else():
-    # rank: called by CylinderFunction.indicator and .coeff, and by fileio's parser
-    assert callers("core", "rank") == ["src/cantorkit/core.py", "src/cantorkit/fileio.py"]
+    # rank: called by CylinderFunction.indicator alone
+    assert callers("core", "rank") == ["src/cantorkit/core.py"]
     # wavelet: called by basis_function alone
     assert callers("wavelets", "wavelet") == ["src/cantorkit/wavelets.py"]
     # fourier_approx: reached through `ops = self.ck.operators` in a workload; it calls

@@ -57,7 +57,7 @@ def test_negative_potential_rejected():
     # evaluators are only checkable pointwise, at call time
     pot = ruelle.PointwisePotential(evaluator=lambda first, second, value: -1.0)
     with pytest.raises(NegativePotential):
-        pot((0,), 0.0)
+        oracles.potential_at(pot, (0,), 0.0)
 
 
 def test_trig_potential_keane_full_shift(full2_pd):
@@ -87,11 +87,12 @@ def test_trig_potential_fails_keane_on_schottky(schottky4_pd):
 def test_trig_potential_values(full2_pd):
     _, pointwise = ruelle.trig_potential(full2_pd, 2)
     # n1 = 2 everywhere on the full shift; W(y) = (1 - cos(2 pi y)) / 2
-    assert pointwise((0, 0), 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert pointwise((1, 0), 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert pointwise((0, 1), 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert oracles.potential_at(pointwise, (0, 0), 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.potential_at(pointwise, (1, 0), 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert oracles.potential_at(pointwise, (0, 1), 0.25) == pytest.approx(0.5, abs=1e-15)
     # the two preimages of x = 0 then sum to exactly 1
-    assert (pointwise((0,), 0.0) + pointwise((1,), 0.5)) == pytest.approx(1.0)
+    assert (oracles.potential_at(pointwise, (0,), 0.0)
+            + oracles.potential_at(pointwise, (1,), 0.5)) == pytest.approx(1.0)
 
 
 def test_trig_cylinder_matches_pointwise_samples(full2_pd, tri3_pd, schottky4_pd,
@@ -101,7 +102,7 @@ def test_trig_cylinder_matches_pointwise_samples(full2_pd, tri3_pd, schottky4_pd
             cyl, pointwise = ruelle.trig_potential(pd, k)
             assert cyl.level == k
             samples = np.array(
-                [pointwise(a, core.nadic_value(a, pd.matrix.n).value)
+                [oracles.potential_at(pointwise, a, core.nadic_value(a, pd.matrix.n).value)
                  for a in core.enumerate_words(pd.matrix, k)], dtype=np.complex128)
             assert cyl.coeffs.tobytes() == samples.tobytes()
 
@@ -272,7 +273,8 @@ def test_harmonic_layer_recursion(tri3_pd):
     total = 0.0
     for j in m.predecessors[x.word[0]]:
         y = core.Point((j,) + x.word, (x.value + j) / m.n)
-        total += pot(y.word, y.value) * ruelle.walk_layer_mass(y, pot, m, k - 1)
+        total += (oracles.potential_at(pot, y.word, y.value)
+                  * ruelle.walk_layer_mass(y, pot, m, k - 1))
     assert total == pytest.approx(direct, abs=1e-12)
 
 
@@ -288,7 +290,7 @@ def reference_preimage_keane_residual(potential, pd, level):
         v = core.nadic_value(a, mat.n).value
         s = 0.0
         for j in mat.predecessors[a[0]]:
-            s += potential((j,) + a, (v + j) / mat.n)
+            s += oracles.potential_at(potential, (j,) + a, (v + j) / mat.n)
         worst = max(worst, abs(s - 1.0))
     return worst
 
@@ -304,7 +306,7 @@ def reference_walk_layer(x, potential, matrix, k):
         for d in a:
             digits = (d,) + digits
             v = (v + d) / matrix.n
-            prod *= potential(digits, v)
+            prod *= oracles.potential_at(potential, digits, v)
         out.append(prod)
     return out
 
@@ -401,7 +403,7 @@ def test_potentials_refuse_non_finite_values(tri3_pd):
         with pytest.raises(NegativePotential):
             ruelle.preimage_keane_residual(pot, tri3_pd, 2)
         with pytest.raises(NegativePotential):
-            pot((1, 2), 0.5)
+            oracles.potential_at(pot, (1, 2), 0.5)
     # a scalar result is broadcast to one value per point
     flat = ruelle.PointwisePotential(lambda first, second, value: 0.5)
     assert ruelle.preimage_keane_residual(flat, tri3_pd, 3) == 0.5
@@ -417,9 +419,9 @@ def test_scalar_call_reads_two_digits(full2_pd):
         return np.ones(len(value))
 
     pot = ruelle.PointwisePotential(record)
-    assert pot((1, 0, 1), 0.625) == 1.0
-    assert pot((1,), 0.5) == 1.0
-    assert pot((), 0.0) == 1.0
+    assert oracles.potential_at(pot, (1, 0, 1), 0.625) == 1.0
+    assert oracles.potential_at(pot, (1,), 0.5) == 1.0
+    assert oracles.potential_at(pot, (), 0.0) == 1.0
     assert seen == [([1], [0], [0.625]), ([1], [0], [0.5]), ([0], [0], [0.0])]
 
 

@@ -25,7 +25,7 @@ def test_letter_map_row_major(tri3):
     spec = sierpinski.sierpinski_spec(tri3)
     assert spec.letter_map == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
                                (2, 1), (2, 2))
-    assert spec.pair_index[(1, 2)] == 4
+    assert oracles.pair_index(spec)[(1, 2)] == 4
 
 
 def test_cell_counts_and_validity(tri3):

@@ -182,9 +182,9 @@ def cmd_kms(args, matrix, pd):
         raise UsageError("kms needs either --letter or both --a and --b")
     a = _parse_cli_word(args.a, matrix)
     b = _parse_cli_word(args.b, matrix)
-    sv = operators.kms_state(a, b, pd)
-    _kv("value_re", _fmt(sv.value.real))
-    _kv("value_im", _fmt(sv.value.imag))
+    value = operators.kms_state(a, b, pd)
+    _kv("value_re", _fmt(value.real))
+    _kv("value_im", _fmt(value.imag))
 
 
 def cmd_wavelets_build(args, matrix, pd):
@@ -276,9 +276,9 @@ def cmd_sierpinski_info(args, matrix, pd):
 def cmd_sierpinski_cells(args, matrix, pd):
     from . import sierpinski
     spec = sierpinski.sierpinski_spec(matrix)
-    for cell in sierpinski.cells(spec, args.depth):
-        print("%s %s" % (fileio.format_word(cell.xword, matrix.n),
-                         fileio.format_word(cell.yword, matrix.n)))
+    cells = sierpinski.cells(spec, args.depth)
+    xs, ys = (fileio.format_words(cells[:, axis], matrix.n) for axis in (0, 1))
+    print("\n".join(map(" ".join, zip(xs, ys))))
 
 
 def cmd_sierpinski_render(args, matrix, pd):

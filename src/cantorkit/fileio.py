@@ -21,22 +21,23 @@ word syntax:   digits concatenated ("0121") when N <= 10; dot-separated
 PGM:           P2 with header "P2\\nW H\\n255", one raster row per line.
 
 Signal and coefficient files are written from arrays, each value through
-repr().  A level's word column is a table in the matrix's memo, spelled from
-core's digit table, about 70 bytes per word.  The level-K key column is one
-too: that of K - 1, then the keys with |a| = K - 2 from the word column of
-K - 2; each level up to the finest asked for is kept, with the word columns
-it read, at about 100 bytes per level-K key.  Reading tries three ways,
-cheapest first.  A file with exactly one data line per word or key has each
-line split once: if its keys are the canonical column in the order written,
-the values are taken in turn; if they spell that column in another order,
-each line is placed through a key -> slot map.  Any other file (other
-spellings, extra whitespace inside a key, repeated or stray keys, a sparse
-coefficient file) goes through the per-line parser, which accepts lines in
-any order and names the line at fault; it finds a signal word in the
-canonical column as written, or else as format_word spells the digits it
-parses to, and a word found neither way is not admissible.  Values
-are read with float(); nan, inf and overflowing values such as 1e400 are
-refused.
+repr().  format_words spells the rows of a digit array, such as the words of a
+level or the x- and y-words of the planar cells: a level's word column is a
+table in the matrix's memo, format_words of core's digit table, about 70 bytes
+per word.  The level-K key column is one too: that of K - 1, then the keys
+with |a| = K - 2 from the word column of K - 2; each level up to the finest
+asked for is kept, with the word columns it read, at about 100 bytes per
+level-K key.  Reading tries three ways, cheapest first.  A file with exactly
+one data line per word or key has each line split once: if its keys are the
+canonical column in the order written, the values are taken in turn; if they
+spell that column in another order, each line is placed through a key -> slot
+map.  Any other file (other spellings, extra whitespace inside a key, repeated
+or stray keys, a sparse coefficient file) goes through the per-line parser,
+which accepts lines in any order and names the line at fault; it finds a
+signal word in the canonical column as written, or else as format_word spells
+the digits it parses to, and a word found neither way is not admissible.
+Values are read with float(); nan, inf and overflowing values such as 1e400
+are refused.
 """
 
 import math
@@ -95,6 +96,21 @@ def parse_word(s, n):
     return digits
 
 
+def format_words(digits, n):
+    """format_word of each row of a 2-d array of digits below n, as a tuple: the rows
+    as glyphs (separator, letter padded), padding dropped."""
+    if not digits.shape[1]:
+        return ("-",) * len(digits)
+    sep, width = b"" if n <= 10 else b".", len(str(n - 1))
+    glyphs = np.array([list(b"%s%*d" % (sep, width, d)) for d in range(n)], np.uint8)
+    rows = np.take(glyphs, digits, axis=0).reshape(-1, digits.shape[1] * len(glyphs[0]))
+    rows[:, :len(sep)] = ord(" ")   # no separator before the first letter
+    ends = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+    text = np.hstack((rows, ends)).tobytes().translate(None, b" ").decode()
+    del rows   # freed before the strings are made
+    return tuple(text.split())
+
+
 # --- matrix ---------------------------------------------------------------------
 
 
@@ -128,18 +144,8 @@ def parse_matrix_rows(text):
 
 @core._table()
 def word_column(matrix, k):
-    """format_word of every level-k word, lexicographic, kept in the matrix's memo: the
-    rows of core's digit table as glyphs (separator, letter padded), padding dropped."""
-    if k == 0:
-        return ("-",)
-    sep, width = b"" if matrix.n <= 10 else b".", len(str(matrix.n - 1))
-    glyphs = np.array([list(b"%s%*d" % (sep, width, d)) for d in range(matrix.n)], np.uint8)
-    rows = np.take(glyphs, core._digit_table(matrix, k), axis=0).reshape(-1, k * len(glyphs[0]))
-    rows[:, :len(sep)] = ord(" ")   # no separator before the first letter
-    ends = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
-    text = np.hstack((rows, ends)).tobytes().translate(None, b" ").decode()
-    del rows   # freed before the strings are made
-    return tuple(text.split())
+    """format_words of core's level-k digit table, kept in the matrix's memo."""
+    return format_words(core._digit_table(matrix, k), matrix.n)
 
 
 def _value_lines(head, column, values):

@@ -19,14 +19,17 @@ edges with a single successor contribute no levels at all.  Zero-mean and
 Gram-orthonormality are path-space statements — sums over edge tuples
 weighted by p_{e_1}...p_{e_k} — and path_integrals measures them directly.
 
-The length-k paths from v0 are the level-k edge-shift words whose first edge
-leaves v0, read off core's digit table, and Psi on all of them is built one
-level at a time from each path's prefix q (core.prefix_index_array):
+The length-k paths from v0 grow from e0 one edge at a time: each path of
+length m - 1 is followed by the edge-shift successors of its last edge, in
+order (at m = 1 those of e0, the edges leaving v0), so they come out
+lexicographic and no table of a whole edge-shift level is built.  Psi on all
+of them grows alongside, from each path's prefix q:
 
     Psi^{t.l}(q.e) = Psi^t(q) c^{l, last q}_e,  valid iff t is valid on q and l < d_{last q}.
 
 Depth m costs O(paths x tuples) time and memory (the Gram matrix: tuples^2),
-which core.budget counts before allocating; the Gram sums take O(tuples^2 x paths).
+which core.budget counts before allocating, and counts the paths alone where
+no tuple is left; the Gram sums take O(tuples^2 x paths).
 path_integrals returns that whole table, paths and level tuples included, with
 the two residuals; Psi on one path is read off it, with no scalar evaluator here.
 """
@@ -149,29 +152,31 @@ def _psi_levels(gw, k):
     psi 0 where invalid) and the path weights at depth k, built one edge per level."""
     if k < 1:
         raise LevelOutOfRange("depth must be >= 1")
-    em, d, starts = gw.pd.matrix, np.array(gw.d), gw.graph.out_edges[gw.v0]
+    d = np.array(gw.d)
     coef = np.zeros((len(d), max(d.max() - 1, 1), len(d)))   # coef[e, l - 1] = c^{l,e}
     for e, vecs in enumerate(gw.c):
         coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
-    here, last, tuples = np.zeros(1, dtype=np.intp), np.array([gw.e0]), np.zeros((1, 0), int)
+    succ = gw.pd.matrix.array.astype(bool)   # succ[e]: the edges that may follow e
+    paths, tuples, last = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), int), np.array([gw.e0])
     valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
-    for m in range(1, k + 1):   # here: the positions in W_m of the paths from v0
-        above, here = here, np.flatnonzero(np.isin(core.first_digit_array(em, m), starts))
-        parent = np.searchsorted(above, core.prefix_index_array(em, m, m - 1)[here])
-        edge, prev = core.last_digit_array(em, m)[here], last[parent]
+    for _ in range(k):   # each path grows by the successors of its last edge, in order
         # t.l is valid below the paths q on which t is valid, for l < d[last q]
         top = np.max(np.where(valid, d[last] - 1, 0), axis=1)
         tparent = np.repeat(np.arange(len(top)), top)
         level = np.arange(1, len(tparent) + 1) - np.repeat(np.cumsum(top) - top, top)
-        # psi's entries, or the Gram matrix's where the tuples outnumber the paths
-        core._check_budget(lambda cap: len(tparent) * max(len(here), len(tparent)),
+        # psi's entries, the Gram matrix's where the tuples outnumber the paths, or with no
+        # tuples the paths
+        core._check_budget(lambda cap: max(len(tparent), 1) * max(d[last].sum(), len(tparent)),
                            "paths of length %d are over the cap of %d", k)
+        parent, edge = np.nonzero(succ[last])   # through a paths x E mask, a byte each
+        prev = last[parent]
         pairs = np.ix_(tparent, parent)
         valid = valid[pairs] & (level[:, None] < d[prev])
         psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
         tuples = np.column_stack((tuples[tparent], level))
+        paths = np.column_stack((paths[parent], edge))
         weights, last = weights[parent] * gw.pd.p[edge], edge
-    return tuples, core._digit_table(em, k)[here], valid, psi, weights
+    return tuples, paths, valid, psi, weights
 
 
 def path_integrals(gw, k):

@@ -30,7 +30,6 @@ two exp tables of about sqrt(|W_k|) entries, on the two halves of a word.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,22 +191,14 @@ def pf_fixed_point(pd):
     return CylinderFunction(pd.matrix, 1, core._frozen(pd.omega.astype(np.complex128)))
 
 
-@dataclass(frozen=True)
-class StateValue:
-    """The canonical state evaluated on a monomial S_a S_b*."""
-
-    a: tuple
-    b: tuple
-    value: complex
-
-
 def kms_state(a, b, pd):
-    """phi(S_a S_b*): zero unless a = b, in which case the cylinder mass of a."""
+    """phi(S_a S_b*), a complex number: zero unless a = b, in which case the cylinder
+    mass of a."""
     a = core.check_word(pd.matrix, a)
     b = core.check_word(pd.matrix, b)
     if a != b:
-        return StateValue(a=a, b=b, value=0j)
-    return StateValue(a=a, b=b, value=complex(spectral.cylinder_measure(pd, a)))
+        return 0j
+    return complex(spectral.cylinder_measure(pd, a))
 
 
 def kms_letter_ratio(i, pd):
@@ -217,9 +208,8 @@ def kms_letter_ratio(i, pd):
     sum_j A[i,j] phi(S_j S_j*) = sum_j A[i,j] p_j = (A p)_i.
     """
     _check_digit(i, pd)
-    num = sum(kms_state((j,), (j,), pd).value.real
-              for j in pd.matrix.successors[i])
-    den = kms_state((i,), (i,), pd).value.real
+    num = sum(kms_state((j,), (j,), pd).real for j in pd.matrix.successors[i])
+    den = kms_state((i,), (i,), pd).real
     return num / den
 
 

@@ -10,10 +10,12 @@ pair-digit shift: its D x D induced matrix over the letter pairs, and the
 embedding w -> (w, shift w) of the line Cantor set into the planar one.
 Because every pair letter can follow every other in the plane, the natural
 operator system on the fractal is the full D-shift: the all-ones D x D matrix,
-which validate_matrix takes as it is.
+which validate_matrix takes as it is.  The depth-k cells are its level-k
+words: core's digit table of that matrix, read through letter_map into an
+x-word and a y-word per cell.  A cell is any (xword, yword) pair of equal
+length, such as a row of that array or a pair of tuples.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,14 +44,6 @@ class SierpinskiSpec:
     letter_map: tuple
 
 
-@dataclass(frozen=True)
-class SierpinskiCell:
-    """A depth-k subsquare, named by its x- and y-digit words (equal length)."""
-
-    xword: tuple
-    yword: tuple
-
-
 def sierpinski_spec(matrix):
     n = matrix.n
     pairs = tuple((i, j) for i in range(n) for j in range(n)
@@ -66,29 +60,28 @@ def sierpinski_spec(matrix):
 
 
 def cells(spec, depth):
-    """All depth-k cells, ordered lexicographically by pair-letter indices.
+    """All depth-k cells, ordered lexicographically by pair-letter indices: an integer
+    array of shape (D^depth, 2, depth) whose row j holds the x-word and y-word of cell j.
 
     Across positions the pair letters are unconstrained (the planar
-    subdivision has no memory), so there are exactly D^depth cells.
+    subdivision has no memory), so the cells are the level-k words of the full
+    D-shift and there are exactly D^depth of them.
     """
     if depth < 1:
         raise WordTooShort("depth must be >= 1")
     # D^depth, taken no deeper than cap.bit_length(), where any D >= 2 passes the cap
     core._check_budget(lambda cap: spec.D ** min(depth, cap.bit_length()),
                        "depth %d is over the cap of %d cells", depth)
-    out = []
-    for combo in itertools.product(spec.letter_map, repeat=depth):
-        out.append(SierpinskiCell(
-            xword=tuple(p[0] for p in combo),
-            yword=tuple(p[1] for p in combo)))
-    return out
+    full = validate_matrix([[1] * spec.D] * spec.D, strict=False)
+    words = core._digit_table(full, depth)   # pair letters, a row per cell
+    return np.transpose(np.asarray(spec.letter_map)[words], (0, 2, 1))
 
 
 def cell_is_valid(spec, cell):
-    """The membership test: A[x_m, y_m] = 1 at every position."""
-    return (len(cell.xword) == len(cell.yword)
-            and all(spec.matrix.rows[i][j]
-                    for i, j in zip(cell.xword, cell.yword)))
+    """The membership test of an (xword, yword) pair: A[x_m, y_m] = 1 at every position."""
+    xword, yword = cell
+    return (len(xword) == len(yword)
+            and all(spec.matrix.rows[i][j] for i, j in zip(xword, yword)))
 
 
 def induced_matrix(spec):
@@ -113,7 +106,7 @@ def embed_xi(word):
     word = tuple(word)
     if len(word) < 2:
         raise WordTooShort("embedding needs a word of length >= 2")
-    return SierpinskiCell(xword=word[:-1], yword=word[1:])
+    return word[:-1], word[1:]
 
 
 def render_pgm(spec, depth, resolution):

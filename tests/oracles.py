@@ -7,6 +7,7 @@ keep their own behaviour pinned.  The code is as the package had it, with the
 package's names reached through its modules.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -143,6 +144,13 @@ def sierpinski_cuntz_rep(spec):
     """
     d = spec.D
     return validate_matrix([[1] * d for _ in range(d)], strict=True)
+
+
+def sierpinski_cells(spec, depth):
+    """The depth-k cells as (xword, yword) pairs of tuples, lexicographic by pair letter:
+    the product enumeration sierpinski.cells ran before cells were full-shift words."""
+    return [(tuple(p[0] for p in combo), tuple(p[1] for p in combo))
+            for combo in itertools.product(spec.letter_map, repeat=depth)]
 
 
 def pair_index(spec):

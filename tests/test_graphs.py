@@ -14,6 +14,7 @@ from cantorkit.errors import (
     NotComposable,
     SinkFound,
 )
+from conftest import tables_in
 import oracles
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -366,3 +367,22 @@ def test_vertex_projection_relation():
 
     pd = graphs.graph_perron(complete2_graph())
     assert operators.ck_relations_residual(pd, 3) <= 1e-11
+
+
+def test_paths_grow_from_the_base_edge_with_no_word_table():
+    # graph3 from v0 = 1: 55 of the 89 level-8 edge-shift words leave v0, and the paths
+    # are grown from e0 alone, so the edge matrix's memo gains no table
+    gw = graphs.build_graph_wavelets(input_graph("graph3.txt"), 1, 0)
+    rep = graphs.path_integrals(gw, 8)
+    assert tables_in(gw.pd.matrix._memo) == set()
+    assert rep.n_paths == 55 and rep.paths.dtype == np.intp
+    assert rep.max_mean_residual <= 1e-15
+    assert rep.max_gram_residual == pytest.approx(0.9988137587103578, rel=1e-12)   # xfailed law
+    paths = oracles.paths_from(gw, 8)
+    assert [tuple(pth) for pth in rep.paths.tolist()] == paths
+    tuples = [tuple(t) for t in rep.tuples.tolist()]
+    for j, pth in enumerate(paths):
+        on_path = valid_level_tuples(gw, pth)
+        assert rep.valid[:, j].tolist() == [t in on_path for t in tuples]
+        assert rep.psi[:, j].tolist() == [oracles.psi_path(gw, pth, t).real if t in on_path
+                                          else 0.0 for t in tuples]

@@ -267,10 +267,10 @@ def test_pf_adjoint_identity(tri3_pd):
 
 
 def test_kms_state_values(tri3_pd):
-    sv = operators.kms_state((1, 2), (1, 2), tri3_pd)
-    assert sv.value.real == pytest.approx(
+    value = operators.kms_state((1, 2), (1, 2), tri3_pd)
+    assert value.real == pytest.approx(
         spectral.cylinder_measure(tri3_pd, (1, 2)), abs=1e-12)
-    assert operators.kms_state((1, 2), (1, 0), tri3_pd).value == 0j
+    assert operators.kms_state((1, 2), (1, 0), tri3_pd) == 0j
 
 
 def test_kms_ratio_is_radius(full2_pd, tri3_pd, schottky4_pd):

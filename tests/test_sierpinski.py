@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cantorkit import core, operators, sierpinski, spectral
+from cantorkit import cli, core, fileio, operators, sierpinski, spectral
 from cantorkit.errors import CapExceeded, WordTooShort
 import oracles
 
@@ -34,7 +34,27 @@ def test_cell_counts_and_validity(tri3):
         cs = sierpinski.cells(spec, depth)
         assert len(cs) == spec.D ** depth
         assert all(sierpinski.cell_is_valid(spec, c) for c in cs)
-        assert len({(c.xword, c.yword) for c in cs}) == len(cs)
+        assert len({(tuple(x), tuple(y)) for x, y in cs}) == len(cs)
+
+
+def test_cells_are_the_product_enumeration(full2, tri3, schottky4, strict12, tmp_path, capsys):
+    # the digit-table cells, and the verb's two spelled columns, against the tuple loop;
+    # strict12 (D = 57) spells its words with dots
+    cycle = core.validate_matrix([[0, 1], [1, 0]], strict=False)
+    path = tmp_path / "m.txt"
+    for m, deepest in ((cycle, 4), (full2, 4), (tri3, 4), (schottky4, 4), (strict12, 2)):
+        spec = sierpinski.sierpinski_spec(m)
+        path.write_text(fileio.format_matrix(m))
+        for depth in range(1, deepest + 1):
+            expect = oracles.sierpinski_cells(spec, depth)
+            cs = sierpinski.cells(spec, depth)
+            assert cs.shape == (spec.D ** depth, 2, depth)
+            assert [(tuple(x), tuple(y)) for x, y in cs.tolist()] == expect
+            assert cli.run(["sierpinski", "cells", "--matrix", str(path), "--lax",
+                            "--depth", str(depth)]) == 0
+            assert capsys.readouterr().out == "".join(
+                "%s %s\n" % (fileio.format_word(x, m.n), fileio.format_word(y, m.n))
+                for x, y in expect)
 
 
 def test_cells_cap_and_depth_check(schottky4):
@@ -47,10 +67,8 @@ def test_cells_cap_and_depth_check(schottky4):
 
 def test_cell_is_valid_rejects(tri3):
     spec = sierpinski.sierpinski_spec(tri3)
-    assert not sierpinski.cell_is_valid(
-        spec, sierpinski.SierpinskiCell((0,), (2,)))
-    assert not sierpinski.cell_is_valid(
-        spec, sierpinski.SierpinskiCell((0, 1), (1,)))
+    assert not sierpinski.cell_is_valid(spec, ((0,), (2,)))
+    assert not sierpinski.cell_is_valid(spec, ((0, 1), (1,)))
 
 
 def test_induced_matrix_row_sums(tri3, schottky4):

@@ -17,16 +17,17 @@ level counts carry on from the highest level counted, never from level 1.
 `rank` reads one word's position off level counts it carries itself, adding
 nothing to the memo; `_digit_table` lists a level's words as rows of digits.
 
-The index arrays (first and last digits, shift, prefix, suffix and prepend
-positions, N-adic values) are built level by level from the arrays of the
-level below, with numpy gathers over the lexicographic block structure of
-W_k: the words starting with digit i are the words of W_{k-1} starting with a
-successor of i, in order.  Building the level-k tables costs O(|W_k|) time
-and memory and never touches the word tuples of `enumerate_words`, which stay
-the public tuple API.  That block structure is `branch_runs`: a few
-contiguous runs of W_{k-1} per digit.  The shift and prepend arrays are built
-from it, and S_i, S_i* and the preimage sum are slice copies over it, with no
-index array at all.
+The index arrays (first and last digits, shift, prefix and prepend positions,
+N-adic values) are built level by level from the arrays of the level below,
+with numpy gathers over the lexicographic block structure of W_k: the words
+starting with digit i are the words of W_{k-1} starting with a successor of
+i, in order.  Building the level-k tables costs O(|W_k|) time and memory and
+never touches the word tuples of `enumerate_words`, which stay the public
+tuple API.  That block structure is `branch_runs`: a few contiguous runs of
+W_{k-1} per digit.  The shift and prepend arrays are built from it, and S_i,
+S_i* and the preimage sum are slice copies over it, with no index array at
+all.  `split_layout` cuts each word into a prefix and a suffix half and
+groups W_k by the prefix's last letter, for the Fourier sweep.
 
 `with core.budget(cap):` makes any table of more than `cap` words raise
 CapExceeded: each table builder checks its level on every call, hit or miss,
@@ -409,15 +410,30 @@ def shift_index_array(matrix, k):
 
 
 @_table()
-def suffix_index_array(matrix, k, k0):
-    """For each level-k word w, the position of its level-k0 suffix sigma^(k-k0) w in W_k0."""
-    check_level(k0)
-    if k0 > k:
-        raise LevelOutOfRange("level %d has no level-%d suffixes" % (k, k0))
-    idx = np.arange(word_count(matrix, k0), dtype=np.intp)
-    for j in range(k0 + 1, k + 1):   # the level-j suffixes, one gather of |W_j| each
-        idx = idx[shift_index_array(matrix, j)]
-    return _frozen(idx)
+def split_layout(matrix, k):
+    """The level-k words a = p.s, |s| = k // 2, grouped by the last letter j of p.
+
+    The words after a prefix ending in j are one run of W_k, c_j long: p.s for the
+    shifts s of the block of W_{k//2+1} that starts with j, in order.  Returns the
+    positions in W_k letter by letter, prefix by prefix; the values x(p) in that
+    grouping, then N^-|p| x(s) block by block; the number of prefixes; and per letter
+    with prefixes the slices (of the positions, of the prefixes, of the values x(s))
+    and the shape (n_j, c_j) of its block of positions.
+    """
+    k0, ks = k - k // 2, k // 2   # the empty prefix of W_0 counts as ending in 0
+    last = last_digit_array(matrix, k0) if k0 else np.zeros(1, dtype=np.intp)
+    c = np.array(_first_digit_counts(matrix, ks + 1)[0], dtype=np.intp)
+    rows = np.argsort(last, kind="stable")   # the prefixes, letter by letter
+    run, n, p = c[last[rows]], np.bincount(last, minlength=matrix.n), len(last)
+    # each prefix's first position in W_k, less the place its run takes in the grouping
+    starts = (np.cumsum(c[last]) - c[last])[rows] - (np.cumsum(run) - run)
+    order = np.repeat(starts, run) + np.arange(run.sum())
+    ends = [np.cumsum(v).tolist() for v in (n * c, n, c)]
+    letters = tuple((slice(m - a * b, m), slice(r - a, r), slice(p + s - b, p + s), (a, b))
+                    for a, b, m, r, s in zip(n.tolist(), c.tolist(), *ends) if a)
+    xs = value_array(matrix, ks)[shift_index_array(matrix, ks + 1)] * float(matrix.n) ** -k0
+    x = np.concatenate((value_array(matrix, k0)[rows], xs))
+    return _frozen(order), _frozen(x), p, letters
 
 
 @_table(above=1)

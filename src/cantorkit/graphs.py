@@ -157,7 +157,7 @@ def _psi_levels(gw, k):
     for e, vecs in enumerate(gw.c):
         coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
     succ = gw.pd.matrix.array.astype(bool)   # succ[e]: the edges that may follow e
-    paths, tuples, last = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), int), np.array([gw.e0])
+    last, steps = np.array([gw.e0]), []
     valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
     for _ in range(k):   # each path grows by the successors of its last edge, in order
         # t.l is valid below the paths q on which t is valid, for l < d[last q]
@@ -173,9 +173,13 @@ def _psi_levels(gw, k):
         pairs = np.ix_(tparent, parent)
         valid = valid[pairs] & (level[:, None] < d[prev])
         psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
-        tuples = np.column_stack((tuples[tparent], level))
-        paths = np.column_stack((paths[parent], edge))
+        steps.append((tparent, level, parent, edge))
         weights, last = weights[parent] * gw.pd.p[edge], edge
+    tuples, paths = np.empty((len(psi), k), dtype=int), np.empty((len(last), k), dtype=np.intp)
+    trow, prow = np.arange(len(tuples)), np.arange(len(paths))
+    for m in range(k - 1, -1, -1):   # each row's entries, read back through its parents
+        tparent, level, parent, edge = steps[m]
+        tuples[:, m], paths[:, m], trow, prow = level[trow], edge[prow], tparent[trow], parent[prow]
     return tuples, paths, valid, psi, weights
 
 

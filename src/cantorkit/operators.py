@@ -22,11 +22,11 @@ The generators and the transfer operator are slice copies over the branch
 runs of core.branch_runs: S_i writes f's runs into the block of words starting
 with i, S_i* reads them back, and the transfer operator is the preimage sum
 core.preimage_sum, which adds each branch's block onto its runs, scaled by 1/r.
-The Fourier sweep and the Cuntz-Krieger residual are gathers over the core
-index arrays.  All cost O(|W_k|) in the number of level-k words.  The
-residual pushes each basis vector through the generators as one (row, value)
-pair instead of a dense identity matrix.  A Fourier phase is the product of
-two exp tables of about sqrt(|W_k|) entries, on the two halves of a word.
+The Cuntz-Krieger residual is a gather over the core index arrays; it pushes each
+basis vector through the generators as one (row, value) pair, not a dense identity
+matrix.  The Fourier sweep gathers the masses once into core.split_layout's grouping;
+then a t costs cos and sin tables of about sqrt(|W_k|) entries and one (n_j x c_j)
+matrix product per letter j.  All cost O(|W_k|) in the number of level-k words.
 """
 
 import math
@@ -226,18 +226,31 @@ def _cylinder_masses(f, k, pd):
 def fourier_sweep(f, ts, k, pd):
     """fourier_approx(f, t, k, pd) for every t in ts, binning the masses once.
 
-    x(a) = x(p) + N^-|p| x(s) for a = p.s with |s| = k // 2, so e^{i t x(a)}
-    is P[p] Q[s], with one exp per word of W_|p| and of W_|s|.
+    x(a) = x(p) + N^-|p| x(s) for a = p.s with |s| = k // 2, and the n_j prefixes p
+    that end in letter j are followed by the same c_j suffixes (core.split_layout).
+    So a t costs one cos and one sin per word of W_|p| and of W_{|s|+1}, and per letter
+    one product of the (n_j x c_j) masses of the words p.s with the phases of the s.
+    At t = 0 every phase is 1, and the sum is the total mass, added in word order.
     """
     _check(f, pd)
     core.check_level(k)
-    mat, k0 = pd.matrix, k - k // 2
     masses = _cylinder_masses(f, k, pd)
-    xp, prefix = core.value_array(mat, k0), core.prefix_index_array(mat, k, k0)
-    xs, suffix = core.value_array(mat, k // 2), core.suffix_index_array(mat, k, k // 2)
-    def phases(t):  # e^{i t x(a)} for every level-k word a
-        return np.exp(1j * t * xp)[prefix] * np.exp(1j * (t * float(mat.n) ** -k0) * xs)[suffix]
-    return [complex(np.sum(phases(t) * masses)) for t in ts]
+    order, x, p, letters = core.split_layout(pd.matrix, k)
+    grouped, theta = masses[order], np.empty(len(x))
+    row_sums, phases = np.empty(p, np.complex128), np.empty(len(x), np.complex128)
+    rows, pairs = row_sums.view(float).reshape(-1, 2), phases.view(float).reshape(-1, 2)
+    out = []
+    for t in ts:
+        if t == 0:
+            out.append(complex(np.add.reduce(masses.astype(np.complex128))))
+            continue
+        np.multiply(x, t, out=theta)
+        np.cos(theta, out=pairs[:, 0])
+        np.sin(theta, out=pairs[:, 1])
+        for m, r, s, shape in letters:   # each prefix p: sum_s mass(p.s) e^{i t N^-|p| x(s)}
+            np.dot(grouped[m].reshape(shape), pairs[s], out=rows[r])
+        out.append(complex(np.add.reduce(phases[:p] * row_sums)))   # summed pairwise, not in a row
+    return out
 
 
 def fourier_approx(f, t, k, pd):
@@ -245,8 +258,8 @@ def fourier_approx(f, t, k, pd):
 
     ||S_a* f||^2 = <f, S_a S_a* f> is the mu_f-mass of the cylinder of a, so
     the sum is computed by binning |f|^2 mu over level-k prefixes — identical
-    to composing the operators, without the exponential blow-up.  The phases
-    come from two half-word exp tables, as in fourier_sweep.
+    to composing the operators, without the exponential blow-up.  As in
+    fourier_sweep, t costs one (n_j x c_j) product per letter j.
     """
     return fourier_sweep(f, (t,), k, pd)[0]
 

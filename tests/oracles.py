@@ -51,6 +51,18 @@ def prepend(i, word, matrix):
     return (i,) + tuple(word)
 
 
+@core._table()
+def suffix_index_array(matrix, k, k0):
+    """For each level-k word w, the position of its level-k0 suffix sigma^(k-k0) w in W_k0."""
+    core.check_level(k0)
+    if k0 > k:
+        raise LevelOutOfRange("level %d has no level-%d suffixes" % (k, k0))
+    idx = np.arange(core.word_count(matrix, k0), dtype=np.intp)
+    for j in range(k0 + 1, k + 1):   # the level-j suffixes, one gather of |W_j| each
+        idx = idx[core.shift_index_array(matrix, j)]
+    return core._frozen(idx)
+
+
 def multiply(f, g):
     """Pointwise product of two cylinder functions."""
     f2, g2, m = f._common(g)
@@ -258,6 +270,33 @@ def psi_on_vertices(gw, levels):
                 "vertex %d is reached by several depth-%d paths" % (v, k))
         ends[v] = pth
     return {v: psi_path(gw, pth, levels) for v, pth in sorted(ends.items())}
+
+
+def stacked_psi_levels(gw, k):
+    """graphs._psi_levels as it first grew the tables: each level stacks a copy of every
+    prefix and level tuple beside the new column, O(rows x k) per level."""
+    if k < 1:
+        raise LevelOutOfRange("depth must be >= 1")
+    d = np.array(gw.d)
+    coef = np.zeros((len(d), max(d.max() - 1, 1), len(d)))   # coef[e, l - 1] = c^{l,e}
+    for e, vecs in enumerate(gw.c):
+        coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
+    succ = gw.pd.matrix.array.astype(bool)
+    paths, tuples, last = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), int), np.array([gw.e0])
+    valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
+    for _ in range(k):
+        top = np.max(np.where(valid, d[last] - 1, 0), axis=1)
+        tparent = np.repeat(np.arange(len(top)), top)
+        level = np.arange(1, len(tparent) + 1) - np.repeat(np.cumsum(top) - top, top)
+        parent, edge = np.nonzero(succ[last])
+        prev = last[parent]
+        pairs = np.ix_(tparent, parent)
+        valid = valid[pairs] & (level[:, None] < d[prev])
+        psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
+        tuples = np.column_stack((tuples[tparent], level))
+        paths = np.column_stack((paths[parent], edge))
+        weights, last = weights[parent] * gw.pd.p[edge], edge
+    return tuples, paths, valid, psi, weights
 
 
 # --- graph files (fileio) ----------------------------------------------------------

@@ -218,13 +218,42 @@ def test_prefix_shift_prepend_arrays(full2, tri3, schottky4, strict5):
                 idx = core.word_index(m, k0)
                 assert core.prefix_index_array(m, k, k0).tolist() == [
                     idx[w[:k0]] for w in words]
-                assert core.suffix_index_array(m, k, k0).tolist() == [
+                assert oracles.suffix_index_array(m, k, k0).tolist() == [
                     idx[w[k - k0:]] for w in words]
             # prepend: index of i.b at level k + 1 for each level-k word b, -1 if i.b invalid
             longer = core.word_index(m, k + 1)
             for i in range(m.n):
                 assert core.prepend_index_array(m, k, i).tolist() == [
                     longer.get((i,) + w, -1) for w in words]
+
+
+def test_split_layout_groups_words_by_the_last_prefix_letter(full2, tri3, schottky4, strict5):
+    # a = p.s with |s| = k // 2: each letter j's block holds, row by row, the words of
+    # the prefixes p ending in j, each row followed by the same suffixes s
+    for m in (full2, tri3, schottky4, strict5):
+        for k in TABLE_LEVELS:
+            k0 = k - k // 2
+            words, prefixes = core.enumerate_words(m, k), core.word_index(m, k0)
+            order, x, p, letters = core.split_layout(m, k)
+            assert sorted(order.tolist()) == list(range(len(words)))
+            assert p == len(prefixes)
+            stops = [rows.stop for _, rows, _, _ in letters]
+            assert [rows.start for _, rows, _, _ in letters] == [0] + stops[:-1]
+            assert stops[-1] == p
+            ends = []
+            for mass, rows, suffixes, shape in letters:
+                block = [[words[a] for a in row] for row in order[mass].reshape(shape).tolist()]
+                tails = [w[k0:] for w in block[0]]
+                assert rows.stop - rows.start == shape[0]
+                ends.append(block[0][0][k0 - 1] if k0 else 0)
+                for row, xp in zip(block, x[rows].tolist()):
+                    assert [w[:k0] for w in row] == [row[0][:k0]] * len(row)
+                    assert (row[0][k0 - 1] if k0 else 0) == ends[-1]
+                    assert [w[k0:] for w in row] == tails
+                    assert xp == core.value_array(m, k0)[prefixes[row[0][:k0]]]
+                scalar = np.array([core.nadic_value(s, m.n).value for s in tails])
+                assert x[suffixes].tobytes() == (scalar * float(m.n) ** -k0).tobytes()
+            assert ends == sorted(set(ends))
 
 
 def test_branch_runs_match_shift_and_prepend(full2, tri3, schottky4, strict5):
@@ -262,7 +291,7 @@ def test_tables_never_touch_word_tuples(monkeypatch):
     monkeypatch.setattr(core, "_enumerate_words_cached", refuse)
     assert len(core.prepend_index_array(tri3, 12, 1)) == core.word_count(tri3, 12)
     assert len(core.value_array(tri3, 12)) == core.word_count(tri3, 12)
-    assert len(core.suffix_index_array(tri3, 12, 6)) == core.word_count(tri3, 12)
+    assert len(core.split_layout(tri3, 12)[0]) == core.word_count(tri3, 12)
     # and no listing or spelling of words outside core builds them either
     assert len(fileio.word_column(tri3, 12)) == core.word_count(tri3, 12)
     assert len(fileio._key_column(tri3, 12)) == core.word_count(tri3, 12)
@@ -275,13 +304,13 @@ def test_table_levels_are_checked(tri3):
     for table in (core.first_digit_array, core.last_digit_array, core.shift_index_array):
         with pytest.raises(LevelOutOfRange):
             table(tri3, 0)
-    for table in (core.prefix_index_array, core.suffix_index_array):
-        with pytest.raises(LevelOutOfRange):
-            table(tri3, 2, 3)
-        with pytest.raises(LevelOutOfRange):
-            table(tri3, 2, -1)
     with pytest.raises(LevelOutOfRange):
-        core.value_array(tri3, -1)
+        core.prefix_index_array(tri3, 2, 3)
+    with pytest.raises(LevelOutOfRange):
+        core.prefix_index_array(tri3, 2, -1)
+    for table in (core.value_array, core.split_layout):
+        with pytest.raises(LevelOutOfRange):
+            table(tri3, -1)
     with pytest.raises(NotInDomain):
         core.prepend_index_array(tri3, 2, 3)
 
@@ -373,7 +402,7 @@ def test_budget_checks_every_table_call(tri3):
     # refused inside one all the same
     tables = (core._enumerate_words_cached, core.word_index, core.first_digit_array,
               core.last_digit_array, core.shift_index_array, core.value_array,
-              wavelets._keys, fileio._key_column)
+              core.split_layout, wavelets._keys, fileio._key_column)
     for table in tables:
         table(tri3, 5)
     core.prepend_index_array(tri3, 4, 1)
@@ -383,9 +412,8 @@ def test_budget_checks_every_table_call(tri3):
         for table in tables:
             with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):
                 table(tri3, 5)
-        for table in (core.prefix_index_array, core.suffix_index_array):
-            with pytest.raises(CapExceeded):
-                table(tri3, 5, 2)
+        with pytest.raises(CapExceeded):
+            core.prefix_index_array(tri3, 5, 2)
         with pytest.raises(CapExceeded):   # the words i.w live at level 5
             core.prepend_index_array(tri3, 4, 1)
         with pytest.raises(CapExceeded, match="level 5 is over the cap of 98 words"):

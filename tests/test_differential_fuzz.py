@@ -14,7 +14,10 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
   `oracles.psi_path`, and the graph coefficient vectors against the line
   construction's on the same edge matrix;
 - core's digit table, `fileio.word_column` and `core.rank` against the word
-  tuples of `core.enumerate_words`.
+  tuples of `core.enumerate_words`;
+- the Fourier sweep, regrouped by the last letter of each word's prefix, against
+  one exp per level-k word, with k = 0, 1, 2 (an empty or one-letter suffix) and
+  levels of f below, at and above k all drawn.
 
 `hypothesis.event` names each example's input class.
 """
@@ -26,7 +29,13 @@ from hypothesis import strategies as st
 import oracles
 from cantorkit import core, fileio, graphs, operators, ruelle, spectral, wavelets
 from test_graphs import valid_level_tuples
-from test_operators import batched_s, batched_sstar, reference_pf
+from test_operators import (
+    FOURIER_TS,
+    batched_s,
+    batched_sstar,
+    reference_fourier_approx,
+    reference_pf,
+)
 from test_ruelle import (
     _three_input_potential,
     reference_keane_residual,
@@ -132,3 +141,22 @@ def test_graph_psi_table_matches_psi_path(g, data):
                 assert rep.valid[i, j] == (t in on_path)
                 expect = oracles.psi_path(gw, pth, t).real if t in on_path else 0.0
                 assert rep.psi[i, j].tobytes() == np.float64(expect).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(irreducible_matrices(), st.integers(0, 6), st.integers(0, 6),
+       st.floats(-1e4, 1e4), st.integers(0, 2 ** 32 - 1))
+def test_fourier_sweep_matches_one_exp_per_word(m, k, level, t, seed):
+    event("fourier k=%s" % (k if k <= 2 else ">2"))
+    event("f.level %s k" % ("<" if level < k else "=" if level == k else ">"))
+    pd, rng = spectral.perron_data(m), np.random.default_rng(seed)
+    f = _signal(rng, m, level)
+    f = f * (1 / spectral.norm(f, pd))
+    ts = FOURIER_TS + (t,)
+    sweep = operators.fourier_sweep(f, ts, k, pd)
+    assert sweep == [operators.fourier_approx(f, t, k, pd) for t in ts]
+    for t, fast in zip(ts, sweep):
+        slow = reference_fourier_approx(f, t, k, pd)
+        if t == 0:
+            assert fast == slow
+        assert abs(fast - slow) <= 1e-15 * max(1.0, abs(t))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -386,3 +387,29 @@ def test_paths_grow_from_the_base_edge_with_no_word_table():
         assert rep.valid[:, j].tolist() == [t in on_path for t in tuples]
         assert rep.psi[:, j].tolist() == [oracles.psi_path(gw, pth, t).real if t in on_path
                                           else 0.0 for t in tuples]
+
+
+def test_psi_table_is_filled_once_at_the_end(monkeypatch):
+    # a 2-cycle has one path and no level tuple: each level costs the same, so
+    # depth 100,000 is linear work (the tables were stacked anew at every level before)
+    cycle = graphs.build_graph_wavelets(graphs.directed_graph(2, ((0, 1), (1, 0))), 1, 0)
+    start = time.perf_counter()
+    rep = graphs.path_integrals(cycle, 100_000)
+    assert time.perf_counter() - start < 6.0
+    assert rep.paths.shape == (1, 100_000) and rep.n_tuples == 0
+    assert rep.paths[0, :4].tolist() == [1, 0, 1, 0] and rep.paths[0, -1] == 0
+    # and the tables are those of the stacking form, bit for bit
+    for g in (loops3_graph(), input_graph("graph3.txt")):
+        for v0, e0 in base_pairs(g):
+            gw = graphs.build_graph_wavelets(g, v0, e0)
+            for k in range(1, 9):
+                rep = graphs.path_integrals(gw, k)
+                with monkeypatch.context() as patch:
+                    patch.setattr(graphs, "_psi_levels", oracles.stacked_psi_levels)
+                    old = graphs.path_integrals(gw, k)
+                for name in ("tuples", "paths", "valid", "psi"):
+                    new, was = getattr(rep, name), getattr(old, name)
+                    assert (new.dtype, new.shape, new.tobytes()) == (was.dtype, was.shape,
+                                                                     was.tobytes())
+                assert (rep.max_mean_residual, rep.max_gram_residual) == (
+                    old.max_mean_residual, old.max_gram_residual)

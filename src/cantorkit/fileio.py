@@ -27,15 +27,14 @@ table in the matrix's memo, format_words of core's digit table, about 70 bytes
 per word.  The level-K key column is one too: that of K - 1, then the keys
 with |a| = K - 2 from the word column of K - 2; each level up to the finest
 asked for is kept, with the word columns it read, at about 100 bytes per
-level-K key.  Reading tries three ways, cheapest first.  A file with exactly
-one data line per word or key has each line split once: if its keys are the
-canonical column in the order written, the values are taken in turn; if they
-spell that column in another order, each line is placed through a key -> slot
-map.  Any other file (other spellings, extra whitespace inside a key, repeated
-or stray keys, a sparse coefficient file) goes through the per-line parser,
-which accepts lines in any order and names the line at fault; it finds a
-signal word in the canonical column as written, or else as format_word spells
-the digits it parses to, and a word found neither way is not admissible.
+level-K key.  Reading tries two ways, cheapest first.  A file with exactly
+one data line per word or key, whose keys are the canonical column spelled and
+ordered as written, has each line split once and its values taken in turn.
+Any other file (shuffled lines, other spellings, extra whitespace inside a key,
+repeated or stray keys, a sparse coefficient file) goes through the per-line
+parser, which accepts lines in any order and names the line at fault; it finds
+a signal word in the canonical column as written, or else as format_word
+spells the digits it parses to, and a word found neither way is not admissible.
 Values are read with float(); nan, inf and overflowing values such as 1e400
 are refused.
 """
@@ -154,39 +153,27 @@ def _value_lines(head, column, values):
     return "\n".join([head] + list(map(" ".join, zip(column, re, im)))) + "\n"
 
 
-def _slots(column):
-    """The key -> position map of a column."""
-    return dict(zip(column, range(len(column))))
-
-
 _CHUNK = 2048   # lines split at a time: a parse holds one chunk's parts, not the file's
 
 
 def _parse_column(lines, column):
-    """Values of data lines "key re im" whose keys spell `column` in any order.
+    """Values of data lines "key re im" whose keys are `column`, spelled and ordered as
+    written, or None.
 
-    Lines are split in chunks of _CHUNK, each line once, and converted before the next
-    chunk is split.  Chunks in column order are read in turn; from the first that is
-    not, each line is placed through the key -> slot map.  Returns None when a line is
-    not of that form, has a key outside the column, or a value that float() refuses or
-    that is not finite; the per-line parser then reports the fault.  A slot that no
-    line fills stays NaN, so a missing or repeated key falls back too.
+    Lines are split in chunks of _CHUNK, each line once, and a chunk's keys are compared
+    with the column before its values are converted.  Returns None at the first chunk
+    whose keys differ, or that holds a line not of that form or a value that float()
+    refuses or that is not finite; the per-line parser then reads the file.
     """
-    values, slots = np.empty(len(lines), dtype=np.complex128), None
+    values = np.empty(len(lines), dtype=np.complex128)
     try:
         for at in range(0, len(lines), _CHUNK):
             keys, re, im = zip(*[line.rsplit(None, 2) for line in lines[at:at + _CHUNK]])
             end = at + len(keys)
+            if keys != column[at:end]:
+                return None
             values.real[at:end], values.imag[at:end] = list(map(float, re)), list(map(float, im))
-            if slots is None and keys != tuple(column[at:end]):
-                slots, pos = np.arange(len(lines)), _slots(column)   # lines up to `at` in order
-            if slots is not None:
-                slots[at:end] = [pos[key] for key in keys]
-        if slots is not None:
-            placed = np.full(len(column), math.nan, dtype=np.complex128)
-            placed[slots] = values
-            values = placed
-    except (KeyError, ValueError):
+    except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
@@ -225,7 +212,7 @@ def _parse_signal_lines(lines, matrix, k, column):
     """Per-line parse of at least |W_k| data lines, in any order and spelling; a word is
     found in `column` as written, or else as format_word spells it."""
     # with at least one line per word, a missing word forces a repeat or a misspelling
-    pos = _slots(column)
+    pos = dict(zip(column, range(len(column))))
     coeffs = np.zeros(len(column), dtype=np.complex128)
     seen = set()
     for line in lines:

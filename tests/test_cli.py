@@ -150,6 +150,25 @@ def test_level_one_wavelet_pipeline(tmp_path, capsys):
     assert float(keys(capsys.readouterr().out)["max_error"]) <= 1e-12
 
 
+def test_synthesize_at_another_level(tmp_path, capsys, tri3):
+    # level-4 coefficients give at level 6 the refinement of their level-4 synthesis;
+    # at level 3 the keys with |a| = 2 have no place, and level 0 has no system at all
+    coeffs, s4, s6 = (tmp_path / name for name in ("c4.txt", "s4.txt", "s6.txt"))
+    assert run(["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3,
+                "--level", "4", "--out", str(coeffs)]) == 0
+    synthesize = ["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", str(coeffs)]
+    assert run(synthesize + ["--out", str(s4)]) == 0
+    assert run(synthesize + ["--level", "6", "--out", str(s6)]) == 0
+    refined = core.refine(fileio.parse_signal(s4.read_text(), tri3), 6)
+    assert s6.read_text() == fileio.format_signal(refined)
+    capsys.readouterr()
+    for level, message in (("3", "detail key ((0, 0), 1, 0) invalid at level 3"),
+                           ("0", "synthesis needs level K >= 1, got 0")):
+        assert run(synthesize + ["--level", level]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_ruelle_roundtrip(tmp_path, capsys):
     pot = tmp_path / "w.txt"
     assert run(["ruelle", "trig", "--matrix", TRI3, "--level", "3",

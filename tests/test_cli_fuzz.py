@@ -10,15 +10,23 @@ table for real), a `--tol` from 1e-300 (no convergence) to 0 and nan (usage
 errors), and small signal and coefficient files with mutated lines.
 Whatever the input, `run` returns a documented exit code and no exception
 escapes; `hypothesis.event` names each example's matrix and exit code.
+
+Beside the draws, every 0-1 matrix with no zero row and N <= 3, one per class
+up to relabelling the letters, runs through every matrix verb with its required
+flags at level or depth 2, and with `--lax` where the verb takes it.
 """
 
+import functools
+import itertools
 import os
+from collections import Counter
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from cantorkit import core, fileio, spectral, wavelets
+from cantorkit import cli, core, fileio, spectral, wavelets
 from cantorkit.cli import VERBS, run
+from cantorkit.errors import CantorError
 from conftest import seeded_strict_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -150,3 +158,61 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path, capsys, data):
     capsys.readouterr()
     event("exit %d" % code)
     assert code in EXIT_CODES, argv
+
+
+def small_matrix_classes():
+    """The least relabelling of each 0-1 grid with no zero row and N <= 3."""
+    classes = set()
+    for n in (1, 2, 3):
+        rows = [row for row in itertools.product((0, 1), repeat=n) if any(row)]
+        for grid in itertools.product(rows, repeat=n):
+            classes.add(min(tuple(tuple(grid[i][j] for j in p) for i in p)
+                            for p in itertools.permutations(range(n))))
+    return sorted(classes)
+
+
+SMALL_FLAGS = {"--level": "2", "--depth": "2", "--i": "0", "--word": "0", "--x": "0",
+               "--tmin": "-1", "--tmax": "1", "--tcount": "3", "--res": "8"}
+
+
+def _small_files(grid, tmp):
+    """The matrix file of grid and, where it is strict, level-2 signal and coefficient
+    files over it (a verb without --lax refuses any other matrix before reading them)."""
+    name = "".join(map(str, itertools.chain(*grid)))
+    files = {"--matrix": tmp / ("m%s.txt" % name), "--signal": tmp / ("s%s.txt" % name),
+             "--coeffs": tmp / ("c%s.txt" % name)}
+    files["--matrix"].write_text(fileio.format_matrix(core.validate_matrix(grid, strict=False)))
+    files["--signal"].write_text("%d 2\n" % len(grid))
+    files["--coeffs"].write_text("%d 2\n" % len(grid))
+    try:
+        matrix = core.validate_matrix(grid)
+    except CantorError:
+        return files
+    f = core.CylinderFunction(matrix, 2, 1.0 + core.value_array(matrix, 2))
+    mw = wavelets.build_mother_wavelets(spectral.perron_data(matrix))
+    files["--signal"].write_text(fileio.format_signal(f))
+    files["--coeffs"].write_text(fileio.format_coefficients(wavelets.analyze(f, mw), mw, 2))
+    return files
+
+
+def test_every_small_matrix_runs_through_every_matrix_verb(tmp_path, capsys, monkeypatch):
+    # one parser for all 1,694 runs: building it is most of a run's time
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache()(cli.build_parser))
+    classes = small_matrix_classes()
+    assert len(classes) == 77
+    codes = Counter()
+    for grid in classes:
+        files = _small_files(grid, tmp_path)
+        files["--potential"] = files["--signal"]
+        for verb in VERBS:
+            if verb.reads == "graph":
+                continue
+            argv = list(verb.path) + ["--matrix=%s" % files["--matrix"]]
+            if verb.reads == "lax":
+                argv.append("--lax")
+            argv += ["%s=%s" % (flag, files.get(flag) or SMALL_FLAGS[flag])
+                     for flag, kw in verb.flags if kw.get("required")]
+            codes[cli.run(argv)] += 1
+            capsys.readouterr()
+            assert set(codes) <= EXIT_CODES, argv
+    assert sum(codes.values()) == 77 * 22 and codes[0] > 0

@@ -17,7 +17,10 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
   tuples of `core.enumerate_words`;
 - the Fourier sweep, regrouped by the last letter of each word's prefix, against
   one exp per level-k word, with k = 0, 1, 2 (an empty or one-letter suffix) and
-  levels of f below, at and above k all drawn.
+  levels of f below, at and above k all drawn;
+- the wavelet pyramid against the inner products with `basis_function`, its
+  synthesis against the signal, and the coefficient and signal files, canonical
+  and with their lines shuffled, against the values they were written from.
 
 `hypothesis.event` names each example's input class.
 """
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cantorkit import core, fileio, graphs, operators, ruelle, spectral, wavelets
+from test_fileio import _same_coefficients
 from test_graphs import valid_level_tuples
 from test_operators import (
     FOURIER_TS,
@@ -46,6 +50,7 @@ from test_ruelle import (
 MAX_WALK_WORDS = 300    # the per-word references run one scalar call per word
 MAX_PSI_ENTRIES = 1500  # and one psi_path call per (tuple, path) entry
 MAX_RANKED = 200        # words ranked per example, evenly spaced, one scalar rank each
+MAX_BASIS_WORDS = 500   # the inner products with every basis function are quadratic
 
 
 @st.composite
@@ -160,3 +165,34 @@ def test_fourier_sweep_matches_one_exp_per_word(m, k, level, t, seed):
         if t == 0:
             assert fast == slow
         assert abs(fast - slow) <= 1e-15 * max(1.0, abs(t))
+
+
+def _shuffled(text, rng):
+    head, *body = text.splitlines()
+    order = rng.permutation(len(body))
+    event("file lines %s" % ("shuffled" if (order != np.arange(len(body))).any() else "in order"))
+    return "\n".join([head] + [body[i] for i in order]) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(irreducible_matrices(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_wavelet_round_trip_matches_the_basis_and_the_files(m, K, seed):
+    event("wavelets K=%s" % (K if K <= 2 else ">2"))
+    pd, rng = spectral.perron_data(m), np.random.default_rng(seed)
+    mw = wavelets.build_mother_wavelets(pd)
+    f = _signal(rng, m, K)
+    wc = wavelets.analyze(f, mw)
+    if core.word_count(m, K) <= MAX_BASIS_WORDS:
+        basis = np.array([core.refine(wavelets.basis_function(mw, label), K).coeffs
+                          for label in wavelets.basis_labels(mw, K)])
+        flat = np.concatenate([wc.scaling, list(wc.detail.values())])   # basis_labels order
+        oracle = np.conj(basis) @ (f.coeffs * spectral.measure_array(pd, K))
+        assert np.max(np.abs(flat - oracle)) <= 1e-12
+    assert np.max(np.abs(wavelets.synthesize(wc, mw, K).coeffs - f.coeffs)) <= 1e-12
+    text = fileio.format_coefficients(wc, mw, K)
+    for coefficients in (text, _shuffled(text, rng)):
+        wc2, level = fileio.parse_coefficients(coefficients, m)
+        assert level == K and _same_coefficients(wc2, wc)
+    signal = fileio.format_signal(f)
+    assert fileio.parse_signal(_shuffled(signal, rng), m).coeffs.tobytes() \
+        == fileio.parse_signal(signal, m).coeffs.tobytes()

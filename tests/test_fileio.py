@@ -404,8 +404,9 @@ def _refuse(*args):
 
 
 def _same_coefficients(wc2, wc):
-    return (wc2.scaling.tobytes() == wc.scaling.tobytes() and list(wc2.detail) == list(wc.detail)
-            and np.array(list(wc2.detail.values())).tobytes()
+    """Both layers equal bit for bit, key by key; a file's line order may order the dict."""
+    return (wc2.scaling.tobytes() == wc.scaling.tobytes() and wc2.detail.keys() == wc.detail.keys()
+            and np.array([wc2.detail[key] for key in wc.detail]).tobytes()
             == np.array(list(wc.detail.values())).tobytes())
 
 
@@ -418,15 +419,15 @@ def test_canonical_files_are_read_in_one_pass(monkeypatch, tri3, strict12):
             wc = wavelets.analyze(f, mw)
             files.append((matrix, fileio.format_signal(f), f,
                           fileio.format_coefficients(wc, mw, k), wc))
-    monkeypatch.setattr(fileio, "_parse_signal_lines", _refuse)
-    monkeypatch.setattr(fileio, "_parse_coefficient_lines", _refuse)
-    with monkeypatch.context() as in_order:   # no key -> slot map either
-        in_order.setattr(fileio, "_slots", _refuse)
+    with monkeypatch.context() as in_order:
+        in_order.setattr(fileio, "_parse_signal_lines", _refuse)
+        in_order.setattr(fileio, "_parse_coefficient_lines", _refuse)
         for matrix, signal, f, coefficients, wc in files:
             assert fileio.parse_signal(signal, matrix).coeffs.tobytes() == f.coeffs.tobytes()
-            assert _same_coefficients(fileio.parse_coefficients(coefficients, matrix)[0], wc)
+            wc2 = fileio.parse_coefficients(coefficients, matrix)[0]
+            assert _same_coefficients(wc2, wc) and list(wc2.detail) == list(wc.detail)
     shuffle = NON_CANONICAL["shuffled"]
-    for matrix, signal, f, coefficients, wc in files:   # out of order: through the map
+    for matrix, signal, f, coefficients, wc in files:   # out of order: line by line
         g = fileio.parse_signal(_edit_lines(signal, shuffle), matrix)
         assert g.coeffs.tobytes() == f.coeffs.tobytes()
         wc2, _ = fileio.parse_coefficients(_edit_lines(coefficients, shuffle), matrix)
@@ -450,9 +451,9 @@ def test_parse_holds_one_chunk_of_split_lines():
     assert peak <= 3e6
 
 
-def test_lines_past_the_first_chunk_are_placed_by_key(monkeypatch):
-    # 8,119 lines, four chunks: a swap in the last chunk, or across two chunks, is placed
-    # through the key map; a key repeated far down falls back to the per-line parser
+def test_swapped_lines_past_the_first_chunk_parse_line_by_line(monkeypatch):
+    # 8,119 lines, four chunks: a swap in the last chunk, or across two chunks, is read
+    # by one call of the per-line parser, bit for bit; a key repeated far down is refused
     tri3 = core.validate_matrix(TRI3)
     f = random_signal(tri3, 10, seed=3)
     mw = wavelets.build_mother_wavelets(spectral.perron_data(tri3))
@@ -466,14 +467,22 @@ def test_lines_past_the_first_chunk_are_placed_by_key(monkeypatch):
             return body
         return edit
 
-    with monkeypatch.context() as placed:
-        placed.setattr(fileio, "_parse_signal_lines", _refuse)
-        placed.setattr(fileio, "_parse_coefficient_lines", _refuse)
+    calls = []
+
+    def counted(name):
+        parse = getattr(fileio, name)
+        return lambda *args: calls.append(name) or parse(*args)
+
+    with monkeypatch.context() as per_line:
+        for name in ("_parse_signal_lines", "_parse_coefficient_lines"):
+            per_line.setattr(fileio, name, counted(name))
         for i, j in ((8000, 8100), (100, 5000), (2047, 2048)):
+            del calls[:]
             g = fileio.parse_signal(_edit_lines(texts[0], swap(i, j)), tri3)
             assert g.coeffs.tobytes() == f.coeffs.tobytes()
             wc2, _ = fileio.parse_coefficients(_edit_lines(texts[1], swap(i, j)), tri3)
             assert _same_coefficients(wc2, wc)
+            assert calls == ["_parse_signal_lines", "_parse_coefficient_lines"]
     repeated = _edit_lines(texts[0], lambda body: body[:-1] + [body[7000]])
     with pytest.raises(FileFormatError, match="listed twice"):
         fileio.parse_signal(repeated, tri3)

@@ -484,10 +484,10 @@ class CylinderFunction:
     are immutable; arithmetic returns new objects, refining to a common level
     when needed.  A read-only complex128 array that owns its memory is kept as
     it is, so a kernel passes its fresh result through _frozen; any other input
-    is copied and frozen.
+    is copied and frozen.  `_masses` holds operators.fourier_sweep's last binning of f.
     """
 
-    __slots__ = ("matrix", "level", "coeffs")
+    __slots__ = ("matrix", "level", "coeffs", "_masses")
 
     def __init__(self, matrix, level, coeffs):
         c = np.asarray(coeffs, dtype=np.complex128)

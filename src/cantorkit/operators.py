@@ -24,7 +24,7 @@ with i, S_i* reads them back, and the transfer operator is the preimage sum
 core.preimage_sum, which adds each branch's block onto its runs, scaled by 1/r.
 The Cuntz-Krieger residual is a gather over the core index arrays; it pushes each
 basis vector through the generators as one (row, value) pair, not a dense identity
-matrix.  The Fourier sweep gathers the masses once into core.split_layout's grouping;
+matrix.  The Fourier sweep keeps f's masses on f, binned in core.split_layout's grouping;
 then a t costs cos and sin tables of about sqrt(|W_k|) entries and one (n_j x c_j)
 matrix product per letter j.  All cost O(|W_k|) in the number of level-k words.
 """
@@ -214,9 +214,13 @@ def kms_letter_ratio(i, pd):
 
 
 def _cylinder_masses(f, k, pd):
-    """mu_f of every level-k cylinder: |f|^2 mu binned by level-k prefix."""
+    """mu_f of every level-k cylinder: |f|^2 mu binned by level-k prefix, in one buffer."""
     m = max(k, f.level)
-    weights = np.abs(core.refine(f, m).coeffs) ** 2 * spectral.measure_array(pd, m)
+    weights = np.abs(f.coeffs)
+    np.square(weights, out=weights)
+    if m > f.level:
+        weights = weights[core.prefix_index_array(pd.matrix, m, f.level)]
+    np.multiply(weights, spectral.measure_array(pd, m), out=weights)
     if m == k:  # each cylinder is its own bin
         return weights
     return np.bincount(core.prefix_index_array(pd.matrix, m, k), weights=weights,
@@ -224,31 +228,47 @@ def _cylinder_masses(f, k, pd):
 
 
 def fourier_sweep(f, ts, k, pd):
-    """fourier_approx(f, t, k, pd) for every t in ts, binning the masses once.
+    """fourier_approx(f, t, k, pd) for every t in ts.
 
     x(a) = x(p) + N^-|p| x(s) for a = p.s with |s| = k // 2, and the n_j prefixes p
     that end in letter j are followed by the same c_j suffixes (core.split_layout).
     So a t costs one cos and one sin per word of W_|p| and of W_{|s|+1}, and per letter
-    one product of the (n_j x c_j) masses of the words p.s with the phases of the s.
-    At t = 0 every phase is 1, and the sum is the total mass, added in word order.
+    one product of the (n_j x c_j) masses of the words p.s with (cos - 1, sin) of the
+    phases of the s; each prefix's row mass, summed pairwise, is added back.  At t = 0
+    every phase is 1, and the sum is the total mass, added in word order.  The grouped
+    masses, the row masses and the t = 0 total stay on f (f._masses) for the last pd (by
+    identity) and k; a call that reads them makes the budget checks the binning would.
     """
     _check(f, pd)
     core.check_level(k)
-    masses = _cylinder_masses(f, k, pd)
+    core.check_cap(pd.matrix, max(k, f.level))
     order, x, p, letters = core.split_layout(pd.matrix, k)
-    grouped, theta = masses[order], np.empty(len(x))
+    memo = getattr(f, "_masses", None)
+    if memo is None or memo[0] is not pd or memo[1] != k:
+        grouped, row_masses = _cylinder_masses(f, k, pd)[order], np.empty(p)
+        for m, r, _, shape in letters:
+            np.add.reduce(grouped[m].reshape(shape), axis=1, out=row_masses[r])
+        memo = [pd, k, grouped, row_masses, None]
+        object.__setattr__(f, "_masses", memo)
+    grouped, row_masses, theta = memo[2], memo[3], np.empty(len(x))
     row_sums, phases = np.empty(p, np.complex128), np.empty(len(x), np.complex128)
     rows, pairs = row_sums.view(float).reshape(-1, 2), phases.view(float).reshape(-1, 2)
     out = []
     for t in ts:
         if t == 0:
-            out.append(complex(np.add.reduce(masses.astype(np.complex128))))
+            if memo[4] is None:   # the masses back in word order, as complex numbers
+                masses = np.zeros(len(order), np.complex128)
+                masses.real[order] = grouped
+                memo[4] = complex(np.add.reduce(masses))
+            out.append(memo[4])
             continue
         np.multiply(x, t, out=theta)
         np.cos(theta, out=pairs[:, 0])
         np.sin(theta, out=pairs[:, 1])
-        for m, r, s, shape in letters:   # each prefix p: sum_s mass(p.s) e^{i t N^-|p| x(s)}
+        pairs[p:, 0] -= 1
+        for m, r, s, shape in letters:   # each prefix p: sum_s mass(p.s) (e^{i t N^-|p| x(s)} - 1)
             np.dot(grouped[m].reshape(shape), pairs[s], out=rows[r])
+        rows[:, 0] += row_masses
         out.append(complex(np.add.reduce(phases[:p] * row_sums)))   # summed pairwise, not in a row
     return out
 

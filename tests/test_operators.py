@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +428,77 @@ def test_fourier_sweep_is_fourier_approx_per_t(tri3_pd):
         assert sweep == [operators.fourier_approx(f, t, k, tri3_pd) for t in ts]
     with pytest.raises(LevelOutOfRange):
         operators.fourier_sweep(f, [], -1, tri3_pd)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+def _counting_binnings(monkeypatch):
+    calls = []
+    bin_masses = operators._cylinder_masses
+    monkeypatch.setattr(operators, "_cylinder_masses",
+                        lambda f, k, pd: calls.append(f) or bin_masses(f, k, pd))
+    return calls
+
+
+def test_fourier_memo_hit_is_bit_equal_to_a_fresh_function(tri3_pd, schottky4_pd, monkeypatch):
+    calls = _counting_binnings(monkeypatch)
+    for pd in (tri3_pd, schottky4_pd):
+        for level, k in ((0, 3), (3, 3), (5, 2), (4, 7)):
+            f = _unit_signal(pd, level, level + k)
+            operators.fourier_sweep(f, [1.0], k, pd)
+            before = len(calls)
+            hits = [operators.fourier_approx(f, t, k, pd) for t in FOURIER_TS]
+            assert len(calls) == before   # every t read the memo
+            fresh = [operators.fourier_approx(core.CylinderFunction(pd.matrix, level, f.coeffs),
+                                              t, k, pd) for t in FOURIER_TS]
+            assert len(calls) == before + len(FOURIER_TS)
+            assert _bits(hits) == _bits(fresh)
+
+
+def test_fourier_memo_rebins_for_another_perron_data_or_level(tri3, monkeypatch):
+    calls = _counting_binnings(monkeypatch)
+    pd, other = spectral.perron_data(tri3), spectral.perron_data(tri3, tol=1e-10)
+    f = _unit_signal(pd, 4, 5)
+    for q, k, binned in ((pd, 4, 1), (pd, 4, 1), (other, 4, 2), (other, 4, 2), (other, 5, 3),
+                         (other, 4, 4), (pd, 4, 5)):
+        out = operators.fourier_sweep(f, FOURIER_TS, k, q)
+        assert sum(g is f for g in calls) == binned
+        fresh = core.CylinderFunction(tri3, 4, f.coeffs)
+        assert _bits(out) == _bits(operators.fourier_sweep(fresh, FOURIER_TS, k, q))
+
+
+def test_fourier_memo_hit_still_checks_the_budget(tri3_pd):
+    m = tri3_pd.matrix
+    f = _unit_signal(tri3_pd, 6, 1)
+    for k in (3, 6):
+        expected = operators.fourier_sweep(f, FOURIER_TS, k, tri3_pd)
+        with core.budget(core.word_count(m, 6) - 1), pytest.raises(CapExceeded, match="level 6 "):
+            operators.fourier_approx(f, 1.0, k, tri3_pd)
+        with core.budget(core.word_count(m, 6)):
+            assert operators.fourier_sweep(f, FOURIER_TS, k, tri3_pd) == expected
+    with core.budget(core.word_count(m, 7) - 1), pytest.raises(CapExceeded, match="level 7 "):
+        operators.fourier_approx(f, 1.0, 7, tri3_pd)
+
+
+def test_fourier_memo_is_freed_with_the_function(tri3_pd):
+    f = _unit_signal(tri3_pd, 5, 2)
+    operators.fourier_sweep(f, FOURIER_TS, 5, tri3_pd)
+    masses = weakref.ref(f._masses[2])
+    assert masses() is not None
+    del f
+    assert masses() is None
+
+
+def test_fourier_of_a_constant_past_700000_words_stays_in_band(schottky4_pd):
+    # 708,588 near-equal masses: a prefix's c_j terms of mass x cos, added in a row,
+    # round past the band at t = 1e-6
+    one = core.CylinderFunction.constant(schottky4_pd.matrix, 1.0)
+    ts = (1e-6, 1e-3, 1.0) + FOURIER_TS
+    for t, fast in zip(ts, operators.fourier_sweep(one, ts, 12, schottky4_pd)):
+        slow = reference_fourier_approx(one, t, 12, schottky4_pd)
+        assert abs(fast - slow) <= 1e-15 * max(1.0, abs(t)), t
 
 
 def test_ck_residual_refuses_level_k_plus_one_before_any_table():

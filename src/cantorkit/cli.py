@@ -433,30 +433,23 @@ def _add_verb(sub, name, text, verb):
     p.set_defaults(verb_row=verb)
 
 
-def _names():
-    """(path, help, row) for each verb name in VERBS order, an alias after its verb."""
-    for verb in VERBS:
-        yield verb.path, verb.help, verb
-        if verb.alias:
-            yield verb.alias[:1], verb.alias[1], verb
-
-
-def build_parser(head=()):
-    """The parser of the one verb whose path starts `head`, the first words of an argv,
-    or of every verb when none does: either parses that argv the same way."""
+def build_parser():
     parser = _Parser(prog="cantorkit",
                      description="Harmonic analysis on matrix-defined Cantor sets.")
     top = parser.add_subparsers(dest="verb", required=True)
-    groups, names = {}, list(_names())
-    for name, text, verb in [e for e in names if e[0] == tuple(head[:len(e[0])])] or names:
-        if len(name) == 1:
-            _add_verb(top, name[0], text, verb)
+    groups = {}
+    for verb in VERBS:
+        if len(verb.path) == 1:
+            _add_verb(top, verb.path[0], verb.help, verb)
             continue
-        if name[0] not in groups:
-            group_text, dest = GROUPS[name[0]]
-            p = top.add_parser(name[0], help=group_text)
-            groups[name[0]] = p.add_subparsers(dest=dest, required=True)
-        _add_verb(groups[name[0]], name[1], text, verb)
+        group = verb.path[0]
+        if group not in groups:
+            text, dest = GROUPS[group]
+            p = top.add_parser(group, help=text)
+            groups[group] = p.add_subparsers(dest=dest, required=True)
+        _add_verb(groups[group], verb.path[1], verb.help, verb)
+        if verb.alias:
+            _add_verb(top, *verb.alias, verb)
     return parser
 
 
@@ -480,7 +473,7 @@ EXITS = ((UsageError, 64, "usage error"), (CapExceeded, 66, "cap exceeded"),
 def run(argv):
     """Parse and dispatch; returns the process exit code."""
     try:
-        return _dispatch(build_parser(tuple(argv[:2])).parse_args(argv)) or 0
+        return _dispatch(build_parser().parse_args(argv)) or 0
     except CantorError as exc:
         code, label = next((c, l) for cls, c, l in EXITS if isinstance(exc, cls))
         print("%s: %s" % (label, exc), file=sys.stderr)

@@ -245,22 +245,20 @@ def fourier_sweep(f, ts, k, pd):
     order, x, p, letters = core.split_layout(pd.matrix, k)
     memo = getattr(f, "_masses", None)
     if memo is None or memo[0] is not pd or memo[1] != k:
-        grouped, row_masses = _cylinder_masses(f, k, pd)[order], np.empty(p)
+        masses = _cylinder_masses(f, k, pd)
+        grouped, row_masses = masses[order], np.empty(p)
         for m, r, _, shape in letters:
             np.add.reduce(grouped[m].reshape(shape), axis=1, out=row_masses[r])
-        memo = [pd, k, grouped, row_masses, None]
+        memo = (pd, k, grouped, row_masses, complex(np.add.reduce(masses.astype(np.complex128))))
         object.__setattr__(f, "_masses", memo)
-    grouped, row_masses, theta = memo[2], memo[3], np.empty(len(x))
+    _, _, grouped, row_masses, total = memo
+    theta = np.empty(len(x))
     row_sums, phases = np.empty(p, np.complex128), np.empty(len(x), np.complex128)
     rows, pairs = row_sums.view(float).reshape(-1, 2), phases.view(float).reshape(-1, 2)
     out = []
     for t in ts:
         if t == 0:
-            if memo[4] is None:   # the masses back in word order, as complex numbers
-                masses = np.zeros(len(order), np.complex128)
-                masses.real[order] = grouped
-                memo[4] = complex(np.add.reduce(masses))
-            out.append(memo[4])
+            out.append(total)
             continue
         np.multiply(x, t, out=theta)
         np.cos(theta, out=pairs[:, 0])

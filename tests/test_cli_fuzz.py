@@ -196,7 +196,7 @@ def _small_files(grid, tmp):
 
 
 def test_every_small_matrix_runs_through_every_matrix_verb(tmp_path, capsys, monkeypatch):
-    # parsers cached by the head of argv they are built for: building one is most of a run
+    # one parser for all 1,694 runs: building it is most of a run's time
     monkeypatch.setattr(cli, "build_parser", functools.lru_cache()(cli.build_parser))
     classes = small_matrix_classes()
     assert len(classes) == 77
@@ -216,44 +216,3 @@ def test_every_small_matrix_runs_through_every_matrix_verb(tmp_path, capsys, mon
             capsys.readouterr()
             assert set(codes) <= EXIT_CODES, argv
     assert sum(codes.values()) == 77 * 22 and codes[0] > 0
-
-
-def _parser_cases(files):
-    """argv lists for each verb name (aliases too): its required flags, -h, one required
-    flag missing and one typed flag given text; then argvs that name no verb."""
-    cases = [[], ["-h"], ["--cap", "5", "perron"], ["nosuch"], ["op"], ["op", "-h"],
-             ["op", "nosuch"], ["walk", "ruelle"]]
-    for verb in VERBS:
-        source = "--graph" if verb.reads == "graph" else "--matrix"
-        required = ["%s=%s" % (flag, files.get(flag) or SMALL_FLAGS[flag])
-                    for flag, kw in [(source, {"required": True})] + list(verb.flags)
-                    if kw.get("required")]
-        typed = ["--tol=x"] * verb.spectral + ["--cap=x"] * verb.cap + [
-            "%s=x" % flag for flag, kw in verb.flags if kw.get("type") is not None]
-        for name in [list(verb.path)] + ([[verb.alias[0]]] if verb.alias else []):
-            cases += [name + required, name + ["-h"], name + required[:-1]]
-            cases += [name + required + typed[:1]] * bool(typed)
-    return cases
-
-
-def test_one_verb_parser_runs_as_the_parser_of_every_verb(tmp_path, capsys, monkeypatch):
-    files = _small_files(((1, 1), (1, 1)), tmp_path)
-    files.update({"--potential": files["--signal"], "--graph": GRAPHS[1], "--v0": "0",
-                  "--e0": "0"})
-    cases = _parser_cases(files)
-
-    def outcomes():
-        seen = []
-        for argv in cases:
-            code = run(argv)
-            seen.append((code,) + tuple(capsys.readouterr()))
-        return seen
-
-    alone = outcomes()
-    every_verb = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda head: every_verb())
-    every = outcomes()
-    for argv, one, full in zip(cases, alone, every):
-        assert one == full, argv
-    codes = Counter(code for code, _, _ in alone)
-    assert codes[0] > len(VERBS) and codes[64] > len(VERBS), codes

@@ -159,7 +159,9 @@ def test_fourier_sweep_matches_one_exp_per_word(m, k, level, t, seed):
     f = f * (1 / spectral.norm(f, pd))
     ts = FOURIER_TS + (t,)
     sweep = operators.fourier_sweep(f, ts, k, pd)
-    assert sweep == [operators.fourier_approx(f, t, k, pd) for t in ts]
+    # a fresh function per t, so each call bins its masses again rather than reading f's
+    assert sweep == [operators.fourier_approx(core.CylinderFunction(m, level, f.coeffs), t, k, pd)
+                     for t in ts]
     for t, fast in zip(ts, sweep):
         slow = reference_fourier_approx(f, t, k, pd)
         if t == 0:

@@ -19,25 +19,21 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ("AdmissibilityMatrix", "CylinderFunction", "Point", "enumerate_words",
-             "is_admissible", "nadic_value", "refine", "validate_matrix", "word_count",
-             "word_index"),
+    "core": ("AdmissibilityMatrix", "CylinderFunction", "enumerate_words", "is_admissible",
+             "refine", "validate_matrix", "word_count", "word_index"),
     "errors": ("CantorError", "CapExceeded", "DataError", "NoConvergence", "UsageError"),
     "graphs": ("DirectedGraph", "GraphWaveletSet", "build_graph_wavelets", "directed_graph",
                "edge_matrix", "graph_perron", "path_integrals"),
     "operators": ("apply_S", "apply_S_star", "apply_S_word", "ck_relations_residual",
-                  "fourier_approx", "fourier_sweep", "fourier_tail_bound", "kms_letter_ratio",
-                  "kms_state", "pf_fixed_point", "pf_operator"),
+                  "fourier_approx", "fourier_sweep", "kms_letter_ratio", "kms_state",
+                  "pf_fixed_point", "pf_operator"),
     "ruelle": ("PointwisePotential", "constant_potential", "keane_residual",
-               "preimage_keane_residual", "ruelle_apply", "trig_potential", "walk_layer_mass",
-               "walk_layers", "walk_measure"),
-    "sierpinski": ("SierpinskiSpec", "cells", "embed_xi", "induced_matrix", "render_pgm",
-                   "sierpinski_spec"),
+               "preimage_keane_residual", "ruelle_apply", "trig_potential", "walk_layers"),
+    "sierpinski": ("SierpinskiSpec", "cells", "induced_matrix", "render_pgm", "sierpinski_spec"),
     "spectral": ("PerronData", "cylinder_measure", "inner_product", "measure_array", "norm",
                  "perron_data", "self_similarity_residual"),
-    "wavelets": ("MotherWaveletSet", "WaveletCoefficients", "analyze", "basis_function",
-                 "basis_labels", "build_mother_wavelets", "detail_keys", "synthesize",
-                 "wavelet", "weighted_complement_basis"),
+    "wavelets": ("MotherWaveletSet", "WaveletCoefficients", "analyze", "build_mother_wavelets",
+                 "detail_keys", "synthesize", "weighted_complement_basis"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULE_OF.update((module, module) for module in (*_EXPORTS, "cli", "fileio"))

@@ -251,12 +251,12 @@ def cmd_ruelle_trig(args, matrix, pd):
 
 def cmd_walk(args, matrix, pd):
     from . import ruelle
-    x = core.nadic_value(_parse_cli_word(args.x, matrix), matrix.n)
+    start = _parse_cli_word(args.x, matrix)
     if args.constant is not None:
         potential = ruelle.constant_potential(args.constant)
     else:
         potential = ruelle.trig_potential(pd, 1)[1]
-    layer = ruelle.walk_layers(x, potential, matrix, args.depth)[-1]
+    layer = ruelle.walk_layers(start, potential, matrix, args.depth)[-1]
     total = 0.0
     for word, v in zip(fileio.word_column(matrix.transpose, args.depth), layer.tolist()):
         total += v

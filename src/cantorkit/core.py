@@ -176,22 +176,6 @@ def check_word(matrix, word):
     return word
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of the Cantor set with the digit word that produced it."""
-
-    word: tuple
-    value: float
-
-
-def nadic_value(word, n):
-    """The point x(a) = sum_m a_m n^-m addressed by a digit word."""
-    v = 0.0
-    for d in reversed(word):
-        v = (v + d) / n
-    return Point(word=tuple(word), value=v)
-
-
 def check_level(k):
     """Raise LevelOutOfRange unless k is a word level, i.e. k >= 0."""
     if k < 0:
@@ -466,7 +450,8 @@ def preimage_sum(matrix, k, values):
 def value_array(matrix, k, below):
     """x(a) for every level-k word a, in lexicographic order.
 
-    x(a) = (a_1 + x(shift a)) / N, the same float operations as nadic_value.
+    x(a) = (a_1 + x(shift a)) / N: the float operations of the loop v = (v + a_m) / N
+    over the digits from the last, which ruelle.walk_layers runs on its start word.
     """
     if k == 0:
         return _frozen(np.zeros(1))

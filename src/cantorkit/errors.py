@@ -87,10 +87,6 @@ class NonPositiveWeight(DataError):
     """A weight vector entry is zero or negative on the required support."""
 
 
-class NotComposable(DataError):
-    """Operators or path edges do not compose (range/source mismatch)."""
-
-
 class CapExceeded(CantorError):
     """An enumeration would exceed the configured cap."""
 

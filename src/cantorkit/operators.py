@@ -280,13 +280,3 @@ def fourier_approx(f, t, k, pd):
     fourier_sweep, t costs one (n_j x c_j) product per letter j.
     """
     return fourier_sweep(f, (t,), k, pd)[0]
-
-
-def fourier_tail_bound(t, k, n):
-    """Bound on |fourier_approx(f,t,k) - fourier_approx(f,t,k+m)| for unit f.
-
-    Each level of refinement moves every sample point x(a) by at most n^-k,
-    so the level-k transform sits within |t| n^-k of the limit and two
-    truncations differ by at most twice that.
-    """
-    return 2.0 * abs(t) * float(n) ** (-k)

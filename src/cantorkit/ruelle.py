@@ -25,8 +25,8 @@ Lambda_{k,A^t}(a) carries probability
 
     P_x(a) = A[a_1, x_1] * W(sigma_{a_1} x) * W(sigma_{a_2} sigma_{a_1} x) * ...
 
-Each layer then has total mass 1; walk_layer_mass is that sum at one depth,
-and the layer sums over depths 1..k are the truncated harmonic series.
+Each layer then has total mass 1, and the layer sums over depths 1..k are the
+truncated harmonic series.
 
 R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum.
 A pointwise potential is evaluated on arrays, once per level: at the cylinder
@@ -35,9 +35,7 @@ per depth of a prefix recursion on the A^t index arrays for the walk.  All are
 O(|W_k|), with the float operations of the scalar forms, in the same order.
 """
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,48 +163,26 @@ def preimage_keane_residual(potential, pd, level):
 # --- the walk on transposed-admissibility cylinders ---------------------------
 
 
-def _sum_in_order(values):
-    """0.0 + v_1 + v_2 + ... left to right; sum() of floats compensates from Python 3.12 on."""
-    return functools.reduce(operator.add, values, 0.0)
+def walk_layers(start, potential, matrix, kmax):
+    """P_x of every A^t word at depths 0 .. kmax, one array per depth, x = x(start).
 
-
-def walk_measure(x, potential, a, matrix):
-    """P_x(Lambda_{k,A^t}(a)): the W-weight of walking x upward along a.
-
-    Multiplies W along the forward orbit x -> sigma_{a_1} x -> ..., with the
-    gate A[a_1, x_1] zeroing walks whose first step cannot sit in front of x.
-    """
-    if len(x.word) == 0:
-        raise EmptyWord("walk needs a starting point with at least one digit")
-    core.check_word(matrix, x.word)
-    a = core.check_word(matrix.transpose, a)
-    if len(a) == 0:
-        return 1.0
-    if not matrix.rows[a[0]][x.word[0]]:
-        return 0.0
-    points = [x.value]
-    for d in a:
-        points.append((points[-1] + d) / matrix.n)
-    return math.prod(potential.values(np.array(a), np.array((x.word[0],) + a[:-1]),
-                                      np.array(points[1:])).tolist())
-
-
-def walk_layers(x, potential, matrix, kmax):
-    """P_x of every A^t word at depths 0 .. kmax, one array per depth.
-
-    A depth-d word's point is (v + a_d)/N and its weight W there times its
+    x is summed from the last digit of the start word, v = (v + a_m)/N.  A
+    depth-d word's point is (v + a_d)/N and its weight W there times its
     prefix's, with v and the weight gathered from the prefix; W is not
     evaluated on words whose first letter fails the gate A[a_1, x_1].
     """
     core.check_level(kmax)
     core.check_cap(matrix.transpose, kmax)
-    if len(x.word) == 0:
+    if len(start) == 0:
         raise EmptyWord("walk needs a starting point with at least one digit")
-    core.check_word(matrix, x.word)
+    start = core.check_word(matrix, start)
+    x = 0.0
+    for digit in reversed(start):
+        x = (x + digit) / matrix.n
     mt = matrix.transpose
-    gate = matrix.array[:, x.word[0]] == 1
+    gate = matrix.array[:, start[0]] == 1
     layers = [np.ones(1)]
-    points, last = np.array([x.value]), np.array(x.word[:1])
+    points, last = np.array([x]), np.array(start[:1])
     for d in range(1, kmax + 1):
         parent = core.prefix_index_array(mt, d, d - 1)
         letter = core.last_digit_array(mt, d)
@@ -217,9 +193,4 @@ def walk_layers(x, potential, matrix, kmax):
         layers.append(layers[-1][parent] * w)
         last = letter
     return layers
-
-
-def walk_layer_mass(x, potential, matrix, k):
-    """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
-    return _sum_in_order(walk_layers(x, potential, matrix, k)[-1].tolist())
 

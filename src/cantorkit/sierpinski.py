@@ -6,14 +6,12 @@ D = sum_i d_i of the N^2 subsquares (d_i = row sums).  The module reports the
 dimension exponent log D / (2 log N) together with the similarity dimension
 log D / log N (they disagree; both are printed and the discrepancy is the
 caller's to interpret), enumerates and renders depth-k cells, and exposes the
-pair-digit shift: its D x D induced matrix over the letter pairs, and the
-embedding w -> (w, shift w) of the line Cantor set into the planar one.
+pair-digit shift through its D x D induced matrix over the letter pairs.
 Because every pair letter can follow every other in the plane, the natural
 operator system on the fractal is the full D-shift: the all-ones D x D matrix,
 which validate_matrix takes as it is.  The depth-k cells are its level-k
 words: core's digit table of that matrix, read through letter_map into an
-x-word and a y-word per cell.  A cell is any (xword, yword) pair of equal
-length, such as a row of that array or a pair of tuples.
+x-word and a y-word per cell.
 """
 
 import math
@@ -77,13 +75,6 @@ def cells(spec, depth):
     return np.transpose(np.asarray(spec.letter_map)[words], (0, 2, 1))
 
 
-def cell_is_valid(spec, cell):
-    """The membership test of an (xword, yword) pair: A[x_m, y_m] = 1 at every position."""
-    xword, yword = cell
-    return (len(xword) == len(yword)
-            and all(spec.matrix.rows[i][j] for i, j in zip(xword, yword)))
-
-
 def induced_matrix(spec):
     """The D x D matrix of the pair-digit shift: (i,j) -> (l,k) iff j = l and A[j,k] = 1.
 
@@ -95,18 +86,6 @@ def induced_matrix(spec):
         rows.append([1 if (j == l and spec.matrix.rows[j][k2]) else 0
                      for (l, k2) in spec.letter_map])
     return validate_matrix(rows, strict=False)
-
-
-def embed_xi(word):
-    """The diagonal embedding of a line word: (w minus last, shift of w).
-
-    For admissible w the image is always a valid cell, since consecutive
-    digits of w are exactly the (x_m, y_m) pairs.
-    """
-    word = tuple(word)
-    if len(word) < 2:
-        raise WordTooShort("embedding needs a word of length >= 2")
-    return word[:-1], word[1:]
 
 
 def render_pgm(spec, depth, resolution):

@@ -98,8 +98,9 @@ def measure_array(pd, k):
     """mu of every level-k cylinder, in lexicographic word order."""
     if k == 0:
         return np.array([1.0])
-    last = core.last_digit_array(pd.matrix, k)
-    return pd.radius ** (-(k - 1)) * pd.p[last]
+    mu = pd.p[core.last_digit_array(pd.matrix, k)]
+    mu *= pd.radius ** (-(k - 1))   # in place: the gather is the one |W_k| array
+    return mu
 
 
 def inner_product(f, g, pd):

@@ -18,11 +18,11 @@ every letter come from one helper, which graphs also runs, on the Perron data
 of an edge matrix, for the graph wavelets.
 
 One key (a, l, r) names S_a f^{l,r} everywhere: in `detail_keys`, in the
-`detail` dict of WaveletCoefficients, in basis labels ("D", a, l, r), and in
-coefficient files, which fileio spells.  The level-K keys are a table in the
-matrix's memo: level K - 1's keys, then those with |a| = K - 2, a read off
-core's digit table.  Every level up to the finest asked for is kept, each a
-tuple sharing its keys with the levels above; about 110 bytes per key.
+`detail` dict of WaveletCoefficients, and in coefficient files, which fileio
+spells.  The level-K keys are a table in the matrix's memo: level K - 1's
+keys, then those with |a| = K - 2, a read off core's digit table.  Every
+level up to the finest asked for is kept, each a tuple sharing its keys with
+the levels above; about 110 bytes per key.
 
 S_a f^{l,r} is supported on the single cylinder Lambda(a r), where it takes
 the values r(A)^{|a|/2} f^{l,r}(r s) on the children a r s.  The basis is
@@ -33,9 +33,7 @@ children with the fixed (d_r - 1) x d_r matrix F_r of mother values;
 synthesize copies values down the tree and adds the same matrix products back.
 Each costs O(|W_K| * max d_k) time and O(|W_K|) memory.  The positions of
 each level's child blocks and coefficients depend on A alone and are kept in
-the matrix's memo, so a call only gathers and multiplies.  basis_function and
-wavelet build one basis vector at a time, at the level of its support; the
-acceptance checks use them as the quadratic reference.
+the matrix's memo, so a call only gathers and multiplies.
 """
 
 import math
@@ -43,15 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, operators, spectral
+from . import core, spectral
 from .core import CylinderFunction
-from .errors import (
-    IndexOutOfRange,
-    LevelTooLow,
-    MatrixMismatch,
-    NonPositiveWeight,
-    NotComposable,
-)
+from .errors import IndexOutOfRange, LevelTooLow, MatrixMismatch, NonPositiveWeight
 
 
 def weighted_complement_basis(weights, support):
@@ -101,19 +93,18 @@ def weighted_complement_basis(weights, support):
 @dataclass(frozen=True)
 class MotherWaveletSet:
     """Everything needed to span the detail spaces: per-letter coefficient
-    vectors c^{l,k}, unit-norm level-2 mother functions f^{l,k}, and their
-    values on the children of each letter.
+    vectors c^{l,k} and the values of the unit-norm level-2 mother functions
+    f^{l,k} on the children of each letter.
 
-    `c[k]` is the tuple of vectors for letter k (length d_k - 1, l = 1-based
-    when indexing `funcs[(k, l)]`); `d[k]` is the row sum; `fmat[k]` is the
+    `c[k]` is the tuple of vectors for letter k (length d_k - 1, c[k][l - 1]
+    for l = 1 .. d_k - 1); `d[k]` is the row sum; `fmat[k]` is the
     (d_k - 1) x d_k matrix F_k with F_k[l-1, j] = f^{l,k} on the word
-    (k, s_j), s_j the j-th successor of k.
+    (k, s_j), s_j the j-th successor of k.  f^{l,k} is zero off those words.
     """
 
     pd: spectral.PerronData
     d: tuple
     c: tuple
-    funcs: dict
     fmat: tuple
 
     @property
@@ -130,35 +121,19 @@ def _complement_vectors(pd):
 def build_mother_wavelets(pd):
     """Run the weighted complement construction for every letter of A."""
     mat = pd.matrix
-    c_all, funcs, fmat = _complement_vectors(pd), {}, []
+    c_all, fmat = _complement_vectors(pd), []
     for k in range(mat.n):
         succ = list(mat.successors[k])
         start = sum(mat.row_sums[:k])   # the words k.j are contiguous in W_2
         cols = slice(start, start + len(succ))
-        for l, v in enumerate(c_all[k], start=1):
+        rows = []
+        for v in c_all[k]:
             coeffs = np.zeros(core.word_count(mat, 2), dtype=np.complex128)
             coeffs[cols] = v[succ]
             f = CylinderFunction(mat, 2, core._frozen(coeffs))
-            funcs[(k, l)] = f * (1.0 / spectral.norm(f, pd))
-        fmat.append(np.array([funcs[(k, l)].coeffs[cols] for l in range(1, len(succ))],
-                             dtype=np.complex128).reshape(len(succ) - 1, len(succ)))
-    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=c_all, funcs=funcs, fmat=tuple(fmat))
-
-
-def wavelet(a, l, r, mw):
-    """The translate psi^{l,r}_a = S_a f^{l,r}; the empty word returns the mother.
-
-    Unit norm at level |a| + 2.  Requires A[a_last, r] = 1: S_{a_last} kills
-    anything supported outside D_{a_last}, so an incomposable pair would be
-    the zero function, not a basis vector.
-    """
-    a = core.check_word(mw.matrix, a)
-    if (r, l) not in mw.funcs:
-        raise IndexOutOfRange("no mother wavelet with letter %r, index %r" % (r, l))
-    if a and not mw.matrix.rows[a[-1]][r]:
-        raise NotComposable(
-            "wavelet letter %d does not follow word ending in %d" % (r, a[-1]))
-    return operators.apply_S_word(a, mw.funcs[(r, l)], mw.pd)
+            rows.append((f * (1.0 / spectral.norm(f, pd))).coeffs[cols])
+        fmat.append(np.array(rows, dtype=np.complex128).reshape(len(succ) - 1, len(succ)))
+    return MotherWaveletSet(pd=pd, d=mat.row_sums, c=c_all, fmat=tuple(fmat))
 
 
 @core._table(levelled=True)
@@ -182,26 +157,6 @@ def detail_keys(mw, K):
     the level-K entry of a table kept in the matrix's memo.
     """
     return list(_keys(mw.matrix, K))
-
-
-def basis_labels(mw, K):
-    """Canonical labels of the orthonormal basis of level-K functions.
-
-    ("S", i) scaling, ("D", a, l, r) the wavelet S_a f^{l,r}.
-    """
-    return ([("S", i) for i in range(mw.matrix.n)]
-            + [("D", a, l, r) for (a, l, r) in detail_keys(mw, K)])
-
-
-def basis_function(mw, label):
-    """The basis function of a label: mu(R_i)^{-1/2} chi_{R_i} for ("S", i), at level 1,
-    and the wavelet S_a f^{l,r} for ("D", a, l, r)."""
-    if label[0] == "S":
-        i = label[1]
-        return CylinderFunction.indicator(mw.matrix, (i,)) * (1.0 / math.sqrt(mw.pd.p[i]))
-    if label[0] == "D":
-        return wavelet(label[1], label[2], label[3], mw)
-    raise IndexOutOfRange("unknown basis label %r" % (label,))
 
 
 @dataclass(frozen=True)

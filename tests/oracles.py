@@ -1,32 +1,42 @@
 """Scalar and per-word reference forms that the package itself does not need.
 
 Each function here was once part of the package's public surface.  No verb,
-kernel, benchmark workload or acceptance check calls any of them, so they live
-with the tests, which compare the array kernels against them bit for bit and
-keep their own behaviour pinned.  The code is as the package had it, with the
-package's names reached through its modules.
+kernel or benchmark workload calls any of them, so they live with the tests,
+which compare the array kernels against them bit for bit and keep their own
+behaviour pinned.  Some are also the references of the acceptance checks: the
+one-vector-at-a-time wavelet basis, the walk's per-word measure and layer mass,
+the N-adic point of a word, the Fourier tail bound and the plane embedding.
+The code is as the package had it, with the package's names reached through
+its modules.
 """
 
+import functools
 import itertools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from cantorkit import core, operators, ruelle, spectral
+from cantorkit import core, operators, ruelle, spectral, wavelets
 from cantorkit.core import CylinderFunction, validate_matrix
 from cantorkit.errors import (
     DataError,
     EmptyWord,
     IndexOutOfRange,
     LevelOutOfRange,
-    NotComposable,
     NotInDomain,
+    WordTooShort,
 )
 
 
 class MultiplePaths(DataError):
     """A vertex-indexed wavelet value is ambiguous: several paths reach the vertex."""
+
+
+class NotComposable(DataError):
+    """Operators or path edges do not compose (range/source mismatch)."""
 
 
 # --- words and cylinder functions (core) -----------------------------------------
@@ -63,6 +73,22 @@ def suffix_index_array(matrix, k, k0):
     return core._frozen(idx)
 
 
+@dataclass(frozen=True)
+class Point:
+    """A point of the Cantor set with the digit word that produced it."""
+
+    word: tuple
+    value: float
+
+
+def nadic_value(word, n):
+    """The point x(a) = sum_m a_m n^-m addressed by a digit word."""
+    v = 0.0
+    for d in reversed(word):
+        v = (v + d) / n
+    return Point(word=tuple(word), value=v)
+
+
 def multiply(f, g):
     """Pointwise product of two cylinder functions."""
     f2, g2, m = f._common(g)
@@ -84,7 +110,7 @@ def coeff(f, word):
     return complex(f.coeffs[core.rank(f.matrix, word)])
 
 
-# --- the spectral measure on cylinder unions (operators) --------------------------
+# --- the spectral measure on cylinder unions and the Fourier tail (operators) ------
 
 
 @dataclass(frozen=True)
@@ -126,15 +152,105 @@ def measure_mu_f(f, borel, pd):
     return float(masses[[core.rank(pd.matrix, w) for w in borel.words]].sum())
 
 
-# --- the truncated harmonic series (ruelle) ---------------------------------------
+def fourier_tail_bound(t, k, n):
+    """Bound on |fourier_approx(f,t,k) - fourier_approx(f,t,k+m)| for unit f.
+
+    Each level of refinement moves every sample point x(a) by at most n^-k,
+    so the level-k transform sits within |t| n^-k of the limit and two
+    truncations differ by at most twice that.
+    """
+    return 2.0 * abs(t) * float(n) ** (-k)
+
+
+# --- one basis vector at a time (wavelets) -----------------------------------------
+
+
+def mother(mw, r, l):
+    """The level-2 mother f^{l,r}: row l - 1 of F_r on the words r.j, zero elsewhere."""
+    mat = mw.matrix
+    if not (0 <= r < mat.n and 1 <= l < mw.d[r]):
+        raise IndexOutOfRange("no mother wavelet with letter %r, index %r" % (r, l))
+    start = sum(mat.row_sums[:r])   # the words r.j are contiguous in W_2
+    coeffs = np.zeros(core.word_count(mat, 2), dtype=np.complex128)
+    coeffs[start:start + mw.d[r]] = mw.fmat[r][l - 1]
+    return CylinderFunction(mat, 2, coeffs)
+
+
+def wavelet(a, l, r, mw):
+    """The translate psi^{l,r}_a = S_a f^{l,r}; the empty word returns the mother.
+
+    Unit norm at level |a| + 2.  Requires A[a_last, r] = 1: S_{a_last} kills
+    anything supported outside D_{a_last}, so an incomposable pair would be
+    the zero function, not a basis vector.
+    """
+    a = core.check_word(mw.matrix, a)
+    f = mother(mw, r, l)
+    if a and not mw.matrix.rows[a[-1]][r]:
+        raise NotComposable(
+            "wavelet letter %d does not follow word ending in %d" % (r, a[-1]))
+    return operators.apply_S_word(a, f, mw.pd)
+
+
+def basis_labels(mw, K):
+    """Canonical labels of the orthonormal basis of level-K functions.
+
+    ("S", i) scaling, ("D", a, l, r) the wavelet S_a f^{l,r}.
+    """
+    return ([("S", i) for i in range(mw.matrix.n)]
+            + [("D", a, l, r) for (a, l, r) in wavelets.detail_keys(mw, K)])
+
+
+def basis_function(mw, label):
+    """The basis function of a label: mu(R_i)^{-1/2} chi_{R_i} for ("S", i), at level 1,
+    and the wavelet S_a f^{l,r} for ("D", a, l, r)."""
+    if label[0] == "S":
+        i = label[1]
+        return CylinderFunction.indicator(mw.matrix, (i,)) * (1.0 / math.sqrt(mw.pd.p[i]))
+    if label[0] == "D":
+        return wavelet(label[1], label[2], label[3], mw)
+    raise IndexOutOfRange("unknown basis label %r" % (label,))
+
+
+# --- the walk, word by word, and the truncated harmonic series (ruelle) ------------
+
+
+def _sum_in_order(values):
+    """0.0 + v_1 + v_2 + ... left to right; sum() of floats compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def walk_measure(x, potential, a, matrix):
+    """P_x(Lambda_{k,A^t}(a)): the W-weight of walking x upward along a.
+
+    Multiplies W along the forward orbit x -> sigma_{a_1} x -> ..., with the
+    gate A[a_1, x_1] zeroing walks whose first step cannot sit in front of x.
+    """
+    if len(x.word) == 0:
+        raise EmptyWord("walk needs a starting point with at least one digit")
+    core.check_word(matrix, x.word)
+    a = core.check_word(matrix.transpose, a)
+    if len(a) == 0:
+        return 1.0
+    if not matrix.rows[a[0]][x.word[0]]:
+        return 0.0
+    points = [x.value]
+    for d in a:
+        points.append((points[-1] + d) / matrix.n)
+    return math.prod(potential.values(np.array(a), np.array((x.word[0],) + a[:-1]),
+                                      np.array(points[1:])).tolist())
+
+
+def walk_layer_mass(x, potential, matrix, k):
+    """Total P_x-mass of depth-k cylinders (equals 1 for Keane potentials)."""
+    return _sum_in_order(ruelle.walk_layers(x.word, potential, matrix, k)[-1].tolist())
 
 
 def harmonic_truncated(x, potential, matrix, kmax):
     """Partial sum of the layer masses, depths 1..kmax, from one walk."""
     if kmax < 1:
         raise LevelOutOfRange("kmax must be >= 1")
-    return ruelle._sum_in_order(ruelle._sum_in_order(layer.tolist())
-                                for layer in ruelle.walk_layers(x, potential, matrix, kmax)[1:])
+    return _sum_in_order(_sum_in_order(layer.tolist())
+                         for layer in ruelle.walk_layers(x.word, potential, matrix, kmax)[1:])
 
 
 def potential_at(potential, digits, value):
@@ -145,6 +261,25 @@ def potential_at(potential, digits, value):
 
 
 # --- planar cells (sierpinski) ----------------------------------------------------
+
+
+def cell_is_valid(spec, cell):
+    """The membership test of an (xword, yword) pair: A[x_m, y_m] = 1 at every position."""
+    xword, yword = cell
+    return (len(xword) == len(yword)
+            and all(spec.matrix.rows[i][j] for i, j in zip(xword, yword)))
+
+
+def embed_xi(word):
+    """The diagonal embedding of a line word: (w minus last, shift of w).
+
+    For admissible w the image is always a valid cell, since consecutive
+    digits of w are exactly the (x_m, y_m) pairs.
+    """
+    word = tuple(word)
+    if len(word) < 2:
+        raise WordTooShort("embedding needs a word of length >= 2")
+    return word[:-1], word[1:]
 
 
 def sierpinski_cuntz_rep(spec):

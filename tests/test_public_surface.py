@@ -1,18 +1,20 @@
 """Every name `cantorkit` exports, and every public function and class of its
-modules, has a caller outside its own unit tests.
+modules, has a caller outside the tests.
 
 A name counts as called when one of these uses it: the code of another
 function in the package (a CLI verb included), a benchmark workload
 (`perfbench/workloads.py`, `perfbench/worker.py`, or the table names that
-`perfbench/layers.py::table_caches` looks up), or an acceptance check in
-`tests/test_acceptance.py`.  Uses are read off the syntax trees, so a name in
-a docstring, a comment or an import line is not a use, and nor is a use inside
-the name's own definition.  A reference form that only the unit tests need
-belongs in `tests/oracles.py`.
+`perfbench/layers.py::table_caches` looks up), or README's Library block,
+which `tests/test_readme.py` runs.  No test counts, an acceptance check in
+`tests/test_acceptance.py` included: a form that only tests call, as the
+reference they compare a kernel against, belongs in `tests/oracles.py`.  Uses
+are read off the syntax trees, so a name in a docstring, a comment, a string
+or an import line is not a use, and nor is a use inside the name's own
+definition.
 
 A public method or property of a public class counts as used when an attribute
 of its name is read in the package outside its own definition, or in one of
-the benchmark and acceptance files above.
+the benchmark files or the README block above.
 """
 
 import ast
@@ -23,14 +25,17 @@ import os
 
 import pytest
 
+from test_readme import _library_block
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "cantorkit")
 MODULES = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
-OUTSIDE = (("perfbench", "workloads.py"), ("perfbench", "worker.py"),
-           ("tests", "test_acceptance.py"))
+OUTSIDE = (("perfbench", "workloads.py"), ("perfbench", "worker.py"), ("README.md",))
 
 
 def _tree(*parts):
+    if parts == ("README.md",):   # the Library block, as test_readme runs it
+        return ast.parse(_library_block())
     with open(os.path.join(ROOT, *parts)) as fh:
         return ast.parse(fh.read())
 
@@ -76,10 +81,10 @@ def _tail(node):
 def _uses(parts, module=None):
     """{(module, name): the top-level definitions whose code uses it} for one file.
 
-    `mod.name`, `a.mod.name` and `alias.name` after `alias = a.mod` give (mod, name); a
-    bare name gives the module it is imported from ("cantorkit" for the package), or
-    `module` for a name of the file's own module.  Code outside any definition is held
-    by None."""
+    `mod.name`, `a.mod.name` and `alias.name` after `alias = a.mod` or `import a.mod as
+    alias` give (mod, name); a bare name gives the module it is imported from
+    ("cantorkit" for the package), or `module` for a name of the file's own module.  Code
+    outside any definition is held by None."""
     tree = _tree(*parts)
     imported = {alias.asname or alias.name: (node.module or "").rsplit(".", 1)[-1]
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -87,6 +92,8 @@ def _uses(parts, module=None):
     aliases = {node.targets[0].id: _tail(node.value) for node in ast.walk(tree)
                if isinstance(node, ast.Assign) and len(node.targets) == 1
                and isinstance(node.targets[0], ast.Name) and _tail(node.value) in MODULES}
+    aliases.update((alias.asname, alias.name.rsplit(".", 1)[-1]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names if alias.asname)
     out = {}
     for top in tree.body:
         holder = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
@@ -131,7 +138,7 @@ def test_every_export_has_a_caller():
     assert exports(), "no exports found"
     names = sorted(set(exports()) | set(definitions()))
     orphans = [module + "." + name for module, name in names if not callers(module, name)]
-    assert orphans == [], "public with no caller in src, perfbench or the acceptance checks"
+    assert orphans == [], "public with no caller in src, perfbench or the README block"
 
 
 def test_every_public_member_is_read():
@@ -162,12 +169,17 @@ def test_exports_are_their_modules_objects():
 def test_the_rule_sees_uses_and_nothing_else():
     # rank: called by CylinderFunction.indicator alone
     assert callers("core", "rank") == ["src/cantorkit/core.py"]
-    # wavelet: called by basis_function alone
-    assert callers("wavelets", "wavelet") == ["src/cantorkit/wavelets.py"]
+    # weighted_complement_basis: called inside its own module alone; an acceptance
+    # check calls it too, and no test counts
+    assert callers("wavelets", "weighted_complement_basis") == ["src/cantorkit/wavelets.py"]
     # fourier_approx: reached through `ops = self.ck.operators` in a workload; it calls
     # fourier_sweep, which is no use of fourier_approx
-    assert callers("operators", "fourier_approx") == ["perfbench/workloads.py",
-                                                      "tests/test_acceptance.py"]
+    assert callers("operators", "fourier_approx") == ["perfbench/workloads.py"]
     # names in layers.py's metric table are strings, not uses; table_caches' are
-    assert callers("ruelle", "walk_measure") == ["tests/test_acceptance.py"]
+    assert "perfbench/layers.py" not in callers("spectral", "norm")
     assert callers("core", "word_index") == ["perfbench/workloads.py", "perfbench/layers.py"]
+    # `import cantorkit as ck` in the README block: ck.perron_data is a use
+    assert "README.md" in callers("spectral", "perron_data")
+    # CylinderFunction.indicator: a member read by README's Library block alone
+    assert [parts for parts in OUTSIDE if _reads(_tree(*parts))["indicator"]] == [("README.md",)]
+    assert not any(_reads(_tree("src", "cantorkit", mod + ".py"))["indicator"] for mod in MODULES)

@@ -102,7 +102,7 @@ def test_trig_cylinder_matches_pointwise_samples(full2_pd, tri3_pd, schottky4_pd
             cyl, pointwise = ruelle.trig_potential(pd, k)
             assert cyl.level == k
             samples = np.array(
-                [oracles.potential_at(pointwise, a, core.nadic_value(a, pd.matrix.n).value)
+                [oracles.potential_at(pointwise, a, oracles.nadic_value(a, pd.matrix.n).value)
                  for a in core.enumerate_words(pd.matrix, k)], dtype=np.complex128)
             assert cyl.coeffs.tobytes() == samples.tobytes()
 
@@ -203,15 +203,15 @@ def test_preimage_sums_match_prepend_loops(full2_pd, tri3_pd, schottky4_pd, stri
 def test_walk_needs_a_point_with_digits(full2_pd):
     pot = ruelle.constant_potential(0.5)
     with pytest.raises(EmptyWord):
-        ruelle.walk_measure(core.Point((), 0.0), pot, (0,), full2_pd.matrix)
+        oracles.walk_measure(oracles.Point((), 0.0), pot, (0,), full2_pd.matrix)
 
 
 def test_walk_gate(tri3):
     # first step must be able to sit in front of x: A[a_1, x_1] = 1
     pot = ruelle.constant_potential(1.0)
-    x = core.nadic_value((0,), 3)
-    assert ruelle.walk_measure(x, pot, (2,), tri3) == 0.0
-    assert ruelle.walk_measure(x, pot, (1,), tri3) == 1.0
+    x = oracles.nadic_value((0,), 3)
+    assert oracles.walk_measure(x, pot, (2,), tri3) == 0.0
+    assert oracles.walk_measure(x, pot, (1,), tri3) == 1.0
 
 
 def test_walk_is_multiplicative_along_orbit(full2_pd):
@@ -220,22 +220,22 @@ def test_walk_is_multiplicative_along_orbit(full2_pd):
         return np.where(first == 0, 0.25, 0.75)
 
     pot = ruelle.PointwisePotential(w)
-    x = core.nadic_value((1,), 2)
-    assert ruelle.walk_measure(x, pot, (0, 1), full2_pd.matrix) == pytest.approx(
+    x = oracles.nadic_value((1,), 2)
+    assert oracles.walk_measure(x, pot, (0, 1), full2_pd.matrix) == pytest.approx(
         0.25 * 0.75)
     # the word is applied outside-in: first digit of a = last prepended
-    assert ruelle.walk_measure(x, pot, (1, 0), full2_pd.matrix) == pytest.approx(
+    assert oracles.walk_measure(x, pot, (1, 0), full2_pd.matrix) == pytest.approx(
         0.75 * 0.25)
 
 
 def test_walk_additivity(tri3_pd):
     # P_x(a) = sum of P_x over one-step extensions a.j in the transpose shift
     _, pot = ruelle.trig_potential(tri3_pd, 1)
-    x = core.nadic_value((1, 2), 3)
+    x = oracles.nadic_value((1, 2), 3)
     m = tri3_pd.matrix
     for a in core.enumerate_words(m.transpose, 2):
-        parent = ruelle.walk_measure(x, pot, a, m)
-        kids = sum(ruelle.walk_measure(x, pot, a + (j,), m)
+        parent = oracles.walk_measure(x, pot, a, m)
+        kids = sum(oracles.walk_measure(x, pot, a + (j,), m)
                    for j in m.predecessors[a[-1]])
         assert kids == pytest.approx(parent, abs=1e-12)
 
@@ -244,9 +244,9 @@ def test_walk_unit_layer_mass_with_keane_weight(tri3_pd, full2_pd):
     for pd in (tri3_pd, full2_pd):
         _, pot = ruelle.trig_potential(pd, 1)
         for start in core.enumerate_words(pd.matrix, 2):
-            x = core.nadic_value(start, pd.matrix.n)
+            x = oracles.nadic_value(start, pd.matrix.n)
             for k in (1, 2, 3, 4):
-                mass = ruelle.walk_layer_mass(x, pot, pd.matrix, k)
+                mass = oracles.walk_layer_mass(x, pot, pd.matrix, k)
                 assert mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,7 +256,7 @@ def test_harmonic_truncated_geometric_oracle(schottky4_pd):
     m = schottky4_pd.matrix
     c = 0.2
     pot = ruelle.constant_potential(c)
-    x = core.nadic_value((0,), 4)
+    x = oracles.nadic_value((0,), 4)
     expect = sum((3 * c) ** k for k in range(1, 5))
     assert oracles.harmonic_truncated(x, pot, m, 4) == pytest.approx(
         expect, abs=1e-12)
@@ -267,14 +267,14 @@ def test_harmonic_layer_recursion(tri3_pd):
     # sum_j A[j, x_1] W(j.x) h_{k-1}(j.x) = (layer k mass at x)
     _, pot = ruelle.trig_potential(tri3_pd, 1)
     m = tri3_pd.matrix
-    x = core.nadic_value((1,), 3)
+    x = oracles.nadic_value((1,), 3)
     k = 3
-    direct = ruelle.walk_layer_mass(x, pot, m, k)
+    direct = oracles.walk_layer_mass(x, pot, m, k)
     total = 0.0
     for j in m.predecessors[x.word[0]]:
-        y = core.Point((j,) + x.word, (x.value + j) / m.n)
+        y = oracles.Point((j,) + x.word, (x.value + j) / m.n)
         total += (oracles.potential_at(pot, y.word, y.value)
-                  * ruelle.walk_layer_mass(y, pot, m, k - 1))
+                  * oracles.walk_layer_mass(y, pot, m, k - 1))
     assert total == pytest.approx(direct, abs=1e-12)
 
 
@@ -287,7 +287,7 @@ def reference_preimage_keane_residual(potential, pd, level):
     level = max(level, 1)
     worst = 0.0
     for a in core.enumerate_words(mat, level):
-        v = core.nadic_value(a, mat.n).value
+        v = oracles.nadic_value(a, mat.n).value
         s = 0.0
         for j in mat.predecessors[a[0]]:
             s += oracles.potential_at(potential, (j,) + a, (v + j) / mat.n)
@@ -341,57 +341,56 @@ def test_walk_layers_match_the_per_word_loop(full2_pd, tri3_pd, schottky4_pd, st
     for pd in (full2_pd, tri3_pd, schottky4_pd, strict5_pd):
         m = pd.matrix
         # x_1 = 0 gates some first steps off on all but the full shift
-        x = core.nadic_value(core.enumerate_words(m, 2)[1], m.n)
+        x = oracles.nadic_value(core.enumerate_words(m, 2)[1], m.n)
         for pot in _potentials(pd)[::2]:
-            layers = ruelle.walk_layers(x, pot, m, 6)
+            layers = ruelle.walk_layers(x.word, pot, m, 6)
             assert len(layers) == 7
             masses = []
             for k in range(7):
                 ref = reference_walk_layer(x, pot, m, k)
                 assert layers[k].tolist() == ref
                 masses.append(running_sum(ref))
-                assert ruelle.walk_layer_mass(x, pot, m, k) == masses[-1]
+                assert oracles.walk_layer_mass(x, pot, m, k) == masses[-1]
             assert oracles.harmonic_truncated(x, pot, m, 6) == running_sum(masses[1:])
             for a in core.enumerate_words(m.transpose, 3):
                 idx = core.word_index(m.transpose, 3)[a]
-                assert ruelle.walk_measure(x, pot, a, m) == layers[3][idx]
+                assert oracles.walk_measure(x, pot, a, m) == layers[3][idx]
 
 
 def test_layer_mass_is_the_running_sum_in_word_order(tri3_pd):
     # at tri3 depth 10 the rounded running sum and the exact sum differ
     pot = ruelle.trig_potential(tri3_pd, 1)[1]
-    x = core.nadic_value((1,), 3)
-    layers = ruelle.walk_layers(x, pot, tri3_pd.matrix, 10)
+    x = oracles.nadic_value((1,), 3)
+    layers = ruelle.walk_layers(x.word, pot, tri3_pd.matrix, 10)
     masses = [running_sum(layer.tolist()) for layer in layers]
     assert masses[10] != math.fsum(layers[10].tolist())
-    assert ruelle.walk_layer_mass(x, pot, tri3_pd.matrix, 10) == masses[10]
+    assert oracles.walk_layer_mass(x, pot, tri3_pd.matrix, 10) == masses[10]
     assert oracles.harmonic_truncated(x, pot, tri3_pd.matrix, 10) == running_sum(masses[1:])
 
 
 def test_walk_skips_the_potential_behind_the_gate(tri3):
     # W < 0 on words starting with 2, which cannot sit in front of x_1 = 0
     pot = ruelle.PointwisePotential(lambda first, second, value: 1.0 - 2.0 * (first == 2))
-    x = core.nadic_value((0,), 3)
-    layer = ruelle.walk_layers(x, pot, tri3, 1)[1]
+    layer = ruelle.walk_layers((0,), pot, tri3, 1)[1]
     assert layer.tolist() == [1.0, 1.0, 0.0]
     with pytest.raises(NegativePotential):
-        ruelle.walk_layers(core.nadic_value((1,), 3), pot, tri3, 1)
+        ruelle.walk_layers((1,), pot, tri3, 1)
 
 
 def test_walk_checks_level_cap_and_start(tri3):
     pot = ruelle.constant_potential(0.5)
-    x = core.nadic_value((1,), 3)
-    assert [a.tolist() for a in ruelle.walk_layers(x, pot, tri3, 0)] == [[1.0]]
+    x = oracles.nadic_value((1,), 3)
+    assert [a.tolist() for a in ruelle.walk_layers(x.word, pot, tri3, 0)] == [[1.0]]
     with pytest.raises(LevelOutOfRange):
-        ruelle.walk_layer_mass(x, pot, tri3, -1)
+        oracles.walk_layer_mass(x, pot, tri3, -1)
     with pytest.raises(CapExceeded), core.budget(40):
-        ruelle.walk_layer_mass(x, pot, tri3, 4)
+        oracles.walk_layer_mass(x, pot, tri3, 4)
     with core.budget(41):
-        assert ruelle.walk_layer_mass(x, pot, tri3, 4) == pytest.approx(41 / 16)
+        assert oracles.walk_layer_mass(x, pot, tri3, 4) == pytest.approx(41 / 16)
     with pytest.raises(EmptyWord):
-        ruelle.walk_layers(core.Point((), 0.0), pot, tri3, 2)
+        ruelle.walk_layers((), pot, tri3, 2)
     with pytest.raises(InadmissibleWord):
-        ruelle.walk_layers(core.nadic_value((0, 2), 3), pot, tri3, 2)
+        ruelle.walk_layers((0, 2), pot, tri3, 2)
 
 
 def test_potentials_refuse_non_finite_values(tri3_pd):
@@ -428,8 +427,7 @@ def test_scalar_call_reads_two_digits(full2_pd):
 def test_walk_refuses_before_building():
     tri3 = core.validate_matrix(TRI3)   # a fresh instance: its tables start cold
     pot = ruelle.constant_potential(0.5)
-    x = core.nadic_value((1,), 3)
     with pytest.raises(CapExceeded), core.budget(10 ** 5):
-        ruelle.walk_layers(x, pot, tri3, 40)
+        ruelle.walk_layers((1,), pot, tri3, 40)
     # the walk runs on A^t: neither matrix holds a table
     assert tables_in(tri3._memo) == tables_in(tri3.transpose._memo) == set()

@@ -192,6 +192,14 @@ def test_measure_array_matches_scalar(schottky4_pd):
             spectral.cylinder_measure(schottky4_pd, w), abs=1e-15)
 
 
+def test_measure_array_scales_its_gather_in_place(tri3_pd):
+    # r^-(k-1) * p[last], the scalar first, has the same bits: the product commutes
+    for k in (1, 2, 13):
+        last = core.last_digit_array(tri3_pd.matrix, k)
+        assert np.array_equal(spectral.measure_array(tri3_pd, k),
+                              tri3_pd.radius ** (-(k - 1)) * tri3_pd.p[last])
+
+
 def test_self_similarity_residual_small(full2_pd, tri3_pd, schottky4_pd):
     for pd in (full2_pd, tri3_pd, schottky4_pd):
         for k in (1, 2, 3, 4):

@@ -9,7 +9,6 @@ from cantorkit.errors import (
     IndexOutOfRange,
     LevelTooLow,
     NonPositiveWeight,
-    NotComposable,
 )
 from conftest import TRI3, tables_in
 import oracles
@@ -74,7 +73,7 @@ def test_mother_counts(full2_pd, tri3_pd, schottky4_pd):
 
 def test_full_shift_mothers_are_haar(full2_pd):
     mw = wavelets.build_mother_wavelets(full2_pd)
-    f = mw.funcs[(0, 1)]
+    f = oracles.mother(mw, 0, 1)
     # supported on 00 and 01 with opposite signs, unit norm
     assert oracles.coeff(f, (0, 0)) == pytest.approx(SQRT2)
     assert oracles.coeff(f, (0, 1)) == pytest.approx(-SQRT2)
@@ -85,40 +84,46 @@ def test_full_shift_mothers_are_haar(full2_pd):
 def test_mothers_have_zero_mean_and_unit_norm(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
     one = core.CylinderFunction.constant(tri3_pd.matrix, 1.0)
-    for key, f in mw.funcs.items():
+    for _, l, r in wavelets.detail_keys(mw, 2):
+        f = oracles.mother(mw, r, l)
         assert spectral.norm(f, tri3_pd) == pytest.approx(1.0, abs=1e-10)
         mean = spectral.inner_product(one, f, tri3_pd)
         assert abs(mean) <= 1e-12
+        # F_r keeps the bits of c^{l,r} on the words r.j, scaled to unit norm
+        c, start = np.zeros(len(f.coeffs), dtype=np.complex128), sum(mw.d[:r])
+        c[start:start + mw.d[r]] = mw.c[r][l - 1][list(tri3_pd.matrix.successors[r])]
+        g = core.CylinderFunction(tri3_pd.matrix, 2, c)
+        assert np.array_equal(f.coeffs, (g * (1.0 / spectral.norm(g, tri3_pd))).coeffs)
 
 
 def test_wavelet_translate_keeps_norm(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
-    psi = wavelets.wavelet((0, 1), 1, 2, mw)  # S_{01} f^{1,2}; A[1,2] = 1
+    psi = oracles.wavelet((0, 1), 1, 2, mw)  # S_{01} f^{1,2}; A[1,2] = 1
     assert psi.level == 4
     assert spectral.norm(psi, tri3_pd) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wavelet_rejects_incomposable(tri3_pd):
     mw = wavelets.build_mother_wavelets(tri3_pd)
-    with pytest.raises(NotComposable):
-        wavelets.wavelet((0,), 1, 2, mw)  # A[0,2] = 0
+    with pytest.raises(oracles.NotComposable):
+        oracles.wavelet((0,), 1, 2, mw)  # A[0,2] = 0
     with pytest.raises(IndexOutOfRange):
-        wavelets.wavelet((0,), 5, 1, mw)
+        oracles.wavelet((0,), 5, 1, mw)
 
 
 def test_basis_cardinality_telescopes(full2_pd, tri3_pd, schottky4_pd):
     for pd in (full2_pd, tri3_pd, schottky4_pd):
         mw = wavelets.build_mother_wavelets(pd)
         for K in range(1, 6):
-            labels = wavelets.basis_labels(mw, K)
+            labels = oracles.basis_labels(mw, K)
             assert len(labels) == core.word_count(pd.matrix, K)
             assert len(set(labels)) == len(labels)
 
 
 def gram_residual(pd, K):
     mw = wavelets.build_mother_wavelets(pd)
-    labels = wavelets.basis_labels(mw, K)
-    fs = [core.refine(wavelets.basis_function(mw, lab), K) for lab in labels]
+    labels = oracles.basis_labels(mw, K)
+    fs = [core.refine(oracles.basis_function(mw, lab), K) for lab in labels]
     mat = np.array([f.coeffs for f in fs])
     mu = spectral.measure_array(pd, K)
     gram = (np.conj(mat) * mu[None, :]) @ mat.T
@@ -224,8 +229,8 @@ def test_pyramid_matches_quadratic_oracle(full2_pd, tri3_pd, schottky4_pd, stric
     for pd in pds:
         mw = wavelets.build_mother_wavelets(pd)
         for K in range(1, 6):
-            labels = wavelets.basis_labels(mw, K)
-            basis = np.array([core.refine(wavelets.basis_function(mw, lab), K).coeffs
+            labels = oracles.basis_labels(mw, K)
+            basis = np.array([core.refine(oracles.basis_function(mw, lab), K).coeffs
                               for lab in labels])
             nw = core.word_count(pd.matrix, K)
             f = core.CylinderFunction(

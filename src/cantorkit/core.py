@@ -49,12 +49,12 @@ from .errors import (
     CapExceeded,
     DeadRow,
     InadmissibleWord,
+    IndexOutOfRange,
     LevelOutOfRange,
     LevelTooLow,
     MatrixMismatch,
     MissingDiagonal,
     NonBinaryEntry,
-    NotInDomain,
     Reducible,
 )
 
@@ -91,18 +91,12 @@ class AdmissibilityMatrix:
         return tuple(tuple(j for j, v in enumerate(r) if v) for r in self.rows)
 
     @cached_property
-    def predecessors(self):
-        """predecessors[j] = sorted digits i with A[i, j] = 1 (column support)."""
-        n = self.n
-        return tuple(tuple(i for i in range(n) if self.rows[i][j]) for j in range(n))
-
-    @cached_property
     def row_sums(self):
         return tuple(sum(r) for r in self.rows)
 
     @cached_property
     def col_sums(self):
-        return tuple(len(p) for p in self.predecessors)
+        return self.transpose.row_sums
 
     @cached_property
     def transpose(self):
@@ -427,7 +421,7 @@ def prepend_index_array(matrix, k, i):
     The inverse of the shift on the block of W_{k+1} that starts with i.
     """
     if not 0 <= i < matrix.n:
-        raise NotInDomain("digit %d out of range for N = %d" % (i, matrix.n))
+        raise IndexOutOfRange("digit %d out of range for N = %d" % (i, matrix.n))
     out = np.full(word_count(matrix, k), -1, dtype=np.intp)
     for b, a, z in branch_runs(matrix, k)[i]:
         out[a:z] = np.arange(b, b + z - a)

@@ -44,16 +44,8 @@ class EmptyWord(DataError):
     """The empty word was passed where a nonempty one is required."""
 
 
-class NotInDomain(DataError):
-    """A prepend i.w was requested with A[i, w_1] = 0."""
-
-
 class InadmissibleWord(DataError):
     """A word contains a forbidden transition."""
-
-
-class WordTooShort(DataError):
-    """The word is too short for the requested operation."""
 
 
 class LevelTooLow(DataError):
@@ -61,7 +53,7 @@ class LevelTooLow(DataError):
 
 
 class LevelOutOfRange(DataError):
-    """A wavelet/path level index lies outside its valid range."""
+    """A level, depth or size lies outside its valid range."""
 
 
 class IndexOutOfRange(DataError):

@@ -22,13 +22,15 @@ The generators and the transfer operator are slice copies over the branch
 runs of core.branch_runs: S_i writes f's runs into the block of words starting
 with i, S_i* reads them back, and the transfer operator is the preimage sum
 core.preimage_sum, which adds each branch's block onto its runs, scaled by 1/r.
-The Cuntz-Krieger residual is a gather over the core index arrays; it pushes each
-basis vector through the generators as one (row, value) pair, not a dense identity
-matrix.  The Fourier sweep keeps f's masses on f, binned in core.split_layout's grouping;
-then a t costs cos and sin tables of about sqrt(|W_k|) entries and one (n_j x c_j)
-matrix product per letter j.  All cost O(|W_k|) in the number of level-k words.
+The Cuntz-Krieger residual runs these same kernels on the whole basis at once, in
+row form (on each row, the id of the basis vector that lands there and its value),
+not on a dense identity matrix.  The Fourier sweep keeps f's masses on f, binned in
+core.split_layout's grouping; then a t costs cos and sin tables of about sqrt(|W_k|)
+entries and one (n_j x c_j) matrix product per letter j.  All cost O(|W_k|) in the
+number of level-k words.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -97,41 +99,24 @@ def apply_S_word(a, f, pd, adjoint=False):
     return out
 
 
-def _push_s(i, rows, vals, k, pd):
-    """S_i on basis images at level k: the entry at row b moves to i.b in W_{k+1}.
-
-    An image is one entry per column, vals[c] at row rows[c], or the zero
-    vector where rows[c] < 0.  S_i gathers from shift(w) on the words w
-    starting with i, so it pushes row b forward through prepend.
-    """
-    pia = core.prepend_index_array(pd.matrix, k, i)
-    return (np.where(rows >= 0, pia[rows], -1),
-            math.sqrt(pd.radius) * vals)
-
-
-def _push_sstar(i, rows, vals, k, pd):
-    """S_i* on basis images at level k: the entry at row w moves to shift(w) when w_1 = i."""
-    fd = core.first_digit_array(pd.matrix, k)
-    si = core.shift_index_array(pd.matrix, k)
-    return (np.where((rows >= 0) & (fd[rows] == i), si[rows], -1),
-            vals / math.sqrt(pd.radius))
-
-
 def _worst_defect(plus, minus, mu):
     """Largest L2(mu) column norm of sum(plus) - sum(minus), over basis images.
 
-    Entries on the diagonal row are summed in the order a dense column sum
-    would take; an entry anywhere else adds |value|^2 mu(row) of its own.
+    An image is a pair (ids, vals) of level-k functions in row form: row b holds the
+    1-based column whose entry lands on it, or 0, and that entry's value.  Diagonal
+    entries are summed in the order a dense column sum would take; an entry off the
+    diagonal adds |value|^2 mu(row) to its own column.
     """
-    cols = np.arange(len(mu))
+    rows = np.arange(len(mu))
 
     def side(images):
         diag = 0
         stray = np.zeros(len(mu))
-        for rows, vals in images:
-            diag = diag + np.where(rows == cols, vals, 0)
-            off = (rows >= 0) & (rows != cols)
-            stray[off] += np.abs(vals[off]) ** 2 * mu[rows[off]]
+        for ids, vals in images:
+            cols, vals = ids.coeffs.real.astype(np.intp) - 1, vals.coeffs
+            diag = diag + np.where(cols == rows, vals, 0)
+            off = (cols >= 0) & (cols != rows)
+            np.add.at(stray, cols[off], np.abs(vals[off]) ** 2 * mu[off])
         return diag, stray
 
     (dp, sp), (dm, sm) = side(plus), side(minus)
@@ -142,30 +127,32 @@ def _worst_defect(plus, minus, mu):
 def ck_relations_residual(pd, K):
     """Worst L2 defect of the Cuntz-Krieger relations over the level-K basis.
 
-    S_i and S_i* send a cylinder indicator chi_{Lambda(w)} to one scaled
-    indicator or to 0, so each basis vector w in W_K is pushed through the
-    generators as one (row, value) pair, gathered from the index arrays, and
-    both relations are measured against every basis vector in the L2(mu)
-    norm.  Time and memory grow linearly in |W_K| (the level-(K+1) tables
-    plus O(n) arrays of |W_K| entries); the values are bit for bit those of
-    applying the generators to the whole |W_K| x |W_K| identity matrix.
+    S_i and S_i* send distinct cylinder indicators to distinct scaled indicators
+    or to 0, so the images of the whole basis W_K fit in row form (_worst_defect),
+    moved by apply_S and apply_S_star: the ids exactly, under radius 1, and the
+    values under pd.  Both relations are measured against every basis vector in
+    the L2(mu) norm, in time and memory linear in |W_K|, and bit for bit as if the
+    generators were applied to the whole |W_K| x |W_K| identity matrix.
     """
     if K < 2:
         raise LevelOutOfRange("relation check needs K >= 2")
     mat = pd.matrix
     core.check_cap(mat, K + 1)
     nwords = core.word_count(mat, K)
-    basis = (np.arange(nwords, dtype=np.intp), np.ones(nwords, dtype=np.complex128))
+    unit = dataclasses.replace(pd, radius=1.0)
+    basis = (CylinderFunction(mat, K, np.arange(1, nwords + 1)),
+             CylinderFunction(mat, K, np.ones(nwords)))
     mu = spectral.measure_array(pd, K)
 
-    range_proj = []  # S_i S_i* applied to the basis
-    for i in range(mat.n):
-        down = _push_sstar(i, *basis, K, pd)
-        range_proj.append(_push_s(i, *down, K - 1, pd))
+    def push(op, i, image):
+        ids, vals = image
+        return op(i, ids, unit), op(i, vals, pd)
+
+    range_proj = [push(apply_S, i, push(apply_S_star, i, basis))   # S_i S_i* on the basis
+                  for i in range(mat.n)]
     res = _worst_defect(range_proj, [basis], mu)
     for i in range(mat.n):
-        up = _push_s(i, *basis, K, pd)
-        lhs = _push_sstar(i, *up, K + 1, pd)
+        lhs = push(apply_S_star, i, push(apply_S, i, basis))
         res = max(res, _worst_defect(
             [lhs], [range_proj[j] for j in mat.successors[i]], mu))
     return res

@@ -153,8 +153,10 @@ def preimage_keane_residual(potential, pd, level):
     For each sample x: | sum_j A[j, x_1] W(sigma_j x) - 1 |, where sigma_j x
     has digits j.x and value (x + j)/N — no cylinder averaging involved.
     W is evaluated at the level-(level+1) endpoints, those of the words j.x,
-    and core.preimage_sum adds each sample's terms in the order of j.
+    and core.preimage_sum adds each sample's terms in the order of j.  Level 0
+    samples level 1; a negative level raises LevelOutOfRange.
     """
+    core.check_level(level)
     level = max(level, 1)
     w = _endpoint_values(potential, pd.matrix, level + 1)
     return float(np.max(np.abs(core.preimage_sum(pd.matrix, level, w) - 1.0)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .core import AdmissibilityMatrix, validate_matrix
-from .errors import WordTooShort
+from .errors import LevelOutOfRange
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def cells(spec, depth):
     D-shift and there are exactly D^depth of them.
     """
     if depth < 1:
-        raise WordTooShort("depth must be >= 1")
+        raise LevelOutOfRange("depth must be >= 1")
     # D^depth, taken no deeper than cap.bit_length(), where any D >= 2 passes the cap
     core._check_budget(lambda cap: spec.D ** min(depth, cap.bit_length()),
                        "depth %d is over the cap of %d cells", depth)
@@ -100,7 +100,7 @@ def render_pgm(spec, depth, resolution):
     2 N resolution levels.
     """
     if depth < 1 or resolution < 1:
-        raise WordTooShort("depth and resolution must be >= 1")
+        raise LevelOutOfRange("depth and resolution must be >= 1")
     core._check_budget(lambda cap: resolution * resolution * depth,
                        "res^2 * depth is over the cap of %d")
     n, den = spec.matrix.n, 2 * resolution

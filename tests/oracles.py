@@ -26,8 +26,6 @@ from cantorkit.errors import (
     EmptyWord,
     IndexOutOfRange,
     LevelOutOfRange,
-    NotInDomain,
-    WordTooShort,
 )
 
 
@@ -37,6 +35,14 @@ class MultiplePaths(DataError):
 
 class NotComposable(DataError):
     """Operators or path edges do not compose (range/source mismatch)."""
+
+
+class NotInDomain(DataError):
+    """A prepend i.w was requested with i out of range or A[i, w_1] = 0."""
+
+
+class WordTooShort(DataError):
+    """A word is too short to embed."""
 
 
 # --- words and cylinder functions (core) -----------------------------------------

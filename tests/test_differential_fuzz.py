@@ -7,6 +7,8 @@ are irreducible too.  On each, an array kernel is compared with the reference
 form its own unit tests use, bit for bit wherever those tests compare bits:
 
 - S_i, S_i* and pf against the batched loops of tests/test_operators.py;
+- the Cuntz-Krieger residual against the whole level-K identity pushed through
+  those batched loops, at K >= 2 with |W_K| at most MAX_DENSE_WORDS;
 - the preimage sum behind R_W and the Keane residual against the prepend
   loops of tests/test_ruelle.py;
 - the walk layers, started from a word, against `oracles.walk_measure` at the
@@ -38,6 +40,7 @@ from test_operators import (
     FOURIER_TS,
     batched_s,
     batched_sstar,
+    dense_ck_residual,
     reference_fourier_approx,
     reference_pf,
 )
@@ -52,6 +55,7 @@ MAX_WALK_WORDS = 300    # the per-word references run one scalar call per word
 MAX_PSI_ENTRIES = 1500  # and one psi_path call per (tuple, path) entry
 MAX_RANKED = 200        # words ranked per example, evenly spaced, one scalar rank each
 MAX_BASIS_WORDS = 500   # the inner products with every basis function are quadratic
+MAX_DENSE_WORDS = 300   # and so is the dense identity of the CK residual's oracle
 
 
 @st.composite
@@ -99,6 +103,14 @@ def test_generators_and_preimage_sums_match_their_loops(m, K, seed):
     applied = ruelle.ruelle_apply(w_fn, f, pd)
     assert applied.coeffs.tobytes() == reference_ruelle_apply(w_fn, f, pd).tobytes()
     assert ruelle.keane_residual(w_fn, pd) == reference_keane_residual(w_fn, pd)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(irreducible_matrices(), st.integers(2, 6))
+def test_ck_residual_matches_the_dense_identity(m, K):
+    K = max(k for k in range(2, K + 1) if core.word_count(m, k) <= MAX_DENSE_WORDS)
+    pd = spectral.perron_data(m)
+    assert operators.ck_relations_residual(pd, K) == dense_ck_residual(pd, K)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

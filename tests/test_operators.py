@@ -167,6 +167,25 @@ def test_ck_relations_match_dense_oracle(full2_pd, tri3_pd, schottky4_pd, strict
             assert operators.ck_relations_residual(pd, K) == dense_ck_residual(pd, K)
 
 
+def test_ck_relations_check_the_generators_users_call(schottky4_pd, monkeypatch):
+    # a generator that leaves out the last branch run of every digit shows in the residual
+    runs = core.branch_runs
+
+    def faulty(kernel):
+        def call(i, f, pd):
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "branch_runs",
+                              lambda m, k: tuple(branch[:-1] for branch in runs(m, k)))
+                return kernel(i, f, pd)
+        return call
+
+    for name in ("apply_S", "apply_S_star"):
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, name, faulty(getattr(operators, name)))
+            assert operators.ck_relations_residual(schottky4_pd, 4) > 1e-3, name
+    assert operators.ck_relations_residual(schottky4_pd, 4) <= 1e-11
+
+
 def test_ck_relations_memory_is_linear(schottky4_pd):
     # the dense identity alone would take 8748^2 * 16 bytes, about 1.1 GiB
     tracemalloc.start()

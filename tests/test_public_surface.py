@@ -146,8 +146,8 @@ def test_every_public_member_is_read():
               collections.Counter())
     outside = sum((_reads(_tree(*parts)) for parts in OUTSIDE), collections.Counter())
     found = members()
-    # predecessors is walked, and counts as read: col_sums reads it
-    assert ("core", "AdmissibilityMatrix", "predecessors") in [
+    # col_sums is walked, and counts as read: ruelle reads it
+    assert ("core", "AdmissibilityMatrix", "col_sums") in [
         (mod, cls, node.name) for mod, cls, node in found]
     unread = ["%s.%s.%s" % (mod, cls, node.name) for mod, cls, node in found
               if src[node.name] <= _reads(node)[node.name] and not outside[node.name]]

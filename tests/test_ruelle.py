@@ -116,8 +116,8 @@ def reference_transpose_words(matrix, k):
         return ((),)
     words = [(i,) for i in range(matrix.n)]
     for _ in range(k - 1):
-        # successors of digit i in A^t are the predecessors of i in A
-        words = [w + (j,) for w in words for j in matrix.predecessors[w[-1]]]
+        # successors of digit i in A^t are the predecessors of i in A: column i's support
+        words = [w + (j,) for w in words for j in range(matrix.n) if matrix.rows[j][w[-1]]]
     return tuple(words)
 
 
@@ -236,7 +236,7 @@ def test_walk_additivity(tri3_pd):
     for a in core.enumerate_words(m.transpose, 2):
         parent = oracles.walk_measure(x, pot, a, m)
         kids = sum(oracles.walk_measure(x, pot, a + (j,), m)
-                   for j in m.predecessors[a[-1]])
+                   for j in m.transpose.successors[a[-1]])
         assert kids == pytest.approx(parent, abs=1e-12)
 
 
@@ -271,7 +271,7 @@ def test_harmonic_layer_recursion(tri3_pd):
     k = 3
     direct = oracles.walk_layer_mass(x, pot, m, k)
     total = 0.0
-    for j in m.predecessors[x.word[0]]:
+    for j in m.transpose.successors[x.word[0]]:
         y = oracles.Point((j,) + x.word, (x.value + j) / m.n)
         total += (oracles.potential_at(pot, y.word, y.value)
                   * oracles.walk_layer_mass(y, pot, m, k - 1))
@@ -289,7 +289,7 @@ def reference_preimage_keane_residual(potential, pd, level):
     for a in core.enumerate_words(mat, level):
         v = oracles.nadic_value(a, mat.n).value
         s = 0.0
-        for j in mat.predecessors[a[0]]:
+        for j in mat.transpose.successors[a[0]]:
             s += oracles.potential_at(potential, (j,) + a, (v + j) / mat.n)
         worst = max(worst, abs(s - 1.0))
     return worst
@@ -335,6 +335,16 @@ def test_keane_defect_matches_the_per_point_loop(full2_pd, tri3_pd, schottky4_pd
             for level in range(0, top + 1):
                 assert (ruelle.preimage_keane_residual(pot, pd, level)
                         == reference_preimage_keane_residual(pot, pd, level))
+
+
+def test_keane_defect_refuses_a_negative_level(tri3_pd):
+    # level 0 samples level 1; a negative level is not read as 1 too
+    pot = ruelle.constant_potential(0.3)
+    assert ruelle.preimage_keane_residual(pot, tri3_pd, 0) \
+        == ruelle.preimage_keane_residual(pot, tri3_pd, 1) == pytest.approx(0.4)
+    for level in (-1, -7):
+        with pytest.raises(LevelOutOfRange):
+            ruelle.preimage_keane_residual(pot, tri3_pd, level)
 
 
 def test_walk_layers_match_the_per_word_loop(full2_pd, tri3_pd, schottky4_pd, strict5_pd):

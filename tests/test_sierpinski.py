@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cantorkit import cli, core, fileio, operators, sierpinski, spectral
-from cantorkit.errors import CapExceeded, WordTooShort
+from cantorkit.errors import CapExceeded, LevelOutOfRange
 import oracles
 
 
@@ -61,7 +61,7 @@ def test_cells_cap_and_depth_check(schottky4):
     spec = sierpinski.sierpinski_spec(schottky4)
     with pytest.raises(CapExceeded), core.budget(10000):
         sierpinski.cells(spec, 6)
-    with pytest.raises(WordTooShort):
+    with pytest.raises(LevelOutOfRange):
         sierpinski.cells(spec, 0)
 
 
@@ -106,7 +106,7 @@ def test_embed_diagonal_words(tri3):
     # injectivity on W_6
     images = {oracles.embed_xi(w) for w in core.enumerate_words(tri3, 6)}
     assert len(images) == core.word_count(tri3, 6)
-    with pytest.raises(WordTooShort):
+    with pytest.raises(oracles.WordTooShort):
         oracles.embed_xi((0,))
 
 

@@ -428,15 +428,22 @@ def prepend_index_array(matrix, k, i):
     return _frozen(out)
 
 
-def preimage_sum(matrix, k, values):
+def preimage_sum(matrix, k, values, operand=None, ufunc=np.multiply):
     """sum_{i: A[i, b_1] = 1} values[i.b] for every level-k word b; values is level k+1.
 
-    Digit by digit in ascending order, each run of a branch adds one slice of values."""
+    Digit by digit in ascending order, each run of a branch adds one slice of values, or
+    of ufunc(values, operand) formed in one scratch array (operand: a scalar or like values)."""
     runs = branch_runs(matrix, k)   # the budget check comes before the allocation
-    out = np.zeros(word_count(matrix, k), dtype=values.dtype)
+    out = np.zeros(word_count(matrix, k), values.dtype if operand is None
+                   else np.result_type(values, operand))
+    scratch = None if operand is None else np.empty_like(out)
     for branch in runs:
         for b, a, z in branch:
-            out[a:z] += values[b:b + z - a]
+            term = values[b:b + z - a]
+            if scratch is not None:
+                other = operand[b:b + z - a] if np.ndim(operand) else operand
+                term = ufunc(term, other, out=scratch[a:z])
+            out[a:z] += term
     return out
 
 

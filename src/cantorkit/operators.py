@@ -18,16 +18,16 @@ algebra; diagonal matrix elements of that measure produce the spectral measure
 mu_f and its Fourier-type transform, and the sum N^{-delta/2} sum_i S_i* is the
 transfer (Perron-Frobenius) operator of the shift.
 
-The generators and the transfer operator are slice copies over the branch
-runs of core.branch_runs: S_i writes f's runs into the block of words starting
-with i, S_i* reads them back, and the transfer operator is the preimage sum
-core.preimage_sum, which adds each branch's block onto its runs, scaled by 1/r.
-The Cuntz-Krieger residual runs these same kernels on the whole basis at once, in
-row form (on each row, the id of the basis vector that lands there and its value),
-not on a dense identity matrix.  The Fourier sweep keeps f's masses on f, binned in
-core.split_layout's grouping; then a t costs cos and sin tables of about sqrt(|W_k|)
-entries and one (n_j x c_j) matrix product per letter j.  All cost O(|W_k|) in the
-number of level-k words.
+The generators and the transfer operator are slice operations over the branch runs
+of core.branch_runs, each writing its output and at most one scratch array: S_i scales
+f's runs into the block of words starting with i, S_i* scales them back, and the
+transfer operator is core.preimage_sum, adding each branch's block over sqrt(r), formed
+in its scratch array, onto its runs.  The Cuntz-Krieger residual runs these same kernels
+on the whole basis at once, in row form (on each row, the id of the basis vector that
+lands there and its value), not on a dense identity matrix.  The Fourier sweep keeps f's
+masses on f, binned in core.split_layout's grouping; then a t costs cos and sin tables
+of about sqrt(|W_k|) entries and one (n_j x c_j) matrix product per letter j.  All cost
+O(|W_k|) in the number of level-k words.
 """
 
 import dataclasses
@@ -58,7 +58,7 @@ def apply_S(i, f, pd):
     out = np.zeros(core.word_count(f.matrix, f.level + 1), dtype=np.complex128)
     root = math.sqrt(pd.radius)
     for b, a, z in runs:
-        out[b:b + z - a] = root * f.coeffs[a:z]
+        np.multiply(f.coeffs[a:z], root, out=out[b:b + z - a])
     return CylinderFunction(f.matrix, f.level + 1, core._frozen(out))
 
 
@@ -76,7 +76,7 @@ def apply_S_star(i, f, pd):
     out = np.zeros(core.word_count(f.matrix, k), dtype=np.complex128)
     root = math.sqrt(pd.radius)
     for b, a, z in runs:
-        out[a:z] = g.coeffs[b:b + z - a] / root
+        np.divide(g.coeffs[b:b + z - a], root, out=out[a:z])
     return CylinderFunction(f.matrix, k, core._frozen(out))
 
 
@@ -167,10 +167,10 @@ def pf_operator(f, pd):
     """
     _check(f, pd)
     g = core.refine(f, 2) if f.level <= 1 else f
-    core.check_cap(f.matrix, g.level)   # before the scaled copy of g
     root = math.sqrt(pd.radius)
-    return CylinderFunction(f.matrix, g.level - 1, core._frozen(
-        core.preimage_sum(f.matrix, g.level - 1, g.coeffs / root) / root))
+    out = core.preimage_sum(f.matrix, g.level - 1, g.coeffs, root, np.divide)
+    out /= root
+    return CylinderFunction(f.matrix, g.level - 1, core._frozen(out))
 
 
 def pf_fixed_point(pd):

@@ -28,11 +28,11 @@ Lambda_{k,A^t}(a) carries probability
 Each layer then has total mass 1, and the layer sums over depths 1..k are the
 truncated harmonic series.
 
-R_W and the Keane residual R_W 1 - 1 are the preimage sum core.preimage_sum.
-A pointwise potential is evaluated on arrays, once per level: at the cylinder
-endpoints of one level for the sampling and the exact Keane defect, and once
-per depth of a prefix recursion on the A^t index arrays for the walk.  All are
-O(|W_k|), with the float operations of the scalar forms, in the same order.
+R_W and the Keane residuals are the preimage sum core.preimage_sum: R_W writes its
+output and one scratch array, a residual only its sums.  A pointwise potential is evaluated
+on arrays, once per level: at the cylinder endpoints of one level for the sampling and
+the exact Keane defect, and once per depth of a prefix recursion on the A^t index arrays
+for the walk; all O(|W_k|), with the float operations of the scalar forms, in order.
 """
 
 import math
@@ -63,10 +63,10 @@ class PointwisePotential:
         """W at arrays of points; NegativePotential where it is negative or not finite."""
         w = np.broadcast_to(np.asarray(self.evaluator(first, second, value), dtype=np.float64),
                             np.shape(value))
-        bad = np.flatnonzero(~((w >= 0.0) & (w < math.inf)))
-        if len(bad):
+        if w.size and not (w.min() >= 0.0 and w.max() < math.inf):   # a NaN fails both
+            bad = np.flatnonzero(~((w >= 0.0) & (w < math.inf)))[0]
             raise NegativePotential("potential is %.6g at %r, not finite and >= 0"
-                                    % (w[bad[0]], float(value[bad[0]])))
+                                    % (w[bad], float(value[bad])))
         return w
 
 
@@ -77,13 +77,22 @@ def constant_potential(c):
     return PointwisePotential(evaluator=lambda first, second, value: c)
 
 
-def _check_cylinder_potential(w_fn):
+def _cylinder_weights(w_fn, m):
+    """W's coefficients at level m as reals, after the budget check at m; NegativePotential
+    unless finite, real and >= 0 to _REAL_TOL, told with no array of W's size (NaN fails)."""
+    core.check_cap(w_fn.matrix, m)
     c = w_fn.coeffs
-    if float(np.max(np.abs(c.imag))) > _REAL_TOL:
-        raise NegativePotential("potential must be real-valued")
-    if float(c.real.min()) < -_REAL_TOL:
-        raise NegativePotential(
-            "potential has negative value %.6g" % float(c.real.min()))
+    parts = c.view(np.float64)   # the real and imaginary parts, side by side
+    if not (-_REAL_TOL <= parts.min() and parts.max() < math.inf and c.imag.max() <= _REAL_TOL):
+        bad = ~((c.real >= -_REAL_TOL) & (c.real < math.inf) & (np.abs(c.imag) <= _REAL_TOL))
+        raise NegativePotential("potential must be finite, real and >= 0, not %s" % c[bad][0])
+    return core.refine(w_fn, m).coeffs.real
+
+
+def _max_defect(sums):
+    """max |sums - 1| over a fresh array of preimage sums, in place."""
+    sums -= 1.0
+    return float(np.max(np.abs(sums, out=sums)))
 
 
 def ruelle_apply(w_fn, f, pd):
@@ -91,12 +100,9 @@ def ruelle_apply(w_fn, f, pd):
     if w_fn.matrix != f.matrix or f.matrix != pd.matrix:
         raise MatrixMismatch("potential, signal and PerronData must share a matrix")
     m = max(w_fn.level, f.level, 2)
-    core.check_cap(pd.matrix, m)   # before the checks and products at level m
-    _check_cylinder_potential(w_fn)
-    wc = core.refine(w_fn, m).coeffs.real
-    fc = core.refine(f, m).coeffs
+    wc, fc = _cylinder_weights(w_fn, m), core.refine(f, m).coeffs
     return CylinderFunction(pd.matrix, m - 1,
-                            core._frozen(core.preimage_sum(pd.matrix, m - 1, wc * fc)))
+                            core._frozen(core.preimage_sum(pd.matrix, m - 1, wc, fc)))
 
 
 def keane_residual(w_fn, pd):
@@ -104,10 +110,7 @@ def keane_residual(w_fn, pd):
     if w_fn.matrix != pd.matrix:
         raise MatrixMismatch("potential and PerronData must share a matrix")
     m = max(w_fn.level, 2)
-    core.check_cap(pd.matrix, m)
-    _check_cylinder_potential(w_fn)
-    wc = core.refine(w_fn, m).coeffs.real
-    return float(np.max(np.abs(core.preimage_sum(pd.matrix, m - 1, wc) - 1.0)))
+    return _max_defect(core.preimage_sum(pd.matrix, m - 1, _cylinder_weights(w_fn, m)))
 
 
 def trig_potential(pd, sample_level):
@@ -126,11 +129,13 @@ def trig_potential(pd, sample_level):
         raise LevelOutOfRange("sample_level must be >= 1")
     mat = pd.matrix
     n = mat.n
-    col = np.array(mat.col_sums, dtype=np.intp)
+    col = np.array(mat.col_sums, dtype=np.float64)
 
-    def evaluator(first, second, value):
+    def evaluator(first, second, value):   # (1 - cos(2 pi N value / n1)) / n1, in one array
         n1 = col[second]
-        return (1.0 - np.cos(2.0 * math.pi * n * value / n1)) / n1
+        w = np.multiply(value, 2.0 * math.pi * n)
+        np.cos(np.divide(w, n1, out=w), out=w)
+        return np.divide(np.subtract(1.0, w, out=w), n1, out=w)
 
     pointwise = PointwisePotential(evaluator=evaluator)
     coeffs = _endpoint_values(pointwise, mat, sample_level).astype(np.complex128)
@@ -159,7 +164,7 @@ def preimage_keane_residual(potential, pd, level):
     core.check_level(level)
     level = max(level, 1)
     w = _endpoint_values(potential, pd.matrix, level + 1)
-    return float(np.max(np.abs(core.preimage_sum(pd.matrix, level, w) - 1.0)))
+    return _max_defect(core.preimage_sum(pd.matrix, level, w))
 
 
 # --- the walk on transposed-admissibility cylinders ---------------------------

@@ -26,6 +26,7 @@ from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible, U
 DEFAULT_TOL = 1e-12
 SHIFT = 1e-13   # how far above the Perron root inverse iteration is shifted, relatively
 SOLVES = 2      # inverse-iteration solves per vector; one leaves a residual near 2e-14
+_BLOCK = 8192   # words of mu that inner_product gathers at a time
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,11 @@ def cylinder_measure(pd, word):
     return float(pd.radius ** (-(k - 1)) * pd.p[word[-1]])
 
 
-def measure_array(pd, k):
-    """mu of every level-k cylinder, in lexicographic word order."""
+def measure_array(pd, k, words=slice(None)):
+    """mu of every level-k cylinder, in lexicographic word order, or of a slice of W_k."""
     if k == 0:
-        return np.array([1.0])
-    mu = pd.p[core.last_digit_array(pd.matrix, k)]
+        return np.array([1.0])[words]
+    mu = pd.p[core.last_digit_array(pd.matrix, k)[words]]
     mu *= pd.radius ** (-(k - 1))   # in place: the gather is the one |W_k| array
     return mu
 
@@ -108,9 +109,11 @@ def inner_product(f, g, pd):
     if f.matrix != g.matrix or f.matrix != pd.matrix:
         raise MatrixMismatch("inner product needs one common matrix")
     m = max(f.level, g.level)
-    fc = core.refine(f, m).coeffs
-    gc = core.refine(g, m).coeffs
-    return complex(np.sum(np.conj(fc) * gc * measure_array(pd, m)))
+    # the one |W_m| array: numpy multiplies into the conj above 256 kB; mu comes in blocks
+    terms = np.conj(core.refine(f, m).coeffs) * core.refine(g, m).coeffs
+    for a in range(0, len(terms), _BLOCK):
+        terms[a:a + _BLOCK] *= measure_array(pd, m, slice(a, a + _BLOCK))
+    return complex(np.sum(terms))
 
 
 def norm(f, pd):
@@ -134,7 +137,7 @@ def self_similarity_residual(pd, k):
     if k == 1:
         pulled = pd.matrix.array.astype(float) @ pd.p  # mass of D_i, per letter
         return float(np.max(np.abs(pd.p - pulled / r)))
-    mu_k = measure_array(pd, k)
-    mu_prev = measure_array(pd, k - 1)
-    pulled = mu_prev[core.shift_index_array(pd.matrix, k)]
-    return float(np.max(np.abs(mu_k - pulled / r)))
+    pulled = measure_array(pd, k - 1)[core.shift_index_array(pd.matrix, k)]
+    pulled /= r
+    np.subtract(measure_array(pd, k), pulled, out=pulled)
+    return float(np.max(np.abs(pulled, out=pulled)))

@@ -266,6 +266,54 @@ def potential_at(potential, digits, value):
                                   np.array([float(value)]))[0])
 
 
+# --- one-expression forms of the transfer kernels (ruelle, spectral) ----------------
+#
+# Each kernel below once was the expression kept here, which allocates a fresh array
+# for every operation; the package now writes the same operations into its output
+# and at most one scratch array.  The differential fuzz compares the two bit for bit.
+
+
+def trig_evaluator(matrix):
+    """The cosine potential's evaluator as one expression, with integer column sums."""
+    col = np.array(matrix.col_sums, dtype=np.intp)
+
+    def evaluator(first, second, value):
+        n1 = col[second]
+        return (1.0 - np.cos(2.0 * math.pi * matrix.n * value / n1)) / n1
+
+    return evaluator
+
+
+def trig_coefficients(pd, k):
+    """trig_potential's level-k cylinder sampling: the float samples, copied to complex."""
+    pointwise = ruelle.PointwisePotential(trig_evaluator(pd.matrix))
+    return ruelle._endpoint_values(pointwise, pd.matrix, k).astype(np.complex128)
+
+
+def preimage_keane_residual(potential, pd, level):
+    level = max(level, 1)
+    w = ruelle._endpoint_values(potential, pd.matrix, level + 1)
+    return float(np.max(np.abs(core.preimage_sum(pd.matrix, level, w) - 1.0)))
+
+
+def inner_product(f, g, pd):
+    m = max(f.level, g.level)
+    fc = core.refine(f, m).coeffs
+    gc = core.refine(g, m).coeffs
+    return complex(np.sum(np.conj(fc) * gc * spectral.measure_array(pd, m)))
+
+
+def self_similarity_residual(pd, k):
+    r = pd.radius
+    if k == 1:
+        pulled = pd.matrix.array.astype(float) @ pd.p
+        return float(np.max(np.abs(pd.p - pulled / r)))
+    mu_k = spectral.measure_array(pd, k)
+    mu_prev = spectral.measure_array(pd, k - 1)
+    pulled = mu_prev[core.shift_index_array(pd.matrix, k)]
+    return float(np.max(np.abs(mu_k - pulled / r)))
+
+
 # --- planar cells (sierpinski) ----------------------------------------------------
 
 

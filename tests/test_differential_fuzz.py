@@ -13,6 +13,9 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
   loops of tests/test_ruelle.py;
 - the walk layers, started from a word, against `oracles.walk_measure` at the
   word's `oracles.nadic_value` point and the per-word loop;
+- the cosine potential (its cylinder sampling, and the walk layers with its
+  pointwise form), the pointwise Keane defect, the self-similarity residual and
+  the inner product against the one-expression forms in tests/oracles.py;
 - the psi table of `graphs.path_integrals` against `oracles.paths_from` and
   `oracles.psi_path`, and the graph coefficient vectors against the line
   construction's on the same edge matrix;
@@ -82,6 +85,10 @@ def strongly_connected_graphs(draw):
     return graphs.directed_graph(v, edges)
 
 
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
 def _signal(rng, matrix, k):
     size = core.word_count(matrix, k)
     return core.CylinderFunction(matrix, k, rng.normal(size=size) + 1j * rng.normal(size=size))
@@ -137,6 +144,27 @@ def test_walk_layers_match_walk_measure(m, K, data):
             assert layer.tolist() == reference_walk_layer(x, pot, m, d)
         assert [oracles.walk_measure(x, pot, a, m) for a in core.enumerate_words(mt, depth)] \
             == layers[depth].tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(irreducible_matrices(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.data())
+def test_potential_and_measure_kernels_match_their_one_expression_forms(m, K, seed, data):
+    pd, rng = spectral.perron_data(m), np.random.default_rng(seed)
+    cylinder, pointwise = ruelle.trig_potential(pd, K)
+    assert cylinder.coeffs.tobytes() == oracles.trig_coefficients(pd, K).tobytes()
+    start = data.draw(st.sampled_from(core.enumerate_words(m, 2)))
+    once = ruelle.PointwisePotential(oracles.trig_evaluator(m))
+    assert [_bits(layer) for layer in ruelle.walk_layers(start, pointwise, m, K)] \
+        == [_bits(layer) for layer in ruelle.walk_layers(start, once, m, K)]
+    for pot in (pointwise, ruelle.PointwisePotential(_three_input_potential)):
+        for level in (0, K - 1, K):
+            assert _bits(ruelle.preimage_keane_residual(pot, pd, level)) \
+                == _bits(oracles.preimage_keane_residual(pot, pd, level))
+    assert _bits(spectral.self_similarity_residual(pd, K)) \
+        == _bits(oracles.self_similarity_residual(pd, K))
+    f, g = _signal(rng, m, K), _signal(rng, m, data.draw(st.integers(0, K)))
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert _bits(spectral.inner_product(a, b, pd)) == _bits(oracles.inner_product(a, b, pd))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -198,6 +198,45 @@ def test_ck_relations_memory_is_linear(schottky4_pd):
     assert peak < 20e6
 
 
+def test_transfer_kernels_allocate_only_what_they_return(tri3_pd):
+    """The tracemalloc peak of one call at tri3 K=13 with warm tables, less what the call
+    returns, in complex level-K arrays (16 B a word, 1.83 MB).
+
+    S_i and S_i* make nothing besides their output.  The other kernels make at most one
+    array more.  The slack, 0.05 and 0.15 of an array, covers numpy's fixed per-call
+    buffers, of which the largest is a float-to-complex casting buffer of 8,192 elements
+    (128 kB).  preimage_keane_residual, sampled at level K - 1, is held to 1.5 arrays:
+    the pointwise interface hands the evaluator W_K's second digits as an intp array,
+    and the cosine form gathers their column sums as floats, beside W itself."""
+    pd, K = tri3_pd, 13
+    mat = pd.matrix
+    unit = 16 * core.word_count(mat, K)
+    rng = np.random.default_rng(29)
+    f, g = (core.CylinderFunction(mat, K, rng.normal(size=unit // 16)
+                                  + 1j * rng.normal(size=unit // 16)) for _ in range(2))
+    cylinder, pointwise = ruelle.trig_potential(pd, K)
+    nothing, one = 0.05, 1.15
+    laws = [(lambda i=i: operators.apply_S(i, f, pd), nothing) for i in range(mat.n)]
+    laws += [(lambda i=i: operators.apply_S_star(i, f, pd), nothing) for i in range(mat.n)]
+    laws += [(lambda: operators.pf_operator(f, pd), one),
+             (lambda: ruelle.trig_potential(pd, K), one),
+             (lambda: ruelle.ruelle_apply(cylinder, f, pd), one),
+             (lambda: ruelle.keane_residual(cylinder, pd), one),
+             (lambda: ruelle.preimage_keane_residual(pointwise, pd, K - 1), 1.5 + 0.15),
+             (lambda: spectral.inner_product(f, g, pd), one),
+             (lambda: spectral.self_similarity_residual(pd, K), one)]
+    for call, bound in laws:
+        call()   # the tables of levels K - 1 to K + 1, built once
+        tracemalloc.start()
+        try:
+            out = call()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        assert (peak - kept) / unit <= bound, (call, peak / unit, kept / unit)
+
+
 def test_ck_relations_level_check(full2_pd):
     with pytest.raises(LevelOutOfRange):
         operators.ck_relations_residual(full2_pd, 1)

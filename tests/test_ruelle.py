@@ -420,6 +420,21 @@ def test_potentials_refuse_non_finite_values(tri3_pd):
                        np.zeros(4)).tolist() == [0.5] * 4
 
 
+def test_cylinder_potentials_refuse_non_finite_values(tri3_pd):
+    # NaN fails every comparison of the check, in the real and in the imaginary part
+    size = core.word_count(tri3_pd.matrix, 2)
+    one = core.CylinderFunction.constant(tri3_pd.matrix, 1.0)
+    for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                complex(0.5, math.inf), complex(math.nan, math.nan), -0.5, 0.5j):
+        w = np.full(size, 0.3, dtype=np.complex128)
+        w[size // 2] = bad
+        w_fn = core.CylinderFunction(tri3_pd.matrix, 2, w)
+        with pytest.raises(NegativePotential, match="finite, real and >= 0"):
+            ruelle.ruelle_apply(w_fn, one, tri3_pd)
+        with pytest.raises(NegativePotential, match="finite, real and >= 0"):
+            ruelle.keane_residual(w_fn, tri3_pd)
+
+
 def test_scalar_call_reads_two_digits(full2_pd):
     seen = []
 

@@ -6,6 +6,7 @@ import pytest
 
 from cantorkit import core, fileio, graphs, spectral
 from cantorkit.errors import LevelOutOfRange, NoConvergence, Reducible, UsageError
+import oracles
 
 SQRT2 = math.sqrt(2.0)
 GRAPH3 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -226,6 +227,20 @@ def test_inner_product_conjugate_linearity(full2_pd):
     g = core.CylinderFunction.indicator(m, (0,)) * (1 - 3j)
     ip = spectral.inner_product(f, g, full2_pd)
     assert ip == pytest.approx((2 - 1j) * (1 - 3j) * 0.5)
+
+
+def test_inner_product_and_self_similarity_keep_their_bits_across_blocks(tri3_pd):
+    # mu is gathered 8,192 words at a time; tri3 K=13 has 114,243 words, so 14 blocks
+    pd, rng = tri3_pd, np.random.default_rng(13)
+    for k, j in ((13, 13), (13, 9), (9, 13), (1, 1), (0, 2)):
+        f, g = (core.CylinderFunction(pd.matrix, level, rng.normal(size=core.word_count(
+            pd.matrix, level)) + 1j * rng.normal(size=core.word_count(pd.matrix, level)))
+            for level in (k, j))
+        assert np.complex128(spectral.inner_product(f, g, pd)).tobytes() \
+            == np.complex128(oracles.inner_product(f, g, pd)).tobytes()
+    for k in (1, 2, 12, 13):
+        assert np.float64(spectral.self_similarity_residual(pd, k)).tobytes() \
+            == np.float64(oracles.self_similarity_residual(pd, k)).tobytes()
 
 
 def test_norm_of_constant_is_one(schottky4_pd):

@@ -26,7 +26,6 @@ from .errors import LevelOutOfRange, MatrixMismatch, NoConvergence, Reducible, U
 DEFAULT_TOL = 1e-12
 SHIFT = 1e-13   # how far above the Perron root inverse iteration is shifted, relatively
 SOLVES = 2      # inverse-iteration solves per vector; one leaves a residual near 2e-14
-_BLOCK = 8192   # words of mu that inner_product gathers at a time
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,11 @@ def cylinder_measure(pd, word):
     return float(pd.radius ** (-(k - 1)) * pd.p[word[-1]])
 
 
-def measure_array(pd, k, words=slice(None)):
-    """mu of every level-k cylinder, in lexicographic word order, or of a slice of W_k."""
+def measure_array(pd, k):
+    """mu of every level-k cylinder, in lexicographic word order."""
     if k == 0:
-        return np.array([1.0])[words]
-    mu = pd.p[core.last_digit_array(pd.matrix, k)[words]]
+        return np.array([1.0])
+    mu = pd.p[core.last_digit_array(pd.matrix, k)]
     mu *= pd.radius ** (-(k - 1))   # in place: the gather is the one |W_k| array
     return mu
 
@@ -109,10 +108,9 @@ def inner_product(f, g, pd):
     if f.matrix != g.matrix or f.matrix != pd.matrix:
         raise MatrixMismatch("inner product needs one common matrix")
     m = max(f.level, g.level)
-    # the one |W_m| array: numpy multiplies into the conj above 256 kB; mu comes in blocks
+    # numpy multiplies into the conj above 256 kB; mu, half that size, goes in in place
     terms = np.conj(core.refine(f, m).coeffs) * core.refine(g, m).coeffs
-    for a in range(0, len(terms), _BLOCK):
-        terms[a:a + _BLOCK] *= measure_array(pd, m, slice(a, a + _BLOCK))
+    terms *= measure_array(pd, m)
     return complex(np.sum(terms))
 
 

@@ -229,8 +229,8 @@ def test_inner_product_conjugate_linearity(full2_pd):
     assert ip == pytest.approx((2 - 1j) * (1 - 3j) * 0.5)
 
 
-def test_inner_product_and_self_similarity_keep_their_bits_across_blocks(tri3_pd):
-    # mu is gathered 8,192 words at a time; tri3 K=13 has 114,243 words, so 14 blocks
+def test_inner_product_and_self_similarity_keep_their_bits(tri3_pd):
+    # up to tri3 K=13 (114,243 words), where numpy multiplies in place into temporaries
     pd, rng = tri3_pd, np.random.default_rng(13)
     for k, j in ((13, 13), (13, 9), (9, 13), (1, 1), (0, 2)):
         f, g = (core.CylinderFunction(pd.matrix, level, rng.normal(size=core.word_count(

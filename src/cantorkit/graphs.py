@@ -11,8 +11,9 @@ e0 pointing at it seed a family of path wavelets
     Psi^{l_1..l_k}(e_1..e_k) = c^{l_1,e0}_{e_1} c^{l_2,e_1}_{e_2} ... c^{l_k,e_{k-1}}_{e_k},
 
 where c^{l,e} are the weighted-complement coefficient vectors: the weighted
-Gram-Schmidt with weights p on the successor set of e.  They come from the
-helper that gives the line's mother wavelets their vectors, run on the edge
+Gram-Schmidt with weights p on the successor set of e, the edges leaving r(e).
+So they are per vertex, one solve shared by the edges into it, made by the
+helper that gives the line's mother wavelets their vectors, on the edge
 matrix's Perron data, so both constructions share one routine and its bits.
 Each position m admits levels l_m = 1..d_{e_{m-1}} - 1;
 edges with a single successor contribute no levels at all.  Zero-mean and
@@ -27,9 +28,11 @@ of them grows alongside, from each path's prefix q:
 
     Psi^{t.l}(q.e) = Psi^t(q) c^{l, last q}_e,  valid iff t is valid on q and l < d_{last q}.
 
-Depth m costs O(paths x tuples) time and memory (the Gram matrix: tuples^2),
-which core.budget counts before allocating, and counts the paths alone where
-no tuple is left; the Gram sums take O(tuples^2 x paths).
+Since last q ends where e starts, c^{l, last q}_e is entry (l - 1, e) of one
+levels x E table, built once from the distinct vector sets.  Depth m costs
+O(paths x tuples) time and memory (the Gram matrix: tuples^2), which
+core.budget counts before allocating, and counts the paths alone where no
+tuple is left; the Gram sums take O(tuples^2 x paths).
 path_integrals returns that whole table, paths and level tuples included, with
 the two residuals; Psi on one path is read off it, with no scalar evaluator here.
 """
@@ -59,9 +62,6 @@ class DirectedGraph:
             out[s].append(eid)
         return tuple(tuple(e) for e in out)
 
-    def source(self, e):
-        return self.edges[e][0]
-
     def range(self, e):
         return self.edges[e][1]
 
@@ -83,10 +83,8 @@ def directed_graph(vertex_count, edges):
 
 def edge_matrix(g):
     """The E x E edge-shift matrix: A[e, e'] = 1 iff r(e) = s(e')."""
-    rows = [[1 if g.range(e) == g.source(e2) else 0
-             for e2 in range(len(g.edges))]
-            for e in range(len(g.edges))]
-    return validate_matrix(rows, strict=False)
+    s, r = np.array(g.edges).T
+    return validate_matrix((r[:, None] == s[None, :]).tolist(), strict=False)
 
 
 def graph_perron(g, tol=spectral.DEFAULT_TOL):
@@ -98,8 +96,8 @@ def graph_perron(g, tol=spectral.DEFAULT_TOL):
 class GraphWaveletSet:
     """Coefficient vectors c^{l,e} for every edge, plus the spectral data.
 
-    c[e] holds d_e - 1 vectors (l is 1-based); d[e] is the successor count
-    of edge e in the edge shift (= out-degree of r(e)).
+    c[e] holds d_e - 1 vectors (l is 1-based), one tuple shared by every edge
+    into r(e); d[e] is the successor count of e (= out-degree of r(e)).
     """
 
     graph: DirectedGraph
@@ -153,9 +151,9 @@ def _psi_levels(gw, k):
     if k < 1:
         raise LevelOutOfRange("depth must be >= 1")
     d = np.array(gw.d)
-    coef = np.zeros((len(d), max(d.max() - 1, 1), len(d)))   # coef[e, l - 1] = c^{l,e}
-    for e, vecs in enumerate(gw.c):
-        coef[e, :len(vecs)] = np.reshape(vecs, (len(vecs), len(d)))
+    coef = np.zeros((max(d.max() - 1, 1), len(d)))   # coef[l - 1, e'] = c^{l,e}_{e'}, any e -> e'
+    for row, vecs in dict(zip(gw.pd.matrix.successors, gw.c)).items():
+        coef[:len(vecs), row] = np.reshape(vecs, (len(vecs), len(d)))[:, row]
     succ = gw.pd.matrix.array.astype(bool)   # succ[e]: the edges that may follow e
     last, steps = np.array([gw.e0]), []
     valid, psi, weights = np.ones((1, 1), dtype=bool), np.ones((1, 1)), np.ones(1)
@@ -169,10 +167,9 @@ def _psi_levels(gw, k):
         core._check_budget(lambda cap: max(len(tparent), 1) * max(d[last].sum(), len(tparent)),
                            "paths of length %d are over the cap of %d", k)
         parent, edge = np.nonzero(succ[last])   # through a paths x E mask, a byte each
-        prev = last[parent]
         pairs = np.ix_(tparent, parent)
-        valid = valid[pairs] & (level[:, None] < d[prev])
-        psi = np.where(valid, psi[pairs] * coef[prev, level[:, None] - 1, edge], 0.0)
+        valid = valid[pairs] & (level[:, None] < d[last][parent])
+        psi = np.where(valid, psi[pairs] * coef[level[:, None] - 1, edge], 0.0)
         steps.append((tparent, level, parent, edge))
         weights, last = weights[parent] * gw.pd.p[edge], edge
     tuples, paths = np.empty((len(psi), k), dtype=int), np.empty((len(last), k), dtype=np.intp)

@@ -81,11 +81,9 @@ def induced_matrix(spec):
     Row sums equal d_j (the row sum of the second letter); the diagonal is
     generally not all ones, so the result is non-strict.
     """
-    rows = []
-    for (_, j) in spec.letter_map:
-        rows.append([1 if (j == l and spec.matrix.rows[j][k2]) else 0
-                     for (l, k2) in spec.letter_map])
-    return validate_matrix(rows, strict=False)
+    pairs = np.asarray(spec.letter_map)
+    j, l, k = pairs[:, 1, None], pairs[None, :, 0], pairs[None, :, 1]
+    return validate_matrix(((j == l) & (spec.matrix.array[j, k] == 1)).tolist(), strict=False)
 
 
 def render_pgm(spec, depth, resolution):

@@ -113,9 +113,11 @@ class MotherWaveletSet:
 
 
 def _complement_vectors(pd):
-    """c^{l,k} for every letter k: the complement basis on the successors of k, weighted
-    by the Perron vector p.  The line wavelets and the graph wavelets both take theirs here."""
-    return tuple(tuple(weighted_complement_basis(pd.p, succ)) for succ in pd.matrix.successors)
+    """c^{l,k} for every letter k: the complement basis on the successors of k, weighted by
+    p.  One solve per distinct successor set, whose letters share its tuple (on an edge shift,
+    the edges into one vertex).  The line and graph wavelets both take theirs here."""
+    solved = {s: tuple(weighted_complement_basis(pd.p, s)) for s in set(pd.matrix.successors)}
+    return tuple(solved[s] for s in pd.matrix.successors)
 
 
 def build_mother_wavelets(pd):

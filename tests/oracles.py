@@ -422,12 +422,12 @@ def psi_path(gw, path, levels):
     for e in path:
         if not 0 <= e < len(g.edges):
             raise IndexOutOfRange("edge %r out of range" % (e,))
-    if g.source(path[0]) != gw.v0:
+    if g.edges[path[0]][0] != gw.v0:
         raise NotComposable(
             "path starts at vertex %d, not the base vertex %d"
-            % (g.source(path[0]), gw.v0))
+            % (g.edges[path[0]][0], gw.v0))
     for m in range(len(path) - 1):
-        if g.range(path[m]) != g.source(path[m + 1]):
+        if g.range(path[m]) != g.edges[path[m + 1]][0]:
             raise NotComposable(
                 "edges %d and %d do not compose" % (path[m], path[m + 1]))
     value = 1.0

@@ -11,6 +11,10 @@ errors), and small signal and coefficient files with mutated lines.
 Whatever the input, `run` returns a documented exit code and no exception
 escapes; `hypothesis.event` names each example's matrix and exit code.
 
+Graph files are drawn too, with V <= 4 and E <= 8, sinks (exit 65) and parallel
+edges included, and run through `graph perron` and `graph wavelets` with drawn
+base vertex and edge, depth and `--cap`: each run exits 0, 65 or 66.
+
 Beside the draws, every 0-1 matrix with no zero row and N <= 3, one per class
 up to relabelling the letters, runs through every matrix verb with its required
 flags at level or depth 2, and with `--lax` where the verb takes it.
@@ -158,6 +162,43 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path, capsys, data):
     capsys.readouterr()
     event("exit %d" % code)
     assert code in EXIT_CODES, argv
+
+
+@st.composite
+def graph_commands(draw, tmp):
+    """`graph perron` or `graph wavelets` on a drawn file with V <= 4 and E <= 8: sinks and
+    repeated (parallel) edges come as drawn, and half the files lead a cycle through every
+    vertex, so that they have Perron data and wavelets."""
+    v = draw(st.integers(1, 4))
+    vertex = st.integers(0, v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        edges = [(i, (i + 1) % v) for i in range(v)] + edges[:8 - v]
+    event("graph %s" % ("with a sink" if len({s for s, _ in edges}) < v else "no sink"))
+    event("graph %s" % ("parallel edges" if len(set(edges)) < len(edges) else "simple"))
+    path = tmp / "graph.txt"
+    path.write_text("%d %d\n" % (v, len(edges)) + "".join("%d %d\n" % e for e in edges))
+    argv = ["graph", draw(st.sampled_from(["perron", "wavelets"])), "--graph", str(path)]
+    if argv[1] == "wavelets":
+        e0 = draw(st.integers(-1, len(edges)))
+        into = st.just(edges[e0][1]) if 0 <= e0 < len(edges) else st.nothing()
+        argv += ["--v0", str(draw(into | st.integers(-1, v))), "--e0", str(e0),
+                 "--depth", str(draw(st.integers(0, 4)))]
+        cap = draw(st.none() | st.integers(0, 30) | st.integers(0, core.DEFAULT_CAP))
+        argv += [] if cap is None else ["--cap", str(cap)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_graph_files_end_in_a_documented_exit_code(tmp_path, capsys, data):
+    argv = data.draw(graph_commands(tmp_path))
+    code = run(argv)
+    capsys.readouterr()
+    event("exit %d" % code)
+    assert code in {0, 65, 66}, argv
 
 
 def small_matrix_classes():

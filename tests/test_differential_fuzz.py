@@ -17,8 +17,9 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
   pointwise form), the pointwise Keane defect, the self-similarity residual and
   the inner product against the one-expression forms in tests/oracles.py;
 - the psi table of `graphs.path_integrals` against `oracles.paths_from` and
-  `oracles.psi_path`, and the graph coefficient vectors against the line
-  construction's on the same edge matrix;
+  `oracles.psi_path`, its four tables and two residuals against those read
+  through `oracles.stacked_psi_levels`, and each edge's coefficient vectors
+  against a `wavelets.weighted_complement_basis` solve of its own;
 - core's digit table, `fileio.word_column` and `core.rank` against the word
   tuples of `core.enumerate_words`;
 - the Fourier sweep, regrouped by the last letter of each word's prefix, against
@@ -30,6 +31,8 @@ form its own unit tests use, bit for bit wherever those tests compare bits:
 
 `hypothesis.event` names each example's input class.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, given, settings
@@ -172,11 +175,18 @@ def test_potential_and_measure_kernels_match_their_one_expression_forms(m, K, se
 def test_graph_psi_table_matches_psi_path(g, data):
     e0 = data.draw(st.integers(0, len(g.edges) - 1))
     gw = graphs.build_graph_wavelets(g, g.range(e0), e0)
-    line = wavelets.build_mother_wavelets(gw.pd)   # the line construction on the edge matrix
-    assert [[v.tobytes() for v in vecs] for vecs in gw.c] \
-        == [[v.tobytes() for v in vecs] for vecs in line.c]
+    for e, succ in enumerate(gw.pd.matrix.successors):   # a solve of its own for each edge
+        assert [v.tobytes() for v in gw.c[e]] \
+            == [v.tobytes() for v in wavelets.weighted_complement_basis(gw.pd.p, succ)]
     for k in range(1, 5):
         rep = graphs.path_integrals(gw, k)
+        with mock.patch.object(graphs, "_psi_levels", oracles.stacked_psi_levels):
+            old = graphs.path_integrals(gw, k)   # the E x levels x E coefficient tensor
+        for name in ("tuples", "paths", "valid", "psi"):
+            new, was = getattr(rep, name), getattr(old, name)
+            assert (new.dtype, new.shape, new.tobytes()) == (was.dtype, was.shape, was.tobytes())
+        assert (rep.max_mean_residual, rep.max_gram_residual) \
+            == (old.max_mean_residual, old.max_gram_residual)
         if rep.psi.size > MAX_PSI_ENTRIES:   # psi grows with k: the first level past it ends
             break
         paths = [tuple(pth) for pth in rep.paths.tolist()]

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,43 @@ def test_graph_coefficients_need_no_level_two_tables(tmp_path, capsys):
     argv = ["graph", "wavelets", "--graph", str(path), "--v0", "0", "--e0", "0", "--depth", "1"]
     assert cli.run(argv + ["--cap", "6"]) == 0
     assert cli.run(argv + ["--cap", "5"]) == 66
+    capsys.readouterr()
+
+
+def test_one_complement_solve_per_successor_set(monkeypatch, tmp_path, capsys):
+    # every edge into a vertex has that vertex's out-edges as successors: 100 loops at one
+    # vertex need one weighted Gram-Schmidt, shared by all 100 edges, and full2's two equal
+    # rows need one as well
+    rows = []
+    solve = wavelets.weighted_complement_basis
+    monkeypatch.setattr(wavelets, "weighted_complement_basis",
+                        lambda weights, support: rows.append(support) or solve(weights, support))
+    g = graphs.directed_graph(1, [(0, 0)] * 100)
+    gw = graphs.build_graph_wavelets(g, 0, 0)
+    assert len(rows) == 1 and len(gw.c) == 100 and all(vecs is gw.c[0] for vecs in gw.c)
+    rows.clear()
+    wavelets.build_mother_wavelets(spectral.perron_data(core.validate_matrix([[1, 1], [1, 1]])))
+    assert rows == [(0, 1)]
+    # psi reads a levels x E coefficient table (79 kB here), not an E x levels x E one (7.9 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded), core.budget(10):
+            graphs.path_integrals(gw, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # so the cap refuses the 100-loop file at once: 0.05 s on a 2-core VM, best of 3
+    path = tmp_path / "loops100.txt"
+    path.write_text(oracles.format_graph(g))
+    argv = ["graph", "wavelets", "--graph", str(path), "--v0", "0", "--e0", "0",
+            "--depth", "1", "--cap", "10"]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert cli.run(argv) == 66
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
     capsys.readouterr()
 
 
